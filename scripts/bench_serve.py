@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Closed-loop HTTP benchmark and throughput gate for the serving fleet.
 
-Boots real fleets (worker processes + asyncio front end) on loopback and
-measures three legs end to end — HTTP parse, shard routing, worker
+Boots real servers (asyncio front end + workers) on loopback and
+measures the legs below end to end — HTTP parse, shard routing, worker
 round-trip, JSON back:
 
-* ``point_single``  — closed-loop ``GET /predict`` against a 1-worker
-  fleet: the baseline a single engine process can serve;
+* ``point_single``  — closed-loop ``GET /predict`` against the default
+  one-worker server (the service in the front end's process): the
+  baseline a single engine process can serve;
 * ``point_fleet``   — the same load against ``--workers`` processes
   (shard routing keeps each worker's caches hot for its slice);
 * ``coalesced``     — bursts of *identical* concurrent requests: the

@@ -12,7 +12,8 @@ Two boundaries carry the architecture and are enforced here:
   ``repro.serve`` — the numeric core (metrics, convolver, registry,
   predictor facade) cannot depend on any orchestration or serving
   concern, or the study/serve layers stop being optional clients.
-* ``repro.engine`` must import **neither** ``repro.serve.httpd`` **nor**
+* ``repro.engine`` must import **neither** the HTTP front end and its
+  worker fleet (``repro.serve.frontend``, ``repro.serve.fleet``) **nor**
   ``repro.cli`` — the staged engine is a library both the study runner
   and the service embed; the moment it reaches into a front end, the
   dependency arrow inverts.  (Engine middleware talks to serve-layer
@@ -60,7 +61,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: layer prefix -> module prefixes it must never import.
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro.core": ("repro.study", "repro.serve"),
-    "repro.engine": ("repro.serve.httpd", "repro.cli"),
+    "repro.engine": ("repro.serve.frontend", "repro.serve.fleet", "repro.cli"),
     # The shared bottom layers must not reach up either; cheap to pin.
     "repro.util": ("repro.study", "repro.serve", "repro.engine", "repro.cli"),
     "repro.tracing": ("repro.study", "repro.serve", "repro.engine", "repro.cli"),

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Chaos gate for the resilient prediction service (CI ``serve-chaos`` job).
 
-Boots the real HTTP server with a seeded :class:`~repro.util.faults.FaultPlan`
-stalling the convolve stage, fires concurrent ``/predict`` requests at it,
-and asserts the service's resilience contract end to end:
+Boots the real HTTP server (the default one-worker, in-process server)
+with a seeded :class:`~repro.util.faults.FaultPlan` stalling the convolve
+stage, fires concurrent ``/predict`` requests at distinct cells (so no two
+coalesce into one service call), and asserts the service's resilience
+contract end to end:
 
 * **zero unhandled 500s** — every response is a well-formed JSON success,
   a structured 4xx, or a 503 with ``Retry-After``; nothing escapes as a
@@ -21,7 +23,7 @@ gate is deterministic in behaviour and fast in wall-clock.  Any violated
 assertion exits 1.
 
 This script is deliberately a *thin* live-HTTP smoke: it proves the real
-server wiring (sockets, threads, JSON mapping) under faults.  The full
+server wiring (sockets, worker threads, JSON mapping) under faults.  The full
 recovery contract — cooldown expiry, half-open probes, return to full
 fidelity — lives in the deterministic simulation harness
 (``repro-study sim run --scenario serve-recovery``), where virtual time
@@ -58,11 +60,9 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.serve.admission import AdmissionQueue
-from repro.serve.breaker import BreakerBoard
-from repro.serve.httpd import make_server
-from repro.serve.service import PredictionService
-from repro.util.faults import FaultPlan
+from repro.scenarios import TARGET_SYSTEMS, get_application, get_machine
+from repro.scenarios.builtin import builtin_applications
+from repro.serve.frontend import FleetServer
 
 #: Client-side allowance on top of the request deadline: loopback HTTP,
 #: JSON (de)serialisation and thread scheduling on a busy CI runner.
@@ -71,7 +71,19 @@ HTTP_OVERHEAD_SECONDS = 1.0
 #: Breaker cooldown — short, so the recovery phase is fast.
 COOLDOWN_SECONDS = 0.5
 
-QUERY = "application=AVUS-standard&cpus=64&machine=ARL_Xeon&metric=9"
+
+def distinct_queries(n: int) -> list[str]:
+    """``n`` valid metric-9 queries, no two for the same cell."""
+    queries = [
+        f"application={label}&cpus={cpus}&machine={system}&metric=9"
+        for system in TARGET_SYSTEMS
+        for label in builtin_applications()
+        for cpus in get_application(label).cpu_counts
+        if cpus <= get_machine(system).cpus
+    ]
+    if n > len(queries):
+        raise SystemExit(f"serve-chaos: at most {len(queries)} distinct cells")
+    return queries[:n]
 
 
 def fetch(port: int, path: str) -> tuple[int, dict, float]:
@@ -246,31 +258,37 @@ def main(argv: list[str] | None = None) -> int:
         return fleet_main(args)
 
     deadline_seconds = args.deadline_ms / 1000.0
-    service = PredictionService(
-        noise=False,
-        faults=FaultPlan.parse(args.inject_faults),
-        fault_stages=("convolve",),
+    server = FleetServer(
+        1,
         default_deadline=deadline_seconds,
-        stage_timeouts={"convolve": 0.05},
-        breakers=BreakerBoard(
-            failure_threshold=1, cooldown_seconds=COOLDOWN_SECONDS
-        ),
-        admission=AdmissionQueue(max_concurrent=8, max_queue=max(64, args.requests)),
+        service_config={
+            "noise": False,
+            "faults": args.inject_faults,
+            "fault_stages": ["convolve"],
+            "default_deadline": deadline_seconds,
+            "stage_timeouts": {"convolve": 0.05},
+            "breaker": {
+                "failure_threshold": 1,
+                "cooldown_seconds": COOLDOWN_SECONDS,
+            },
+            "max_concurrent": 8,
+            "max_queue": max(64, args.requests),
+        },
     )
-    server = make_server("127.0.0.1", 0, service)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    _, port = server.start()
     failures: list[str] = []
     try:
         # ------------------------------------------------------------------
         # Phase 1: concurrent fire under active faults.
         # ------------------------------------------------------------------
         results: list[tuple[int, dict, float]] = [None] * args.requests
-        path = f"/predict?{QUERY}&deadline_ms={args.deadline_ms:g}"
+        paths = [
+            f"/predict?{query}&deadline_ms={args.deadline_ms:g}"
+            for query in distinct_queries(args.requests)
+        ]
 
         def worker(i: int) -> None:
-            results[i] = fetch(port, path)
+            results[i] = fetch(port, paths[i])
 
         threads = [
             threading.Thread(target=worker, args=(i,))
@@ -319,17 +337,16 @@ def main(argv: list[str] | None = None) -> int:
         status, body, _ = fetch(port, "/healthz")
         if status != 200:
             failures.append(f"/healthz returned {status}")
-        if body["requests"]["total"] < statuses.count(200):
-            failures.append(f"healthz counters inconsistent: {body['requests']}")
+        requests = [row["health"]["requests"] for row in body["workers"].values()]
+        if sum(r["total"] for r in requests) < statuses.count(200):
+            failures.append(f"healthz counters inconsistent: {requests}")
         # Recovery (cooldown expiry -> half-open probe -> full fidelity) is
         # asserted by the deterministic simulation harness under virtual
         # time (`repro-study sim run --scenario serve-recovery`), not by
         # wall-clock polling here — the polling loop this replaces was the
         # suite's one flaky gate.
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server.stop()
 
     if failures:
         for failure in failures:

@@ -114,72 +114,22 @@ def _print_probes() -> None:
         print(f"{name:15s} {row}")
 
 
-def _serve(args, faults) -> int:
+def _serve(args) -> int:
     """Boot the resilient prediction service and block until interrupted.
 
-    ``--workers 1`` (the default) runs the proven single-process
-    threading server; ``--workers N`` for N >= 2 boots the sharded
-    multi-process fleet behind the asyncio front end.
+    One asyncio front end serves every ``--workers`` value: 1 (the
+    default) runs the service inside this process, N >= 2 forks N engine
+    workers behind it.  SIGTERM drains: the listener stops accepting,
+    in-flight requests finish, then every store and event log is flushed
+    before the exit 0.
     """
-    from repro.serve.httpd import make_server
-    from repro.serve.service import DEFAULT_DEADLINE_SECONDS, PredictionService
-
-    if args.workers >= 2:
-        return _serve_fleet(args, faults)
-    service = PredictionService(
-        mode=args.mode,
-        noise=not args.no_noise,
-        cache_model=args.cache_model,
-        store=args.cache_dir,
-        events=args.events_dir,
-        default_deadline=(
-            DEFAULT_DEADLINE_SECONDS if args.deadline is None else args.deadline
-        ),
-        faults=faults,
-    )
-    server = make_server(args.host, args.port, service)
-    host, port = server.server_address[:2]
-    print(
-        f"repro-study: serving predictions on http://{host}:{port} "
-        f"(deadline {service.default_deadline:g}s; routes: /predict, "
-        f"/healthz, /readyz, /events/stats, /catalog; Ctrl-C stops, "
-        f"SIGTERM drains)",
-        file=sys.stderr,
-    )
-    _install_sigterm(
-        # shutdown() must come from another thread: called from the
-        # handler (main thread, inside serve_forever) it deadlocks.
-        lambda: threading.Thread(
-            target=server.shutdown, name="serve-sigterm", daemon=True
-        ).start()
-    )
-    try:
-        server.serve_forever()
-    finally:
-        # server_close() joins the in-flight handler threads
-        # (block_on_close), so the drain below sees every request that
-        # was admitted before the stop signal.
-        server.server_close()
-        service.drain()
-    return 0
-
-
-def _install_sigterm(handler) -> None:
-    """Install a no-argument SIGTERM callback (no-op off the main thread)."""
-    try:
-        signal.signal(signal.SIGTERM, lambda signum, frame: handler())
-    except ValueError:  # tests drive serve from a non-main thread
-        pass
-
-
-def _serve_fleet(args, faults) -> int:
-    """Boot the sharded worker fleet and block until interrupted."""
     from repro.serve.frontend import FleetServer
     from repro.serve.service import DEFAULT_DEADLINE_SECONDS
 
+    workers = max(1, args.workers)
     deadline = DEFAULT_DEADLINE_SECONDS if args.deadline is None else args.deadline
     server = FleetServer(
-        args.workers,
+        workers,
         host=args.host,
         port=args.port,
         default_deadline=deadline,
@@ -199,22 +149,28 @@ def _serve_fleet(args, faults) -> int:
     host, port = server.start()
     print(
         f"repro-study: serving predictions on http://{host}:{port} "
-        f"({args.workers} workers; deadline {deadline:g}s; routes: /predict, "
-        f"/predict/batch, /healthz, /readyz, /events/stats, /catalog; "
-        f"Ctrl-C stops, SIGTERM drains)",
+        f"({workers} worker{'s' if workers > 1 else ''}; deadline {deadline:g}s; "
+        f"routes: /predict, /predict/batch, /healthz, /readyz, /events/stats, "
+        f"/catalog; Ctrl-C stops, SIGTERM drains)",
         file=sys.stderr,
     )
     stop = threading.Event()
     _install_sigterm(stop.set)
     try:
         # SIGTERM sets the event; Ctrl-C raises out of the wait.  Either
-        # way server.stop() EOFs every worker socket, and the workers
-        # drain their admitted frames and flush their stores/logs before
-        # exiting (see fleet._worker_main).
+        # way server.stop() runs the drain.
         stop.wait()
     finally:
         server.stop()
     return 0
+
+
+def _install_sigterm(handler) -> None:
+    """Install a no-argument SIGTERM callback (no-op off the main thread)."""
+    try:
+        signal.signal(signal.SIGTERM, lambda signum, frame: handler())
+    except ValueError:  # tests drive serve from a non-main thread
+        pass
 
 
 def _store_action(action: str, cache_dir: str) -> int:
@@ -702,8 +658,9 @@ def _run(argv: list[str] | None) -> int:
         default=1,
         metavar="N",
         help="processes to fan the study matrix over (default: 1, serial; "
-        "output is byte-identical either way); with 'serve', N >= 2 boots "
-        "the sharded multi-process fleet front end",
+        "output is byte-identical either way); with 'serve', engine "
+        "workers behind the one HTTP front end: 1 runs in-process, N >= 2 "
+        "forks a sharded fleet",
     )
     parser.add_argument(
         "--cache-dir",
@@ -980,7 +937,7 @@ def _run(argv: list[str] | None) -> int:
     if args.artifact == "sensitivity":
         return _sensitivity_action(args, parser, metrics)
     if args.artifact == "serve":
-        return _serve(args, faults)
+        return _serve(args)
 
     needs_study = args.artifact in {
         "table4",

@@ -14,8 +14,9 @@ runner and the online serve layer all share:
   the stages under a caller-chosen middleware tuple.
 
 Layering: the engine sits above ``core``/``probes``/``tracing``/``apps``
-and below ``study``/``serve``/``cli``; it must never import
-``serve.httpd`` or ``cli`` (enforced by ``scripts/check_layering.py``).
+and below ``study``/``serve``/``cli``; it must never import the HTTP
+front end (``serve.frontend``, ``serve.fleet``) or ``cli`` (enforced by
+``scripts/check_layering.py``).
 """
 
 from repro.engine.core import Engine

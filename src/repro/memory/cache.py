@@ -257,7 +257,7 @@ class MultiLevelCache:
         levels (an inclusive stack can only serve more from a farther
         level), then differenced into the same ``{level: fraction, "MEM":
         fraction}`` shape :meth:`simulate` reports.  Agreement with the
-        exact simulator is within the binomial conflict model's tolerance
+        exact simulator is within the conflict model's tolerance
         (DESIGN.md §5c), not exact — keep :meth:`simulate` for golden runs.
         """
         from repro.memory.reuse import reuse_profile

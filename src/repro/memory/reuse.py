@@ -20,14 +20,14 @@ one stable partition per bit level and every query descends the same
 ``O(log n)`` levels as vectorised gathers (NumPy tree-counting; the only
 Python loop is over the ~log2(n) bit levels).
 
-Set associativity is corrected analytically: with ``S`` sets, the ``d``
-intervening distinct lines of a reference scatter over sets independently
-and uniformly, so the reference survives a ``W``-way set iff fewer than
-``W`` of them land in its own set — a Binomial(d, 1/S) tail (the classic
-Smith/Hill conflict model).  ``n_sets == 1`` degenerates to the exact
-fully-associative law.  The model's error against exact simulation is small
-for streams without pathological set alignment (see DESIGN.md §5c for the
-bound; the property tests in ``tests/test_memory_reuse.py`` pin it).
+Set associativity is corrected analytically: a reference survives a
+``W``-way set iff fewer than ``W`` of its ``d`` intervening distinct lines
+share its set.  They are drawn from the stream's own footprint of ``F``
+lines, ``F_s`` of them in the reference's set, so the count is
+Hypergeometric(F - 1, F_s - 1, d) and a set whose footprint fits its ways
+never conflicts.  ``n_sets == 1`` degenerates to the exact fully-associative
+law.  DESIGN.md §5c bounds the error against exact simulation; the property
+tests in ``tests/test_memory_reuse.py`` pin it.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class ReuseProfile:
         Total references profiled.
     line_bytes:
         Line granularity the profile was taken at.
+    footprint, reuses:
+        Sorted distinct lines touched, and warm references to each.
     """
 
     distances: np.ndarray
@@ -136,6 +138,8 @@ class ReuseProfile:
     cold: int
     total: int
     line_bytes: int
+    footprint: np.ndarray
+    reuses: np.ndarray
 
     def hits(self, capacity_lines: int) -> int:
         """Exact hit count in a fully-associative LRU cache of ``capacity_lines``."""
@@ -151,30 +155,25 @@ class ReuseProfile:
     def assoc_hit_fraction(self, n_sets: int, ways: int) -> float:
         """Expected hit rate of an ``n_sets`` x ``ways`` set-associative LRU cache.
 
-        Exact (Mattson) for ``n_sets == 1``; otherwise the binomial conflict
-        model: a reference with ``d`` intervening distinct lines hits iff
-        fewer than ``ways`` of them map to its set, each independently with
-        probability ``1/n_sets``.
+        Exact (Mattson) for ``n_sets == 1``; otherwise the conflict model: a
+        reference with ``d`` intervening distinct lines hits iff fewer than
+        ``ways`` of them share its set — a Hypergeometric(F - 1, K, d) draw
+        from the other footprint lines, ``K`` of them in its set, with ``K``
+        weighted by each set's warm references.
         """
         if n_sets <= 0 or ways <= 0:
             raise ValueError(f"need positive geometry, got {n_sets} sets x {ways} ways")
-        if self.total == 0:
+        if self.counts.shape[0] == 0:
             return 0.0
         if n_sets == 1:
             return self.hit_fraction(ways)
-        d = self.distances.astype(float)
-        p = 1.0 / n_sets
-        # Binomial(d, p) CDF at ways-1 via the iterative term recurrence:
-        # C(d, k) p^k (1-p)^(d-k); term goes (and stays) zero once k > d.
-        term = np.exp(d * np.log1p(-p))
-        cdf = term.copy()
-        ratio = p / (1.0 - p)
-        for k in range(1, ways):
-            term = term * ((d - k + 1.0) / k) * ratio
-            np.maximum(term, 0.0, out=term)
-            cdf += term
-        np.clip(cdf, 0.0, 1.0, out=cdf)
-        return float(np.sum(self.counts * cdf)) / self.total
+        sets = self.footprint % n_sets
+        others = np.bincount(sets, minlength=n_sets)[sets] - 1  # K per line
+        k_values, which = np.unique(others, return_inverse=True)
+        weight = np.bincount(which, weights=self.reuses) / np.sum(self.counts)
+        n_others = self.footprint.shape[0] - 1
+        cdf = _hypergeom_cdf(ways - 1, n_others, k_values[:, None], self.distances)
+        return float(weight @ cdf @ self.counts) / self.total
 
     def hit_fractions(self, capacities_lines: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`hit_fraction` over an array of capacities."""
@@ -186,15 +185,40 @@ class ReuseProfile:
         return cum[idx] / self.total
 
 
+def _hypergeom_cdf(k_max: int, n: int, big_k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``P(X <= k_max)``, X ~ Hypergeometric(n, big_k, d), broadcast over arrays.
+
+    Sums the pmf ``C(K, k) C(n - K, d - k) / C(n, d)`` in log space;
+    impossible terms (``k > K``, ``k > d``, ``d - k > n - K``) add zero.
+    """
+    from scipy.special import gammaln
+
+    def log_choose(a, b):
+        return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
+
+    big_k, d = np.broadcast_arrays(big_k.astype(float), d.astype(float))
+    cdf = np.zeros(big_k.shape)
+    for k in range(k_max + 1):
+        rest = np.clip(d - k, 0.0, n - big_k)
+        log_pmf = log_choose(big_k, np.minimum(k, big_k)) + log_choose(n - big_k, rest)
+        possible = (k <= big_k) & (k <= d) & (d - k <= n - big_k)
+        cdf += np.where(possible, np.exp(log_pmf - log_choose(n, d)), 0.0)
+    return np.clip(cdf, 0.0, 1.0)
+
+
 def reuse_profile(addresses: np.ndarray, line_bytes: int = 64) -> ReuseProfile:
     """Profile one address stream: one vectorised pass, usable for any cache."""
     d = reuse_distances(addresses, line_bytes)
     finite = d[d >= 0]
     distances, counts = np.unique(finite, return_counts=True)
+    lines = np.asarray(addresses, dtype=np.int64) // line_bytes
+    footprint, touches = np.unique(lines, return_counts=True)
     return ReuseProfile(
         distances=distances,
         counts=counts,
         cold=int(d.shape[0] - finite.shape[0]),
         total=int(d.shape[0]),
         line_bytes=int(line_bytes),
+        footprint=footprint,
+        reuses=touches - 1,
     )

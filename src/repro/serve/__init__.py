@@ -5,18 +5,19 @@ prediction *service* that keeps answering under partial failure:
 per-stage circuit breakers (:mod:`~repro.serve.breaker`), a graceful
 degradation ladder over the Table 3 metric hierarchy
 (:mod:`~repro.serve.degrade`), per-request deadlines threaded through the
-backend stages, bounded admission with load-shedding
-(:mod:`~repro.serve.admission`), and a dependency-free HTTP front end
-(:mod:`~repro.serve.httpd`).  :class:`~repro.serve.service.PredictionService`
-ties them together.
+backend stages, and bounded admission with load-shedding
+(:mod:`~repro.serve.admission`).
+:class:`~repro.serve.service.PredictionService` ties them together.
 
-For multi-core serving, :mod:`~repro.serve.fleet` runs N worker
-processes (each owning a full service) behind the asyncio front end in
-:mod:`~repro.serve.frontend`, with trace identities consistent-hashed
-across workers (:mod:`~repro.serve.shard`) and duplicate in-flight
-requests collapsed to one engine call (:mod:`~repro.serve.coalesce`).
-The fleet modules are imported lazily — ``import repro.serve`` must stay
-cheap for the single-process path.
+One dependency-free asyncio HTTP front end (:mod:`~repro.serve.frontend`)
+serves it over the workers of :mod:`~repro.serve.fleet`: one service in
+the front end's own process (the default), or N forked worker processes
+each owning a full service, with trace identities consistent-hashed
+across them (:mod:`~repro.serve.shard`).  Duplicate in-flight requests
+collapse to one engine call on either backend
+(:mod:`~repro.serve.coalesce`).  The front end and fleet modules are
+imported lazily — ``import repro.serve`` stays cheap for callers that
+only embed the service.
 """
 
 from repro.serve.admission import AdmissionQueue, ServiceTimeEwma

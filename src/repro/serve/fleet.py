@@ -1,28 +1,35 @@
-"""The multi-process engine worker fleet behind the asyncio front end.
+"""The engine backends behind the asyncio front end.
 
-One process cannot be the "millions of users" serving tier: the engine is
-CPU-bound Python, so a single ``ThreadingHTTPServer`` serializes on the
-GIL no matter how many threads it spawns.  The fleet runs **N worker
-processes**, each owning a full :class:`~repro.serve.service.PredictionService`
-— its own :class:`~repro.engine.Engine`, mapped-trace LRU, probe caches,
-circuit breakers, degradation ladder and admission queue — so the
-resilience semantics of PR 4 hold *per worker* while predictions scale
-across cores.
+Every backend worker owns a full
+:class:`~repro.serve.service.PredictionService` — its own
+:class:`~repro.engine.Engine`, mapped-trace LRU, probe caches, circuit
+breakers, degradation ladder and admission queue — and serves requests on
+a small thread pool, so point queries overtake an in-flight batch.  The
+worker count picks the transport:
 
-Transport is deliberately primitive: each worker talks to the front end
-over one pre-opened ``socketpair`` carrying length-prefixed JSON frames
-(4-byte little-endian length + UTF-8 body).  Requests carry an ``id``;
-workers answer out of order (a small thread pool serves frames
-concurrently so a slow batch does not starve point queries), and the
-front end matches responses to futures by id.
+* **one worker** (the default of ``repro-study serve``) runs the service
+  inside the front end's process: :class:`LocalHandle` hands each request
+  to :func:`_handle_frame` on the pool, and the answer comes back through
+  the event loop — no fork and no frames;
+* **N >= 2 workers** are forked processes, since CPU-bound engine work in
+  one process serializes on the GIL.  Each talks to the front end over
+  one pre-opened ``socketpair`` carrying length-prefixed JSON frames
+  (4-byte little-endian length + UTF-8 body).  Requests carry an ``id``;
+  workers answer out of order, and the front end matches responses to
+  futures by id.
 
-Supervision is kernel-grade, not protocol-grade: the front end watches
-each worker's ``Process.sentinel`` through ``loop.add_reader``, so a
-``SIGKILL``-ed worker is detected the moment the process dies even if
-its socket lingers in some forked sibling.  Death removes the worker
-from the shard ring (its key range re-routes to the survivors — and
-*only* its range moves, the ring's minimal-movement property), fails the
-worker's in-flight requests with retry-able
+Both transports sit under one :meth:`WorkerHandle.call`, so the pending
+bound, the EWMA ``Retry-After`` and the timeout mapping exist once.  A
+request is stamped when it reaches its worker, and its wait for a pool
+thread is charged to its deadline.
+
+Supervision of forked workers is kernel-grade, not protocol-grade: the
+front end watches each worker's ``Process.sentinel`` through
+``loop.add_reader``, so a ``SIGKILL``-ed worker is detected the moment
+the process dies even if its socket lingers in some forked sibling.
+Death removes the worker from the shard ring (its key range re-routes to
+the survivors — and *only* its range moves, the ring's minimal-movement
+property), fails the worker's in-flight requests with retry-able
 :class:`~repro.core.errors.OverloadedError` (HTTP 429, never a 500), and
 schedules a respawn; the replacement re-joins the ring under the same
 name and reclaims exactly its old key range.
@@ -41,20 +48,16 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.errors import (
-    OverloadedError,
-    ReproError,
-    ServiceUnavailableError,
-    UnknownIdError,
-)
+from repro.core.errors import OverloadedError, ServiceUnavailableError, UnknownIdError
 from repro.events.types import Event, WorkerDied, WorkerRespawned
 from repro.scenarios import BASE_SYSTEM
 from repro.serve.admission import AdmissionQueue, ServiceTimeEwma
 from repro.serve.shard import DEFAULT_VNODES, ShardRing
 from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import trace_key
+from repro.util.clock import SYSTEM_CLOCK
 
-__all__ = ["Fleet", "WorkerHandle", "error_payload"]
+__all__ = ["Fleet", "LocalHandle", "ProcessHandle", "WorkerHandle", "error_payload"]
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +65,8 @@ log = logging.getLogger(__name__)
 #: in-flight batch, small enough that the GIL stays the real limit.
 DEFAULT_WORKER_THREADS = 4
 
-#: Per-worker pending-frame bound at the front end; beyond it the worker
-#: is considered backlogged and new arrivals shed with 429.
+#: Per-worker pending-request bound at the front end; beyond it the
+#: worker is considered backlogged and new arrivals shed with 429.
 DEFAULT_MAX_PENDING = 64
 
 
@@ -87,10 +90,10 @@ def _recv_exact(rfile, n: int) -> bytes | None:
 def error_payload(exc: BaseException) -> dict:
     """One exception → the HTTP-shaped ``{status, body, retry_after}``.
 
-    The same taxonomy mapping the single-process HTTP layer applies,
-    expressed as data so it can cross the worker/front-end boundary in a
-    frame: invalid ids 400, shed 429, every-rung-failed 503, any other
-    taxonomy error a structured 500 — never a traceback page.
+    The serve layer's one taxonomy mapping, expressed as data so it can
+    cross the worker/front-end boundary in a frame: invalid ids and
+    malformed requests 400, shed 429, every-rung-failed 503, any other
+    error a structured 500 — never a traceback page.
     """
     if isinstance(exc, UnknownIdError):
         return {
@@ -126,25 +129,21 @@ def error_payload(exc: BaseException) -> dict:
             },
             "retry_after": exc.retry_after,
         }
-    if isinstance(exc, ReproError):
-        return {
-            "status": 500,
-            "body": {"error": type(exc).__name__, "message": str(exc)},
-        }
     return {"status": 500, "body": {"error": type(exc).__name__, "message": str(exc)}}
 
 
 # ---------------------------------------------------------------------------
-# the worker process
+# the worker side (a forked process, or the front end's own pool)
 # ---------------------------------------------------------------------------
 def _build_service(config: dict, worker_id: str | None = None):
-    """Construct the worker's PredictionService from the plain-dict config.
+    """Construct a worker's PredictionService from the plain-dict config.
 
     Plain dict (not a dataclass) because it crosses the process boundary
     under both fork and spawn start methods.  When the config names an
     ``events_dir``, each worker appends to its *own* writer stream in
-    that directory (stream id = worker name) — per-writer streams are
-    what lets N processes share one log directory without sharing files.
+    that directory (stream id = worker name; ``"serve"`` for the one
+    in-process service) — per-writer streams are what lets N processes
+    share one log directory without sharing files.
     """
     from repro.events.log import EventLog
     from repro.serve.breaker import BreakerBoard
@@ -192,34 +191,58 @@ def _build_service(config: dict, worker_id: str | None = None):
     )
 
 
+def _submit(pool: ThreadPoolExecutor, service, worker_id: str, msg: dict, reply) -> None:
+    """Queue one request on a worker's pool, stamped with its arrival."""
+    msg["arrived"] = SYSTEM_CLOCK.monotonic()
+    pool.submit(_handle_frame, service, worker_id, msg, reply)
+
+
+def _remaining_budget(service, msg: dict, default: float | None) -> float | None:
+    """The request's deadline (``default`` when it names none) less the
+    time it waited for a pool thread, in seconds.
+
+    Raises :class:`OverloadedError` (429) when the wait used up the whole
+    budget: a request that can no longer meet its deadline is shed, never
+    served late.
+    """
+    deadline_ms = msg.get("deadline_ms")
+    budget = default if deadline_ms is None else float(deadline_ms) / 1000.0
+    if budget is None or budget <= 0:
+        return budget  # unbounded, or invalid: the service answers 400
+    waited = SYSTEM_CLOCK.monotonic() - msg["arrived"]
+    if waited >= budget:
+        raise OverloadedError(
+            f"waited {waited:.3f}s for a worker thread, past the request's "
+            f"{budget:g}s deadline",
+            retry_after=service.admission.retry_after_estimate(),
+        )
+    return budget - waited
+
+
 def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
-    """Serve one request frame inside a worker pool thread."""
+    """Serve one request inside a worker pool thread."""
     rid = msg.get("id")
     op = msg.get("op")
     try:
         if op == "predict":
-            deadline_ms = msg.get("deadline_ms")
             served = service.predict(
                 msg["application"],
                 int(msg["cpus"]),
                 msg["machine"],
                 msg.get("metric", 9),
-                deadline_seconds=(
-                    None if deadline_ms is None else float(deadline_ms) / 1000.0
+                deadline_seconds=_remaining_budget(
+                    service, msg, service.default_deadline
                 ),
             )
             body = served.to_dict()
             body["worker"] = worker_id
             reply({"id": rid, "ok": True, "result": body})
         elif op == "batch":
-            deadline_ms = msg.get("deadline_ms")
             records = service.predict_cells(
                 [(label, cpus) for label, cpus in msg["rows"]],
                 msg["systems"],
                 msg["metrics"],
-                deadline_seconds=(
-                    None if deadline_ms is None else float(deadline_ms) / 1000.0
-                ),
+                deadline_seconds=_remaining_budget(service, msg, None),
             )
             reply(
                 {
@@ -237,14 +260,7 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
             body["pid"] = os.getpid()
             reply({"id": rid, "ok": True, "result": body})
         elif op == "ready":
-            ok, body = service.ready()
-            reply({"id": rid, "ok": True, "result": {"ready_ok": ok, **body}})
-        elif op == "events":
-            body = service.events_stats()
-            body["worker"] = worker_id
-            reply({"id": rid, "ok": True, "result": body})
-        elif op == "ping":
-            reply({"id": rid, "ok": True, "result": {"worker": worker_id}})
+            reply({"id": rid, "ok": True, "result": service.ready()[1]})
         else:
             reply(
                 {
@@ -259,7 +275,7 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
 
 
 def _worker_main(sock: socket.socket, worker_id: str, config: dict) -> None:
-    """Entry point of one engine worker process."""
+    """Entry point of one forked engine worker process."""
     # The front end owns Ctrl-C; a worker must only exit on socket EOF
     # (orderly shutdown), a graceful SIGTERM, or a kill (chaos /
     # supervisor restart).
@@ -301,7 +317,7 @@ def _worker_main(sock: socket.socket, worker_id: str, config: dict) -> None:
                 msg = json.loads(payload)
             except ValueError:
                 continue  # torn frame; the front end will time out the id
-            pool.submit(_handle_frame, service, worker_id, msg, reply)
+            _submit(pool, service, worker_id, msg, reply)
     finally:
         # Graceful drain: stop accepting (the read loop is done), finish
         # every admitted frame, then flush the store's write-behind queue
@@ -321,59 +337,34 @@ def _worker_main(sock: socket.socket, worker_id: str, config: dict) -> None:
 # the front-end side
 # ---------------------------------------------------------------------------
 class WorkerHandle:
-    """Front-end view of one worker: socket, pending futures, EWMA gate."""
+    """Front-end view of one worker: pending futures and the EWMA gate.
 
-    def __init__(
-        self,
-        name: str,
-        proc,
-        sock: socket.socket,
-        *,
-        max_pending: int = DEFAULT_MAX_PENDING,
-    ):
+    :meth:`call` is the one request path of both backends; a subclass
+    supplies the transport (``_send``) and the lifecycle (``connect``,
+    ``close`` — stop taking requests — and ``wait_closed`` — finish and
+    flush them).
+    """
+
+    #: The worker's process (``None`` for the in-process backend).
+    proc = None
+
+    def __init__(self, name: str, pid: int | None, *, max_pending: int):
         self.name = name
-        self.proc = proc
+        self.pid = pid
         self.alive = False
         self.max_pending = max_pending
         self.pending: dict[int, asyncio.Future] = {}
         self.ewma = ServiceTimeEwma()
         self.calls_total = 0
         self.shed_total = 0
-        self._sock = sock
         self._seq = 0
-        self._writer = None
-        self._reader_task = None
-
-    # ------------------------------------------------------------------
-    async def connect(self) -> None:
-        reader, writer = await asyncio.open_connection(sock=self._sock)
-        self._writer = writer
-        self.alive = True
-        self._reader_task = asyncio.create_task(
-            self._read_loop(reader), name=f"fleet-read-{self.name}"
-        )
-
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "little")
-                payload = await reader.readexactly(length)
-                msg = json.loads(payload)
-                future = self.pending.get(msg.get("id"))
-                if future is not None and not future.done():
-                    future.set_result(msg)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # death is handled authoritatively by the sentinel watch
-        except asyncio.CancelledError:
-            raise
 
     # ------------------------------------------------------------------
     def retry_after(self) -> float:
         return self.ewma.retry_after(len(self.pending) + 1, 1)
 
     async def call(self, op: str, params: dict, *, timeout: float | None = None) -> dict:
-        """One framed request/response; sheds beyond the pending bound."""
+        """One request/response; sheds beyond the pending bound."""
         if not self.alive:
             raise OverloadedError(
                 f"worker {self.name} is restarting", retry_after=self.retry_after()
@@ -382,7 +373,7 @@ class WorkerHandle:
             self.shed_total += 1
             raise OverloadedError(
                 f"worker {self.name} backlog full "
-                f"({len(self.pending)} frames pending)",
+                f"({len(self.pending)} requests pending)",
                 retry_after=self.retry_after(),
             )
         loop = asyncio.get_running_loop()
@@ -391,11 +382,9 @@ class WorkerHandle:
         future = loop.create_future()
         self.pending[rid] = future
         self.calls_total += 1
-        frame = json.dumps({"id": rid, "op": op, **params}).encode("utf-8")
         start = loop.time()
         try:
-            self._writer.write(len(frame).to_bytes(4, "little") + frame)
-            await self._writer.drain()
+            await self._send({"id": rid, "op": op, **params})
             if timeout is None:
                 response = await future
             else:
@@ -413,7 +402,12 @@ class WorkerHandle:
         self.ewma.observe(loop.time() - start)
         return response
 
-    # ------------------------------------------------------------------
+    def _resolve(self, msg: dict) -> None:
+        """Hand one worker reply to the call waiting for its id."""
+        future = self.pending.get(msg.get("id"))
+        if future is not None and not future.done():
+            future.set_result(msg)
+
     def fail_pending(self, exc: BaseException) -> None:
         """Resolve every in-flight future with ``exc`` (worker died)."""
         for future in list(self.pending.values()):
@@ -421,34 +415,119 @@ class WorkerHandle:
                 future.set_exception(exc)
         self.pending.clear()
 
+
+class LocalHandle(WorkerHandle):
+    """The one-worker backend: the service runs in the front end's process.
+
+    No fork and no frames: :meth:`_send` queues the request dict on the
+    handle's thread pool, and the reply returns to the event loop through
+    ``call_soon_threadsafe``.
+    """
+
+    def __init__(self, name: str, config: dict, *, max_pending: int):
+        super().__init__(name, os.getpid(), max_pending=max_pending)
+        self.service = _build_service(config)
+        self._pool = ThreadPoolExecutor(
+            max_workers=config.get("threads", DEFAULT_WORKER_THREADS),
+            thread_name_prefix=f"serve-{name}",
+        )
+        self._loop: asyncio.AbstractEventLoop | None = None
+
+    async def connect(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self.alive = True
+
+    async def _send(self, msg: dict) -> None:
+        _submit(self._pool, self.service, self.name, msg, self._reply)
+
+    def _reply(self, msg: dict) -> None:
+        try:
+            self._loop.call_soon_threadsafe(self._resolve, msg)
+        except RuntimeError:
+            pass  # the loop is gone: nobody waits for this answer any more
+
+    def close(self) -> None:
+        self.alive = False
+
+    async def wait_closed(self) -> None:
+        # Finish every accepted request (the loop keeps delivering their
+        # answers meanwhile), then flush the store and the event log.
+        await asyncio.get_running_loop().run_in_executor(None, self._pool.shutdown)
+        self.service.drain()
+
+
+class ProcessHandle(WorkerHandle):
+    """A forked worker: its process and the framed socket to it."""
+
+    def __init__(self, name: str, proc, sock: socket.socket, *, max_pending: int):
+        super().__init__(name, proc.pid, max_pending=max_pending)
+        self.proc = proc
+        self._sock = sock
+        self._writer = None
+        self._reader_task = None
+
+    async def connect(self) -> None:
+        reader, writer = await asyncio.open_connection(sock=self._sock)
+        self._writer = writer
+        self.alive = True
+        self._reader_task = asyncio.create_task(
+            self._read_loop(reader), name=f"fleet-read-{self.name}"
+        )
+
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        try:
+            while True:
+                header = await reader.readexactly(4)
+                length = int.from_bytes(header, "little")
+                payload = await reader.readexactly(length)
+                self._resolve(json.loads(payload))
+        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
+            pass  # death is handled authoritatively by the sentinel watch
+        except asyncio.CancelledError:
+            raise
+
+    async def _send(self, msg: dict) -> None:
+        frame = json.dumps(msg).encode("utf-8")
+        self._writer.write(len(frame).to_bytes(4, "little") + frame)
+        await self._writer.drain()
+
     def close(self) -> None:
         self.alive = False
         if self._reader_task is not None:
             self._reader_task.cancel()
         if self._writer is not None:
             try:
-                self._writer.close()
+                self._writer.close()  # EOF on the socket: the shutdown signal
             except (OSError, RuntimeError):
                 pass
 
+    async def wait_closed(self) -> None:
+        self.proc.join(timeout=2.0)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(timeout=2.0)
+
 
 class Fleet:
-    """Spawn, route to, supervise and respawn the engine workers.
+    """Start, route to, supervise and respawn the engine workers.
 
     Parameters
     ----------
     workers:
-        Number of engine worker processes.
+        Number of engine workers: 1 runs the service in this process
+        (:class:`LocalHandle`), N >= 2 forks N worker processes.
     service_config:
         Plain-dict :class:`~repro.serve.service.PredictionService`
-        configuration shipped to every worker (see ``_build_service``).
+        configuration every worker builds its service from (see
+        ``_build_service``).
     vnodes:
         Virtual nodes per worker on the shard ring.
     worker_threads, max_pending:
         Per-worker request threads and front-end pending bound.
     respawn, respawn_delay:
-        Whether (and how soon) a dead worker is replaced.  The chaos
-        harness disables respawn to hold the degraded topology still.
+        Whether (and how soon) a dead worker process is replaced.  The
+        chaos harness disables respawn to hold the degraded topology
+        still.
     events:
         Optional :class:`~repro.events.log.EventLog` (the supervisor's
         own writer stream) that records worker deaths and respawns.
@@ -494,25 +573,31 @@ class Fleet:
             await self._launch(f"w{i}")
 
     async def _launch(self, name: str) -> None:
-        parent_sock, child_sock = socket.socketpair()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_sock, name, self.config),
-            name=f"repro-fleet-{name}",
-            daemon=True,
-        )
-        proc.start()
-        child_sock.close()  # the parent's copy; the child holds its own
-        handle = WorkerHandle(name, proc, parent_sock, max_pending=self.max_pending)
+        if self.n_workers == 1:
+            handle = LocalHandle(name, self.config, max_pending=self.max_pending)
+        else:
+            parent_sock, child_sock = socket.socketpair()
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(child_sock, name, self.config),
+                name=f"repro-fleet-{name}",
+                daemon=True,
+            )
+            proc.start()
+            child_sock.close()  # the parent's copy; the child holds its own
+            handle = ProcessHandle(
+                name, proc, parent_sock, max_pending=self.max_pending
+            )
         await handle.connect()
         self.workers[name] = handle
         self.ring.add(name)
-        loop = asyncio.get_running_loop()
-        # Kernel-grade liveness: the sentinel fd becomes readable the
-        # moment the process dies, socket state notwithstanding.
-        loop.add_reader(
-            proc.sentinel, functools.partial(self._on_sentinel, name, proc)
-        )
+        if handle.proc is not None:
+            # Kernel-grade liveness: the sentinel fd becomes readable the
+            # moment the process dies, socket state notwithstanding.
+            asyncio.get_running_loop().add_reader(
+                handle.proc.sentinel,
+                functools.partial(self._on_sentinel, name, handle.proc),
+            )
 
     def _on_sentinel(self, name: str, proc) -> None:
         loop = asyncio.get_running_loop()
@@ -529,8 +614,8 @@ class Fleet:
         if not handle.alive:
             return
         self.deaths_total += 1
-        log.warning("fleet worker %s (pid %s) died", name, handle.proc.pid)
-        self._emit(WorkerDied(worker=name, pid=handle.proc.pid or 0))
+        log.warning("fleet worker %s (pid %s) died", name, handle.pid)
+        self._emit(WorkerDied(worker=name, pid=handle.pid or 0))
         self.ring.remove(name)
         handle.close()
         # In-flight work on the dead worker is shed, not erred: clients
@@ -554,9 +639,7 @@ class Fleet:
             await self._launch(name)
             self.respawns_total += 1
             log.info("fleet worker %s respawned", name)
-            self._emit(
-                WorkerRespawned(worker=name, pid=self.workers[name].proc.pid or 0)
-            )
+            self._emit(WorkerRespawned(worker=name, pid=self.workers[name].pid or 0))
         except Exception:  # pragma: no cover - spawn failure is environmental
             log.exception("fleet worker %s respawn failed", name)
 
@@ -570,21 +653,20 @@ class Fleet:
             log.warning("fleet event append failed", exc_info=True)
 
     async def stop(self) -> None:
+        """Stop taking requests, then let every worker finish and flush."""
         self._closing = True
         for task in list(self._tasks):
             task.cancel()
         loop = asyncio.get_running_loop()
         for handle in self.workers.values():
-            try:
-                loop.remove_reader(handle.proc.sentinel)
-            except (OSError, ValueError):
-                pass
-            handle.close()  # EOF on the socket is the shutdown signal
+            if handle.proc is not None:
+                try:
+                    loop.remove_reader(handle.proc.sentinel)
+                except (OSError, ValueError):
+                    pass
+            handle.close()
         for handle in self.workers.values():
-            handle.proc.join(timeout=2.0)
-            if handle.proc.is_alive():
-                handle.proc.terminate()
-                handle.proc.join(timeout=2.0)
+            await handle.wait_closed()
         self.workers.clear()
 
     # ------------------------------------------------------------------
@@ -619,12 +701,12 @@ class Fleet:
     # observability
     # ------------------------------------------------------------------
     async def worker_health(self, timeout: float = 2.0) -> dict:
-        """Per-worker health frames, gathered concurrently."""
+        """Per-worker health replies, gathered concurrently."""
 
         async def one(handle: WorkerHandle) -> tuple[str, dict]:
             base = {
                 "alive": handle.alive,
-                "pid": handle.proc.pid,
+                "pid": handle.pid,
                 "pending": len(handle.pending),
                 "calls_total": handle.calls_total,
                 "shed_total": handle.shed_total,

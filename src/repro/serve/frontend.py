@@ -1,10 +1,12 @@
-"""Asyncio HTTP front end over the sharded engine worker fleet.
+"""The asyncio HTTP front end: the one server behind ``repro-study serve``.
 
 One event loop accepts every connection (no thread-per-connection, no
 framework, zero new dependencies — plain ``asyncio.start_server`` and
-hand-rolled HTTP/1.1 framing) and does only cheap work: parse, validate,
-route, coalesce, merge.  Everything CPU-bound happens in the
-:class:`~repro.serve.fleet.Fleet` workers.
+hand-rolled HTTP/1.1 framing with keep-alive) and does only cheap work:
+parse, validate, route, coalesce, merge.  Everything CPU-bound happens in
+the :class:`~repro.serve.fleet.Fleet`'s workers — with one worker (the
+default) a service running in this process, with N >= 2 forked worker
+processes.  Every route below behaves the same on both backends.
 
 Routes:
 
@@ -13,10 +15,14 @@ Routes:
     ring, so the owning worker answers from a warm cache; identical
     concurrent requests are collapsed by
     :class:`~repro.serve.coalesce.SingleFlight` into one worker call,
-    followers stamped ``coalesced: true``.  Status mapping is identical
-    to the single-process server: 400 structured validation errors,
-    429 + ``Retry-After`` on shed (including a worker dying mid-request),
-    503 when every ladder rung failed — never a traceback page.
+    followers stamped ``coalesced: true``.  Every error maps through
+    :func:`~repro.serve.fleet.error_payload`: 400 structured validation
+    errors (unknown ids name the nearest valid ones), 429 +
+    ``Retry-After`` on shed (including a request whose deadline ran out
+    while it waited for a worker thread, and a worker dying
+    mid-request), 503 when every ladder rung failed — never a traceback
+    page.  Degraded answers are 200s marked ``degraded: true`` with the
+    ``served_metric`` that actually answered.
 
 ``POST /predict/batch``
     A tensorized sub-matrix in one request.  The body names explicit
@@ -33,25 +39,32 @@ Routes:
     of worker count — ``run_matrix``'s partition invariance, served.
 
 ``GET /healthz``
-    Fleet-wide aggregation: per-worker breaker boards, admission depths
-    and trace-LRU counters (gathered concurrently), ring membership and
-    hash-space shares, coalescing counters, death/respawn totals.
+    Liveness (always 200 while the process answers) plus diagnostics:
+    per-worker breaker boards, admission depths and trace-LRU counters
+    (gathered concurrently), ring membership and hash-space shares,
+    coalescing counters, death/respawn totals; ``status`` reads
+    ``degraded`` while a worker is down or any breaker is open.
 
 ``GET /readyz``
-    200 only when every worker is alive and itself ready; 503 while the
-    fleet is degraded (a worker dead or draining) so load balancers
-    steer around the instance during recovery.
+    200 only when every worker is alive and itself ready; 503 while a
+    worker is dead, has a breaker open or sheds load — the body names
+    each not-ready worker with its own reason — so load balancers steer
+    around the instance during recovery.
 
 ``GET /events/stats``
-    Projection views rebuilt from the fleet's shared event-log
-    directory — every worker's writer stream plus the supervisor's own
-    (worker deaths/respawns) folded into one audit surface;
-    ``{"enabled": false}`` when the fleet runs without an event log.
+    Projection views rebuilt from the shared event-log directory — every
+    writer stream (the services' own plus the supervisor's worker
+    deaths/respawns) folded into one audit surface;
+    ``{"enabled": false}`` when the server runs without an event log.
 
 ``GET /catalog``
     The loaded scenario catalog (application labels, machine names,
     metric numbers, base system, mounted universe) — answered by the
     front end itself, which mounts the same universe as its workers.
+
+A request the HTTP framing cannot parse (a malformed request line, a
+bad ``Content-Length``, an over-long header line) gets a JSON 400 and
+the connection is closed.
 """
 
 from __future__ import annotations
@@ -114,7 +127,7 @@ class FleetFrontend:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Spawn the fleet and bind the HTTP listener; returns the address."""
+        """Start the workers and bind the HTTP listener; returns the address."""
         await self.fleet.start()
         self._server = await asyncio.start_server(self._handle_connection, host, port)
         sockname = self._server.sockets[0].getsockname()
@@ -122,6 +135,8 @@ class FleetFrontend:
         return self.address
 
     async def stop(self) -> None:
+        """The graceful drain: stop accepting, let the workers finish their
+        in-flight requests, then flush their stores and event logs."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -136,7 +151,17 @@ class FleetFrontend:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError as exc:
+                    # Unparseable framing: the stream position is lost,
+                    # so answer once and hang up.
+                    mapped = error_payload(exc)
+                    self._write_response(
+                        writer, mapped["status"], mapped["body"], close=True
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -165,12 +190,15 @@ class FleetFrontend:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
+        """One request as ``(method, target, headers, body)``; ``None`` at
+        EOF.  Raises :class:`ValueError` on framing it cannot parse
+        (``readline`` itself raises it for a line over the stream limit)."""
         line = await reader.readline()
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            return None
+            raise ValueError(f"malformed request line {line[:80]!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
@@ -179,8 +207,12 @@ class FleetFrontend:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        body = await reader.readexactly(length) if length else b""
+        length = headers.get("content-length") or "0"
+        if not length.isdecimal():
+            raise ValueError(
+                f"Content-Length must be a non-negative integer, got {length!r}"
+            )
+        body = await reader.readexactly(int(length))
         return method.upper(), target, headers, body
 
     @staticmethod
@@ -200,7 +232,7 @@ class FleetFrontend:
         ]
         if retry_after is not None:
             # RFC 9110: integral seconds only; round up so clients never
-            # retry before the hint (same rule as the single-process server).
+            # retry before the hint.
             head.append(f"Retry-After: {max(1, round(retry_after + 0.5))}")
         head.append("Connection: close" if close else "Connection: keep-alive")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload)
@@ -563,29 +595,34 @@ class FleetFrontend:
                 },
                 None,
             )
-        not_ready: list[str] = []
+        # Each not-ready worker with its own reason (open breakers,
+        # shedding) or the error that kept it from answering.
+        not_ready: dict[str, dict] = {}
         for name, handle in self.fleet.workers.items():
             try:
                 response = await handle.call("ready", {}, timeout=2.0)
-                if not response.get("result", {}).get("ready_ok", False):
-                    not_ready.append(name)
-            except Exception:
-                not_ready.append(name)
+            except Exception as exc:
+                not_ready[name] = {"error": type(exc).__name__}
+                continue
+            result = response.get("result", {})
+            if not result.get("ready", False):
+                not_ready[name] = result or response.get("body", {})
         ok = not not_ready
         body = {
             "ready": ok,
             "alive": alive,
             "workers": self.fleet.n_workers,
-            "not_ready": sorted(not_ready),
+            "not_ready": dict(sorted(not_ready.items())),
         }
         return (200 if ok else 503), body, None
 
     async def _events_stats(self) -> dict:
         """Fold every writer stream in the shared log dir into one view.
 
-        Rebuilt from the raw segments on each request (the streams live
-        in N other processes; there is nothing to subscribe to here) in
-        an executor thread so segment reads never stall the event loop.
+        Rebuilt from the raw segments on each request (with forked
+        workers the streams live in N other processes, so there is
+        nothing to subscribe to here) in an executor thread so segment
+        reads never stall the event loop.
         """
         events_dir = self.fleet.config.get("events_dir")
         if not events_dir:
@@ -608,9 +645,9 @@ class FleetFrontend:
 class FleetServer:
     """Background-thread harness around :class:`FleetFrontend`.
 
-    Synchronous ``start()``/``stop()`` so tests, the benchmark, the
-    chaos script and the CLI can boot a whole fleet without owning an
-    event loop themselves.
+    Synchronous ``start()``/``stop()`` so the CLI, tests, the benchmark
+    and the chaos script can boot a server — one in-process worker or a
+    forked fleet — without owning an event loop themselves.
     """
 
     def __init__(

@@ -98,7 +98,7 @@ DEFAULT_STAGE_FRACTION = 0.5
 
 
 def catalog_doc() -> dict:
-    """The ``GET /catalog`` body (shared by both HTTP front ends).
+    """The ``GET /catalog`` body (the front end answers it itself).
 
     Everything a client may name in a request: application labels,
     machine names and metric numbers, plus the mounted universe (if any)
@@ -128,9 +128,9 @@ def validate_query(
 ) -> tuple[object, object, int, int]:
     """Resolve and validate one query's identifiers.
 
-    Module-level so the fleet front end can reject malformed traffic
-    *before* a worker round-trip with exactly the errors the in-process
-    service raises: unknown ids raise
+    Module-level so the front end can reject malformed traffic
+    *before* a worker round-trip with exactly the errors the service
+    raises: unknown ids raise
     :class:`~repro.core.errors.UnknownIdError` carrying the known set and
     nearest matches (the HTTP 400 body); structural problems (bad cpus,
     oversized run) raise :class:`ValueError`.  Mirrors ``StudyConfig``'s

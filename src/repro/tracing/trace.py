@@ -70,10 +70,9 @@ class BlockArrays(NamedTuple):
 class ReuseHistogram:
     """Machine-independent stack-distance histogram of a block's stream.
 
-    A serialisable mirror of :class:`repro.memory.reuse.ReuseProfile`
-    (tuples instead of arrays, so traces stay hashable/comparable): from
-    this one histogram the analytic cache engine derives hit rates for any
-    cache geometry without replaying the stream.
+    A serialisable freeze of :class:`repro.memory.reuse.ReuseProfile`'s
+    histogram (tuples instead of arrays, so traces stay hashable/comparable):
+    fully-associative hit rates at any capacity follow from it directly.
 
     Attributes
     ----------
@@ -102,20 +101,6 @@ class ReuseHistogram:
             cold=profile.cold,
             total=profile.total,
             line_bytes=profile.line_bytes,
-        )
-
-    def profile(self):
-        """Thaw back into a :class:`~repro.memory.reuse.ReuseProfile`."""
-        import numpy as np
-
-        from repro.memory.reuse import ReuseProfile
-
-        return ReuseProfile(
-            distances=np.asarray(self.distances, dtype=np.int64),
-            counts=np.asarray(self.counts, dtype=np.int64),
-            cold=self.cold,
-            total=self.total,
-            line_bytes=self.line_bytes,
         )
 
 

@@ -242,26 +242,28 @@ def test_store_action_rejected_for_other_artifacts(capsys):
     )
 
 
-def test_serve_boots_answers_and_stops(capsys, monkeypatch):
-    """The serve subcommand binds, answers /predict, and closes cleanly."""
-    import json
+@pytest.fixture()
+def cli_server(monkeypatch):
+    """``repro-study serve`` with default flags, booted through ``main`` on
+    a thread; yields the running server, then stops it the way SIGTERM
+    does and checks that ``main`` returned 0."""
     import threading
-    import urllib.request
 
-    from repro.serve import httpd
+    from repro import cli
+    from repro.serve.frontend import FleetServer
 
     booted = threading.Event()
-    servers = []
-    real_make = httpd.make_server
+    servers, stops, rc = [], [], {}
+    real_start = FleetServer.start
 
-    def capture(host, port, service):
-        srv = real_make(host, port, service)
-        servers.append(srv)
+    def capture(self, *args, **kwargs):
+        address = real_start(self, *args, **kwargs)
+        servers.append(self)
         booted.set()
-        return srv
+        return address
 
-    monkeypatch.setattr(httpd, "make_server", capture)
-    rc = {}
+    monkeypatch.setattr(FleetServer, "start", capture)
+    monkeypatch.setattr(cli, "_install_sigterm", stops.append)
 
     def run():
         rc["code"] = main(
@@ -272,18 +274,58 @@ def test_serve_boots_answers_and_stops(capsys, monkeypatch):
     thread.start()
     try:
         assert booted.wait(10)
-        port = servers[0].server_address[1]
-        url = (
-            f"http://127.0.0.1:{port}/predict?application=AVUS-standard"
-            "&cpus=64&machine=ARL_Xeon&metric=3"
-        )
-        with urllib.request.urlopen(url) as resp:
-            body = json.load(resp)
-        assert body["served_metric"] == 3
+        yield servers[0]
     finally:
-        servers[0].shutdown()
+        if stops:
+            stops[0]()  # what the SIGTERM handler does
         thread.join(timeout=10)
+    assert not thread.is_alive()
     assert rc["code"] == 0
+
+
+def test_serve_boots_answers_and_stops(cli_server):
+    """The serve subcommand binds, answers /predict, and closes cleanly."""
+    import json
+    import os
+    import urllib.request
+
+    host, port = cli_server.address
+    url = (
+        f"http://{host}:{port}/predict?application=AVUS-standard"
+        "&cpus=64&machine=ARL_Xeon&metric=3"
+    )
+    with urllib.request.urlopen(url) as resp:
+        body = json.load(resp)
+    assert body["served_metric"] == 3
+    # The default server is one process: the service runs in-process.
+    with urllib.request.urlopen(f"http://{host}:{port}/healthz") as resp:
+        assert json.load(resp)["workers"]["w0"]["pid"] == os.getpid()
+
+
+def test_serve_keep_alive_answers_promptly(cli_server):
+    """Sequential requests on one keep-alive connection are not held back
+    by Nagle's algorithm against the client's delayed ACK (~40 ms each
+    when a response leaves as two writes)."""
+    import http.client
+    import statistics
+    import time
+
+    conn = http.client.HTTPConnection(*cli_server.address, timeout=10)
+    path = "/predict?application=AVUS-standard&cpus=64&machine=ARL_Xeon&metric=9"
+    try:
+        conn.request("GET", path)  # cold: probes and traces the cell
+        conn.getresponse().read()
+        seconds = []
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            seconds.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(seconds) < 0.020
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ and pin the deprecated ``predict_all_metrics`` alias to the canonical
 """
 
 import json
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -144,17 +143,12 @@ def test_predict_row_accepts_registry_names():
 
 
 def test_balanced_metric_served_over_http():
-    from repro.serve.httpd import make_server
-    from repro.serve.service import PredictionService
+    from repro.serve.frontend import FleetServer
 
-    svc = PredictionService(noise=False)
-    srv = make_server("127.0.0.1", 0, svc)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        port = srv.server_address[1]
+    with FleetServer(1, service_config={"noise": False}) as server:
+        host, port = server.address
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/predict?application=AVUS-standard"
+            f"http://{host}:{port}/predict?application=AVUS-standard"
             "&cpus=64&machine=ARL_Xeon&metric=balanced"
         ) as resp:
             body = json.load(resp)
@@ -163,10 +157,6 @@ def test_balanced_metric_served_over_http():
         assert body["metric_label"] == "0-C BALANCED"
         assert body["degraded"] is False
         assert body["predicted_seconds"] > 0
-    finally:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------

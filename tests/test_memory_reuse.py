@@ -2,23 +2,22 @@
 
 Pins the two contracts DESIGN.md §5c states: Mattson exactness for
 fully-associative LRU (any capacity, straight from one profile) and the
-binomial set-associativity correction's tolerance against the exact
+footprint-aware set-associativity correction's tolerance against the exact
 set-associative simulator on tracer-shaped streams.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.machines.registry import BASE_SYSTEM, get_machine
 from repro.memory.cache import MultiLevelCache, SetAssociativeCache
 from repro.memory.reuse import reuse_distances, reuse_profile
 
-#: Asserted ceiling on |analytic - exact| per-level service fraction.  The
-#: worst observed gap over randomized strided/random/mixed streams is ~0.071
-#: (a set-aligned strided stream, hypothesis seed 186; DESIGN.md §5c documents
-#: the bound and why set-aligned strides are the worst case for the binomial
-#: conflict model).
+#: Asserted ceiling on |analytic - exact| per-level service fraction.
+#: DESIGN.md §5c documents the measured worst gap of the footprint-aware
+#: conflict model and the streams (contiguous or small footprints) on which
+#: the footprint-blind binomial model exceeded this bound.
 ANALYTIC_TOLERANCE = 0.08
 
 LINE = 64
@@ -127,6 +126,8 @@ def test_fully_associative_exactness_randomized(seed):
 # set-associativity correction: analytic vs exact within tolerance
 # ----------------------------------------------------------------------
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(14471095)  # contiguous strided footprint that fits L1
+@example(3633070343)  # random stream over a small footprint
 @settings(max_examples=20, deadline=None)
 def test_analytic_service_fractions_within_tolerance(seed):
     machine = get_machine(BASE_SYSTEM)
@@ -167,3 +168,13 @@ def test_profile_prices_any_machine_without_replay():
     rates = [prof.assoc_hit_fraction(1 << k, 4) for k in range(1, 12)]
     # more sets at fixed ways = strictly more capacity -> monotone hit rate
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+def test_footprint_that_fits_its_sets_never_conflicts():
+    """A contiguous sweep with <= ways lines per set hits on every reuse."""
+    addrs = np.tile(np.arange(150, dtype=np.int64) * LINE, 4)
+    prof = reuse_profile(addrs, LINE)
+    sim = SetAssociativeCache(64 * 4 * LINE, line_bytes=LINE, ways=4)
+    sim.simulate(addrs)
+    assert prof.assoc_hit_fraction(64, 4) == pytest.approx(sim.hit_rate())
+    assert sim.hit_rate() == 0.75

@@ -7,7 +7,6 @@ machinery the thousand-cell CI smoke uses, just smaller.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -128,26 +127,21 @@ def test_cli_sensitivity_merges_report(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # GET /catalog
 # ----------------------------------------------------------------------
-def _get(srv, path):
-    port = srv.server_address[1]
+def _get(server, path):
+    host, port = server.address
     try:
-        with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as resp:
+        with urllib.request.urlopen(f"http://{host}:{port}{path}") as resp:
             return resp.status, json.load(resp)
     except urllib.error.HTTPError as err:
         return err.code, json.load(err)
 
 
 def test_httpd_catalog_route_reflects_mounted_universe():
-    from repro.serve.httpd import make_server
-    from repro.serve.service import PredictionService
+    from repro.serve.frontend import FleetServer
 
     universe = mount_universe("mixed:7:40")
-    svc = PredictionService(noise=False)
-    srv = make_server("127.0.0.1", 0, svc)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        status, body = _get(srv, "/catalog")
+    with FleetServer(1, service_config={"noise": False}) as server:
+        status, body = _get(server, "/catalog")
         assert status == 200
         assert body["base_system"] == "NAVO_690"
         assert body["universe"]["ref"] == "mixed:7:40"
@@ -158,16 +152,11 @@ def test_httpd_catalog_route_reflects_mounted_universe():
 
         # 400s must suggest mounted ids, not just built-ins.
         status, body = _get(
-            srv,
+            server,
             "/predict?application=AVUS-standard&cpus=32&machine=GEN-mixed-7-M00",
         )
         assert status == 400
         assert any(n.startswith("GEN-mixed-7-M00") for n in body["nearest"])
 
-        status, body = _get(srv, "/nope")
-        assert status == 404 and "/catalog" in body["routes"]
-    finally:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
-        svc.drain()
+        status, body = _get(server, "/nope")
+        assert status == 404 and "GET /catalog" in body["routes"]

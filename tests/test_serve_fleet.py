@@ -1,7 +1,8 @@
-"""End-to-end tests for the sharded multi-worker serving fleet.
+"""End-to-end tests for the one HTTP front end over both backends.
 
-A real fleet — worker processes, framed sockets, asyncio front end — on a
-loopback port.  The two load-bearing pins:
+A real server — asyncio front end plus either one in-process worker (the
+default ``repro-study serve``) or forked worker processes on framed
+sockets — on a loopback port.  The load-bearing pins:
 
 * **golden batch identity** — ``POST /predict/batch`` over the paper's
   full matrix must be byte-identical to the committed study records,
@@ -10,7 +11,13 @@ loopback port.  The two load-bearing pins:
 * **exactly-once coalescing** — concurrent duplicate point requests
   produce one worker call: one ``coalesced: false`` leader, the rest
   ``coalesced: true`` followers, and the worker's own request counter
-  reads 1.
+  reads 1;
+* **the status mapping** — structured 400s with nearest ids, 429 +
+  ``Retry-After`` on shed load (including a deadline spent waiting for
+  a worker thread), 503 while every rung fails, ``/readyz`` 503 naming
+  the open breaker — on one worker and on two;
+* **HTTP framing** — malformed requests get a JSON 400, never a dropped
+  connection.
 
 Plus the supervision contract (kill → 429-not-500 → respawn → ring
 re-add), driven through the public HTTP surface.
@@ -19,6 +26,8 @@ re-add), driven through the public HTTP surface.
 import asyncio
 import json
 import signal
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -48,6 +57,23 @@ def fleet_server():
         yield server
     finally:
         server.stop()
+
+
+@pytest.fixture(scope="module")
+def local_server():
+    """The default server: one in-process worker behind the front end."""
+    server = FleetServer(1)
+    server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
+@pytest.fixture(params=[1, 2])
+def server(request):
+    """The shared read-only server with 1 (in-process) or 2 workers."""
+    return request.getfixturevalue("local_server" if request.param == 1 else "fleet_server")
 
 
 def get(server, path):
@@ -87,6 +113,13 @@ def test_batch_full_matrix_is_byte_identical_to_study(fleet_server, golden):
     # The matrix really was sharded, not served by one worker.
     assert len(body["workers"]) == 2
     assert sum(body["workers"].values()) == 1305
+
+
+def test_batch_full_matrix_at_one_worker_is_byte_identical(local_server, golden):
+    status, body = post(local_server, "/predict/batch", {})
+    assert status == 200
+    assert body["records"] == golden["records"]
+    assert body["workers"] == {"w0": 1305}
 
 
 def test_batch_cells_form_filters_to_requested_cells(fleet_server, golden):
@@ -215,6 +248,202 @@ def test_healthz_aggregates_the_fleet(fleet_server):
     status, body, _ = get(fleet_server, "/readyz")
     assert status == 200
     assert body["ready"] is True
+
+
+# ---------------------------------------------------------------------------
+# the status mapping on both backends
+# ---------------------------------------------------------------------------
+def test_predict_ok(server):
+    status, body, _ = get(server, PREDICT + "&metric=9")
+    assert status == 200
+    assert body["served_metric"] == 9
+    assert body["degraded"] is False
+    assert body["predicted_seconds"] > 0
+    assert body["metric_label"].startswith("9-P")
+
+
+def test_unknown_id_is_structured_400(server):
+    status, body, _ = get(
+        server, "/predict?application=AVUS-typo&cpus=64&machine=ARL_Xeon"
+    )
+    assert status == 400
+    assert body["error"] == "UnknownId"
+    assert body["kind"] == "application"
+    assert "AVUS-standard" in body["nearest"]
+    assert "AVUS-standard" in body["known"]
+    assert "Traceback" not in body["message"]
+
+
+def test_bad_parameters_are_400(server):
+    for path, fragment in [
+        ("/predict?cpus=64&machine=ARL_Xeon", "application"),
+        (PREDICT.replace("cpus=64", "cpus=banana"), "integer"),
+        (PREDICT.replace("cpus=64", "cpus=99999"), "exceeds"),
+        (PREDICT + "&metric=42", "unknown metric"),
+        (PREDICT + "&deadline_ms=soon", "number"),
+        (PREDICT + "&deadline_ms=0", "deadline"),
+    ]:
+        status, body, _ = get(server, path)
+        assert status == 400, path
+        assert fragment in body["message"], path
+
+
+def test_unknown_route_is_404(server):
+    status, body, _ = get(server, "/nope")
+    assert status == 404
+    assert "GET /predict" in body["routes"]
+
+
+def test_healthz_shape(server):
+    status, body, _ = get(server, "/healthz")
+    assert status == 200
+    assert body["status"] == "ok"
+    for row in body["workers"].values():
+        health = row["health"]
+        # A served batch adds its lazily created "execute" breaker.
+        assert {"probe", "trace", "convolve"} <= set(health["breakers"])
+        assert health["admission"]["active"] == 0
+        assert health["store"] == {"enabled": False, "invalidated": 0}
+        assert health["requests"]["total"] >= 0
+        assert set(health["trace_cache"]) == {
+            "size", "max_size", "hits", "misses", "evictions"
+        }
+
+
+def test_readyz_tracks_breaker_state():
+    with FleetServer(1, service_config={"noise": False}) as server:
+        status, body, _ = get(server, "/readyz")
+        assert status == 200 and body["ready"]
+        breaker = server.fleet.workers["w0"].service.breakers["convolve"]
+        for _ in range(10):
+            breaker.record_failure()
+        if breaker.state != "open":
+            pytest.skip("default threshold not reached")  # pragma: no cover
+        status, body, _ = get(server, "/readyz")
+        assert status == 503
+        assert body["not_ready"]["w0"]["open_breakers"] == ["convolve"]
+        # healthz stays 200 (liveness) but reports the degradation
+        status, body, _ = get(server, "/healthz")
+        assert status == 200
+        assert body["status"] == "degraded"
+
+
+def test_shed_load_is_429_with_retry_after():
+    config = {"noise": False, "max_concurrent": 1, "max_queue": 0}
+    with FleetServer(1, service_config=config) as server:
+        admission = server.fleet.workers["w0"].service.admission
+        admission.acquire()  # hold the only slot
+        status, body, headers = get(server, PREDICT)
+        assert status == 429
+        assert body["error"] == "Overloaded"
+        assert int(headers["Retry-After"]) >= 1
+        admission.release(0.01)
+        status, _, _ = get(server, PREDICT)
+        assert status == 200
+
+
+def test_open_probe_breaker_maps_to_503():
+    config = {
+        "noise": False,
+        "breaker": {"failure_threshold": 1, "cooldown_seconds": 60.0},
+    }
+    with FleetServer(1, service_config=config) as server:
+        server.fleet.workers["w0"].service.breakers["probe"].record_failure()
+        status, body, headers = get(server, PREDICT)
+        assert status == 503
+        assert body["error"] == "ServiceUnavailable"
+        assert int(headers["Retry-After"]) >= 1
+
+
+def _distinct_cells(n):
+    """``n`` valid point queries, no two alike (none coalesce)."""
+    from repro.scenarios import TARGET_SYSTEMS, get_application, get_machine
+    from repro.scenarios.builtin import builtin_applications
+
+    cells = [
+        (label, cpus, system)
+        for system in TARGET_SYSTEMS
+        for label in builtin_applications()
+        for cpus in get_application(label).cpu_counts
+        if cpus <= get_machine(system).cpus
+    ]
+    return cells[:n]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_burst_deadline_covers_the_wait_for_a_worker_thread(workers):
+    # Every convolve call stalls 0.3 s and the breaker never trips, so 32
+    # distinct requests queue for the 4 pool threads of a worker: a
+    # request must be charged that wait, and one whose budget ran out
+    # while it waited is shed (429), never served late.
+    config = {
+        "noise": False,
+        "faults": "stall=1.0,stall_seconds=0.3,seed=7",
+        "fault_stages": ["convolve"],
+        "stage_timeouts": {"convolve": 0.05},
+        "breaker": {"failure_threshold": 1000},
+    }
+    results = []
+    lock = threading.Lock()
+
+    def fire(label, cpus, system):
+        start = time.perf_counter()
+        status, _, headers = get(
+            server,
+            f"/predict?application={label}&cpus={cpus}&machine={system}"
+            "&metric=9&deadline_ms=2000",
+        )
+        with lock:
+            results.append((status, time.perf_counter() - start, headers))
+
+    with FleetServer(workers, service_config=config) as server:
+        threads = [
+            threading.Thread(target=fire, args=cell) for cell in _distinct_cells(32)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    assert len(results) == 32
+    assert {status for status, _, _ in results} <= {200, 429, 503}
+    assert max(seconds for _, seconds, _ in results) <= 2.0 + 1.0
+    for status, _, headers in results:
+        if status == 429:
+            assert int(headers["Retry-After"]) >= 1
+
+
+# ---------------------------------------------------------------------------
+# HTTP framing: malformed requests are answered, and the server keeps going
+# ---------------------------------------------------------------------------
+def _raw_exchange(server, request: bytes) -> bytes:
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GET /healthz\r\n\r\n",
+        b"POST /predict/batch HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        b"POST /predict/batch HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+    ],
+    ids=["request-line", "content-length-text", "content-length-negative", "long-header"],
+)
+def test_malformed_framing_is_a_json_400(local_server, request_bytes):
+    raw = _raw_exchange(local_server, request_bytes)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"] == "BadParameter"
+    assert get(local_server, "/healthz")[0] == 200  # still serving
 
 
 # ---------------------------------------------------------------------------
