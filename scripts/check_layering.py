@@ -107,8 +107,8 @@ ALLOWED: frozenset[tuple[str, str]] = frozenset(
 BUILDER_MODULES: tuple[str, ...] = ("repro.machines.registry", "repro.apps.suite")
 
 #: The only modules allowed to import the builders: the catalog's
-#: builtin snapshot, and the two package shims that deprecate the old
-#: module-level dicts.
+#: builtin snapshot, and the two packages that re-export builder
+#: constants (``BASE_SYSTEM``/``TARGET_SYSTEMS``, the suite factories).
 BUILDER_IMPORTERS: frozenset[str] = frozenset(
     {
         "repro.scenarios.builtin",

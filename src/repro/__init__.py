@@ -68,26 +68,10 @@ from repro.tracing import ApplicationTrace, MetaSimTracer, trace_application
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # The deprecated data-dict re-exports resolve lazily through the
-    # package shims, so ``import repro`` itself never warns — only code
-    # that still touches repro.MACHINES / repro.APPLICATIONS does.
-    if name == "MACHINES":
-        from repro import machines
-
-        return machines.MACHINES
-    if name == "APPLICATIONS":
-        from repro import apps
-
-        return apps.APPLICATIONS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "__version__",
     # machines
     "MachineSpec",
-    "MACHINES",
     "TARGET_SYSTEMS",
     "BASE_SYSTEM",
     "get_machine",
@@ -96,7 +80,6 @@ __all__ = [
     "ApplicationModel",
     "BasicBlock",
     "CommEvent",
-    "APPLICATIONS",
     "get_application",
     "list_applications",
     "GroundTruthExecutor",

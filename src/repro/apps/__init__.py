@@ -16,15 +16,9 @@ in for the paper's Appendix Tables 6-10.
 Label resolution lives in the scenario catalog (:mod:`repro.scenarios`):
 :func:`get_application` / :func:`list_applications` here delegate to it,
 so a mounted universe's applications resolve through this module too.
-The module-level ``APPLICATIONS`` dict is deprecated — accessing it warns
-and returns a catalog snapshot of *built models* (label ->
-:class:`~repro.apps.model.ApplicationModel`, where the old suite dict
-held factories); new code should import the catalog directly.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.apps.execution import ExecutionResult, GroundTruthExecutor, observed_time
 from repro.apps.model import ApplicationModel, BasicBlock, CommEvent
@@ -40,7 +34,6 @@ __all__ = [
     "ApplicationModel",
     "BasicBlock",
     "CommEvent",
-    "APPLICATIONS",
     "avus_standard",
     "avus_large",
     "hycom_standard",
@@ -66,19 +59,3 @@ def list_applications() -> list[str]:
     from repro.scenarios import list_applications as loaded
 
     return list(loaded())
-
-
-def __getattr__(name: str):
-    if name == "APPLICATIONS":
-        warnings.warn(
-            "repro.apps.APPLICATIONS is deprecated: resolve labels through "
-            "repro.scenarios (get_application / CATALOG.application_map()), "
-            "which also sees mounted universes and returns built models "
-            "rather than factories",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.scenarios import CATALOG
-
-        return CATALOG.application_map()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -317,12 +317,13 @@ class GroundTruthExecutor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(t_fp, t_mem, seconds, ws)``, each ``(n_runs, n_blocks)``.
 
-        Bit-identical to mapping :meth:`block_timing` over ``app.blocks``
-        for every (rank_cells, rank_bytes) row: per-level and
-        per-combination accumulations run in the scalar path's order,
-        combinations the scalar path skips (zero class fraction or zero
-        dependence part) contribute an exact ``0.0``, and batching over
-        runs only widens the elementwise operations.
+        Agrees with mapping :meth:`block_timing` over ``app.blocks`` for
+        every (rank_cells, rank_bytes) row to a few float64 ulps (10 of
+        the paper matrix's 660 block timings differ in the last bits):
+        per-level and per-combination accumulations follow the scalar
+        path's order, combinations the scalar path skips (zero class
+        fraction or zero dependence part) contribute an exact ``0.0``,
+        and batching over runs only widens the elementwise operations.
         """
         t = self._app_tensors(app)
         rb = rank_bytes[:, None]

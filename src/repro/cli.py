@@ -12,8 +12,8 @@ Subcommands regenerate the paper's artifacts on the terminal:
 * ``all`` — everything above;
 * ``csv`` — raw prediction records as CSV on stdout;
 * ``serve`` — the resilient online prediction service (HTTP);
-* ``store migrate`` / ``store info`` — cache-directory maintenance
-  (rewrite legacy JSON entries as binary; print format/entry counts);
+* ``store info`` — cache-directory maintenance (print format versions,
+  entry counts and bytes);
 * ``events tail`` / ``events verify`` / ``events rebuild`` — event-log
   audit: print the newest events, fsck every writer stream, or
   reconstruct the projection views from the raw log alone;
@@ -40,9 +40,9 @@ import json
 import signal
 import sys
 import threading
+from pathlib import Path
 
 from repro.core.errors import EventLogCorruptError, ReproError, StudyAbortedError
-from repro.core.options import CacheModel, Mode
 from repro.core.registry import REGISTRY
 from repro.probes.suite import probe_machine
 from repro.scenarios import CATALOG
@@ -51,6 +51,7 @@ from repro.reporting.export import result_to_csv
 from repro.study.runner import StudyResult, run_study, shutdown_pool
 from repro.study import tables as T
 from repro.util.faults import FaultPlan
+from repro.util.options import CacheModel, Mode
 
 __all__ = ["main"]
 
@@ -126,7 +127,7 @@ def _serve(args) -> int:
     from repro.serve.frontend import FleetServer
     from repro.serve.service import DEFAULT_DEADLINE_SECONDS
 
-    workers = max(1, args.workers)
+    workers = args.workers
     deadline = DEFAULT_DEADLINE_SECONDS if args.deadline is None else args.deadline
     server = FleetServer(
         workers,
@@ -173,31 +174,17 @@ def _install_sigterm(handler) -> None:
         pass
 
 
-def _store_action(action: str, cache_dir: str) -> int:
-    """Cache-directory maintenance: ``store migrate`` / ``store info``."""
+def _store_info(cache_dir: str) -> int:
+    """Cache-directory maintenance: ``store info``."""
     from repro.tracing.store import TraceStore
 
-    store = TraceStore(cache_dir)
-    if action == "migrate":
-        report = store.migrate()
-        print(
-            f"repro-study: store migrate {cache_dir}: "
-            f"{report['migrated']} entr{'y' if report['migrated'] == 1 else 'ies'} "
-            f"converted to binary, {report['cleaned']} stale legacy file(s) "
-            f"removed, {report['invalidated']} corrupt entr"
-            f"{'y' if report['invalidated'] == 1 else 'ies'} invalidated"
-        )
-        return 0
-    stats = store.stats()
+    stats = TraceStore(cache_dir).stats()
     print(f"cache directory : {stats['root']}")
     print(f"binary format   : v{stats['binary_format_version']}")
     print(f"payload schema  : v{stats['payload_schema_version']}")
     for kind in ("traces", "probes"):
         row = stats[kind]
-        print(
-            f"{kind:15s} : {row['binary']} binary, "
-            f"{row['legacy_json']} legacy JSON, {row['bytes']} bytes"
-        )
+        print(f"{kind:15s} : {row['binary']} binary, {row['bytes']} bytes")
     return 0
 
 
@@ -561,6 +548,27 @@ def main(argv: list[str] | None = None) -> int:
         return 130
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _directory_path(text: str) -> str:
+    """A directory that exists or can be created: no file on its path."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise argparse.ArgumentTypeError(f"{part} is not a directory")
+            break
+    return text
+
+
 def _run(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -596,7 +604,6 @@ def _run(argv: list[str] | None) -> int:
     parser.add_argument(
         "action",
         choices=[
-            "migrate",
             "info",
             "tail",
             "verify",
@@ -611,9 +618,8 @@ def _run(argv: list[str] | None) -> int:
         ],
         nargs="?",
         default=None,
-        help="with 'store': 'migrate' rewrites a JSON-era cache dir to the "
-        "binary format in place (atomic, resumable); 'info' prints format "
-        "version, entry counts and bytes (requires --cache-dir); with "
+        help="with 'store': 'info' prints format versions, entry counts "
+        "and bytes (requires --cache-dir); with "
         "'events': 'tail' prints the newest events as JSON lines, 'verify' "
         "fscks every writer stream (exit 13 on damage), 'rebuild' "
         "reconstructs the projection views from the raw log (requires "
@@ -654,7 +660,7 @@ def _run(argv: list[str] | None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="processes to fan the study matrix over (default: 1, serial; "
@@ -664,6 +670,7 @@ def _run(argv: list[str] | None) -> int:
     )
     parser.add_argument(
         "--cache-dir",
+        type=_directory_path,
         default=None,
         metavar="DIR",
         help="persist traces and probe results under DIR so repeated "
@@ -904,11 +911,11 @@ def _run(argv: list[str] | None) -> int:
             parser.error(f"--universe: {exc}")
 
     if args.artifact == "store":
-        if args.action not in ("migrate", "info"):
-            parser.error("store: expected an action ('migrate' or 'info')")
+        if args.action != "info":
+            parser.error("store: expected an action ('info')")
         if args.cache_dir is None:
             parser.error("store: --cache-dir is required")
-        return _store_action(args.action, args.cache_dir)
+        return _store_info(args.cache_dir)
     if args.artifact == "events":
         if args.action not in ("tail", "verify", "rebuild"):
             parser.error(

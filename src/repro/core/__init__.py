@@ -41,7 +41,7 @@ from repro.core.metrics import (
     get_metric,
     resolve_metrics,
 )
-from repro.core.options import CacheModel, Mode
+from repro.util.options import CacheModel, Mode
 from repro.core.registry import REGISTRY, MetricRegistry, MetricSpec, Term
 from repro.core.balanced import BalancedRating, optimise_weights
 from repro.core.predictor import PerformancePredictor

@@ -51,8 +51,8 @@ class ReproError(Exception):
 class TraceCorruptError(ReproError, ValueError):
     """A persisted trace/probe entry failed validation.
 
-    Also a :class:`ValueError` so pre-taxonomy callers catching the
-    serializer's original exception keep working.  The self-healing
+    Also a :class:`ValueError`, so callers that handle malformed input
+    generically catch it too.  The self-healing
     :class:`~repro.tracing.store.TraceStore` catches this internally,
     invalidates the entry and falls through to re-tracing.
     """
@@ -79,7 +79,7 @@ class StudyAbortedError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint file could not be written."""
+    """A checkpoint could not be read or written."""
 
     exit_code = 7
 

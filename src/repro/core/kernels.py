@@ -1,114 +1,29 @@
-"""Precompiled numeric kernels shared by the executor and the convolver.
+"""Numeric kernels shared by the executor and the convolver.
 
-Each kernel exists as two byte-identical twins: a NumPy ufunc chain
-(always available) and an explicit-loop form that numba can ``njit``
-when ``REPRO_JIT=numba`` is set (see :mod:`repro.util.jit`).  Both twins
-perform the same IEEE-754 operations in the same order — per-level
-accumulation in level order, the overlap combine as
-``(t_fp + t_mem) - overlap * min(t_fp, t_mem)`` — so backend selection
-can never move a bit of any prediction; ``scripts/check_jit.py`` asserts
-that in CI.
-
-Kernel selection is resolved lazily on first call (not at import), so a
-test can toggle the environment and :func:`refresh` without reimports.
+Both are NumPy ufunc chains with a fixed IEEE-754 operation order —
+per-level accumulation in level order, the overlap combine as
+``(t_fp + t_mem) - overlap * min(t_fp, t_mem)`` — which the golden
+records pin bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util import jit
-
-__all__ = ["accumulate_time_per_byte", "combine_overlap", "refresh"]
+__all__ = ["accumulate_time_per_byte", "combine_overlap"]
 
 
-# ---------------------------------------------------------------------------
-# per-level time-per-byte accumulation (the executor's memory inner loop)
-# ---------------------------------------------------------------------------
-
-
-def _accumulate_time_per_byte_numpy(
-    residency: np.ndarray, level_bw: np.ndarray
-) -> np.ndarray:
-    # residency: (runs, blocks, levels); level_bw: (combos, blocks, levels)
-    # -> (combos, runs, blocks).  Accumulates in level order starting from
-    # an exact 0.0, like the scalar hierarchy walk.
+def accumulate_time_per_byte(residency: np.ndarray, level_bw: np.ndarray) -> np.ndarray:
+    """``(combos, runs, blocks)`` seconds-per-byte, accumulated per level."""
+    # residency: (runs, blocks, levels); level_bw: (combos, blocks, levels).
+    # Accumulates in level order starting from an exact 0.0, like the
+    # scalar hierarchy walk.
     out = np.zeros((level_bw.shape[0], residency.shape[0], residency.shape[1]))
     for lvl in range(level_bw.shape[2]):
         out = out + residency[None, :, :, lvl] / level_bw[:, None, :, lvl]
     return out
 
 
-def _accumulate_time_per_byte_loops(
-    residency: np.ndarray, level_bw: np.ndarray
-) -> np.ndarray:
-    combos, blocks, levels = level_bw.shape
-    runs = residency.shape[0]
-    out = np.zeros((combos, runs, blocks))
-    for c in range(combos):
-        for r in range(runs):
-            for b in range(blocks):
-                acc = 0.0
-                for lvl in range(levels):
-                    acc = acc + residency[r, b, lvl] / level_bw[c, b, lvl]
-                out[c, r, b] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# FP/memory overlap combine (shared by executor and convolver)
-# ---------------------------------------------------------------------------
-
-
-def _combine_overlap_numpy(
-    t_fp: np.ndarray, t_mem: np.ndarray, overlap: float
-) -> np.ndarray:
-    return t_fp + t_mem - overlap * np.minimum(t_fp, t_mem)
-
-
-def _combine_overlap_loops(
-    t_fp: np.ndarray, t_mem: np.ndarray, overlap: float
-) -> np.ndarray:
-    flat_fp = t_fp.ravel()
-    flat_mem = t_mem.ravel()
-    out = np.empty(flat_fp.shape[0])
-    for i in range(flat_fp.shape[0]):
-        out[i] = flat_fp[i] + flat_mem[i] - overlap * min(flat_fp[i], flat_mem[i])
-    return out.reshape(t_fp.shape)
-
-
-# ---------------------------------------------------------------------------
-# lazy backend resolution
-# ---------------------------------------------------------------------------
-
-_compiled: dict = {}
-
-
-def _kernel(name: str, loops_impl, numpy_impl):
-    fn = _compiled.get(name)
-    if fn is None:
-        fn = jit.compile_kernel(loops_impl, numpy_impl)
-        _compiled[name] = fn
-    return fn
-
-
-def accumulate_time_per_byte(residency: np.ndarray, level_bw: np.ndarray) -> np.ndarray:
-    """``(combos, runs, blocks)`` seconds-per-byte, accumulated per level."""
-    return _kernel(
-        "accumulate_time_per_byte",
-        _accumulate_time_per_byte_loops,
-        _accumulate_time_per_byte_numpy,
-    )(residency, level_bw)
-
-
 def combine_overlap(t_fp: np.ndarray, t_mem: np.ndarray, overlap: float) -> np.ndarray:
     """Combined seconds after hiding ``overlap`` of the smaller term."""
-    return _kernel(
-        "combine_overlap", _combine_overlap_loops, _combine_overlap_numpy
-    )(t_fp, t_mem, float(overlap))
-
-
-def refresh() -> None:
-    """Drop compiled kernels and the backend decision (test hook)."""
-    _compiled.clear()
-    jit.refresh()
+    return t_fp + t_mem - float(overlap) * np.minimum(t_fp, t_mem)

@@ -8,8 +8,8 @@ runner and the online serve layer all share:
   :class:`PointPlan`) and artifacts (:class:`ProbeBundle`,
   :class:`PredictionRecord`).
 * :mod:`repro.engine.middleware` — cross-cutting concerns (timing,
-  deadline gating, budget slicing, circuit breaking, fault injection,
-  retries) as composable stage middleware.
+  deadline gating, budget slicing, circuit breaking, fault injection)
+  as composable stage middleware.
 * :mod:`repro.engine.core` — :class:`Engine`, which runs plans through
   the stages under a caller-chosen middleware tuple.
 
@@ -25,7 +25,6 @@ from repro.engine.middleware import (
     BudgetMiddleware,
     DeadlineGate,
     FaultMiddleware,
-    RetryMiddleware,
     StageRunner,
     TimingMiddleware,
 )
@@ -43,5 +42,4 @@ __all__ = [
     "BreakerMiddleware",
     "BudgetMiddleware",
     "FaultMiddleware",
-    "RetryMiddleware",
 ]

@@ -1,7 +1,7 @@
 """Stage middleware: cross-cutting concerns, implemented exactly once.
 
 Before the engine existed, deadline budgeting, circuit breaking, fault
-injection, timing and retries were hand-threaded through three separate
+injection and timing were hand-threaded through three separate
 pipelines (predictor, study runner, serve service), each with its own
 subtly different ordering.  Here each concern is one small object wrapping
 a stage invocation, and a caller's policy is just the tuple it passes to
@@ -34,8 +34,6 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from repro.util.retry import backoff_seconds
-
 __all__ = [
     "StageRunner",
     "TimingMiddleware",
@@ -43,7 +41,6 @@ __all__ = [
     "BreakerMiddleware",
     "BudgetMiddleware",
     "FaultMiddleware",
-    "RetryMiddleware",
 ]
 
 
@@ -204,37 +201,3 @@ class FaultMiddleware:
                     f"injected crash in service stage {stage!r} (call {call})"
                 )
         return call_next(deadline)
-
-
-class RetryMiddleware:
-    """Re-invoke a failed stage with the shared seeded backoff schedule.
-
-    Opt-in (no default caller composes it): the study engine retries at
-    chunk granularity — a whole application row re-dispatches, possibly
-    to a rebuilt pool — and the serve layer degrades instead of retrying.
-    Callers with idempotent, in-process stages (notebooks hammering a
-    flaky store, soak harnesses) insert this inside their breaker so
-    retries count as at most one failure.
-    """
-
-    def __init__(
-        self,
-        retries: int,
-        *,
-        retryable: tuple = (Exception,),
-        sleep: Callable[[float], None],
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries!r}")
-        self.retries = retries
-        self.retryable = retryable
-        self.sleep = sleep
-
-    def __call__(self, stage, deadline, call_next):
-        for attempt in range(self.retries + 1):
-            try:
-                return call_next(deadline)
-            except self.retryable:
-                if attempt >= self.retries:
-                    raise
-                self.sleep(backoff_seconds(attempt, "stage", stage))

@@ -23,7 +23,7 @@ only embed the service.
 from repro.serve.admission import AdmissionQueue, ServiceTimeEwma
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
 from repro.serve.coalesce import SingleFlight
-from repro.serve.degrade import LADDER, ladder_for, stages_for
+from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService, ServedPrediction
 from repro.serve.shard import ShardRing
 
@@ -31,7 +31,6 @@ __all__ = [
     "AdmissionQueue",
     "BreakerBoard",
     "CircuitBreaker",
-    "LADDER",
     "PredictionService",
     "ServedPrediction",
     "ServiceTimeEwma",

@@ -33,13 +33,7 @@ from typing import NamedTuple
 from repro.core.metrics import get_metric
 from repro.core.registry import REGISTRY
 
-__all__ = ["LADDER", "ladder_for", "stages_for", "RungAttempt"]
-
-#: The built-in chain in descending fidelity/cost order (Table 3
-#: numbers).  A snapshot of :meth:`MetricRegistry.ladder` at import for
-#: compatibility; :func:`ladder_for` consults the live registry, so
-#: later user registrations are reflected there.
-LADDER: tuple[int, ...] = REGISTRY.ladder()
+__all__ = ["ladder_for", "stages_for", "RungAttempt"]
 
 
 def stages_for(metric: "int | str") -> tuple[str, ...]:

@@ -52,7 +52,7 @@ from repro.core.errors import (
     UnknownIdError,
 )
 from repro.core.metrics import get_metric
-from repro.core.options import CacheModel, Mode
+from repro.util.options import CacheModel, Mode
 from repro.core.registry import REGISTRY
 from repro.engine import (
     BreakerMiddleware,

@@ -43,7 +43,7 @@ from repro.core.errors import (
     WorkerCrashError,
     summarise,
 )
-from repro.core.options import CacheModel, Mode
+from repro.util.options import CacheModel, Mode
 from repro.core.registry import REGISTRY
 from repro.engine import Engine, MatrixPlan, PredictionRecord
 from repro.scenarios import (
@@ -565,8 +565,8 @@ def run_study(
     checkpoint:
         Path of the study journal
         (:class:`~repro.study.resilience.StudyCheckpoint`) — an
-        event-log directory of completed-chunk events (journals from the
-        legacy single-file format load and migrate transparently).  A
+        event-log directory of completed-chunk events; anything else at
+        that path raises :class:`~repro.core.errors.CheckpointError`.  A
         study killed mid-run resumes from the last journaled chunk on
         the next call with the same path and config, and the resumed
         result is byte-identical to an uninterrupted run.  Delete the
@@ -668,9 +668,31 @@ def _run_resilient(
         store_obj = TraceStore(store_obj.root, faults=faults)
 
     ckpt = None
-    done: dict[str, tuple[list[PredictionRecord], dict, dict]] = {}
     if checkpoint is not None:
         ckpt = StudyCheckpoint(os.fspath(checkpoint), config_digest(cfg))
+    try:
+        return _run_chunks(
+            cfg, store_obj, store_root, workers, ckpt, faults, retries, deadline, clock
+        )
+    finally:
+        if ckpt is not None:
+            ckpt.close()  # every exit, the aborted and interrupted ones too
+
+
+def _run_chunks(
+    cfg: StudyConfig,
+    store_obj: TraceStore | None,
+    store_root: str | None,
+    workers: int,
+    ckpt: StudyCheckpoint | None,
+    faults,
+    retries: int,
+    deadline: float | None,
+    clock: Clock,
+) -> StudyResult:
+    """The retry rounds of :func:`_run_resilient`, resuming from ``ckpt``."""
+    done: dict[str, tuple[list[PredictionRecord], dict, dict]] = {}
+    if ckpt is not None:
         for label, entry in ckpt.load().items():
             if label not in cfg.applications:
                 continue  # stale entry from a superset matrix: ignore

@@ -21,18 +21,8 @@ from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_applic
 from repro.tracing.counters import CounterTotals, count_operations
 from repro.tracing.mpidtrace import trace_communication
 from repro.tracing.static_analysis import DependencyClass, classify_blocks
-from repro.tracing.serialize import (
-    probes_from_json,
-    probes_to_json,
-    trace_from_json,
-    trace_to_json,
-)
 
 __all__ = [
-    "trace_to_json",
-    "trace_from_json",
-    "probes_to_json",
-    "probes_from_json",
     "ApplicationTrace",
     "BlockTrace",
     "CommRecord",

@@ -1,11 +1,9 @@
 """Versioned, checksummed, memory-mappable binary trace/probe format.
 
-The JSON archive (:mod:`repro.tracing.serialize`) round-trips every trace
-and probe record through ``json.dumps``/``json.loads`` and a per-block
-Python object rebuild — ~40% overhead on a store-backed study.  This
-module stores the same payloads as contiguous NumPy dtype sections that
-:class:`~repro.tracing.store.TraceStore` loads zero-copy via ``np.memmap``
-straight into the tensorised execute/convolve pipeline.
+Trace and probe records are stored as contiguous NumPy dtype sections
+that :class:`~repro.tracing.store.TraceStore` loads zero-copy via
+``np.memmap`` straight into the tensorised execute/convolve pipeline,
+with no per-block Python object rebuild.
 
 On-disk layout (little-endian)::
 
@@ -60,7 +58,6 @@ from repro.probes.results import (
     NetbenchResult,
     StreamResult,
 )
-from repro.tracing.serialize import SCHEMA_VERSION
 from repro.tracing.trace import (
     ApplicationTrace,
     BlockArrays,
@@ -71,6 +68,7 @@ from repro.tracing.trace import (
 
 __all__ = [
     "FORMAT_VERSION",
+    "SCHEMA_VERSION",
     "MAGIC",
     "MappedTrace",
     "trace_to_bytes",
@@ -84,6 +82,10 @@ __all__ = [
 MAGIC = b"RPBF"
 #: Bumped whenever the binary layout changes incompatibly.
 FORMAT_VERSION = 1
+#: Version of the payload schema inside the header.  It also seeds the
+#: store's ``trace_key``/``probes_key`` digests, so changing it renames
+#: every cache entry and moves every serve shard.
+SCHEMA_VERSION = 2
 
 KIND_TRACE = 1
 KIND_PROBES = 2

@@ -28,7 +28,7 @@ import numpy as np
 from repro.apps.model import ApplicationModel, BasicBlock
 from repro.machines.spec import MachineSpec
 from repro.memory.cache import MultiLevelCache
-from repro.memory.patterns import StrideClass, StrideHistogram
+from repro.memory.patterns import StrideHistogram
 from repro.memory.streams import (
     pointer_chase_addresses,
     random_addresses,
@@ -41,12 +41,7 @@ from repro.tracing.trace import ApplicationTrace, BlockTrace, ReuseHistogram
 from repro.tracing.mpidtrace import trace_communication
 from repro.util.options import CacheModel
 
-__all__ = ["MetaSimTracer", "trace_application", "clear_trace_cache", "CACHE_MODELS"]
-
-#: Cache accounting back-ends for ``cache_sim=True`` tracing.
-#: Compatibility alias of :meth:`~repro.util.options.CacheModel.values` —
-#: the enum is the single source of truth for the option set.
-CACHE_MODELS = CacheModel.values()
+__all__ = ["MetaSimTracer", "trace_application", "clear_trace_cache"]
 
 #: Default references sampled per basic block.
 DEFAULT_SAMPLE_SIZE = 4096

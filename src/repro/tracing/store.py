@@ -27,13 +27,9 @@ that includes the machine spec's content
 :meth:`~repro.machines.spec.MachineSpec.fingerprint`, so editing a spec
 invalidates its cached probes automatically.
 
-**Legacy format:** stores written by earlier builds hold ``<digest>.json``
-entries (the :mod:`repro.tracing.serialize` documents inside a checksummed
-JSON envelope).  These stay readable: a load that only finds the legacy
-file decodes it, rewrites the entry in binary form and removes the JSON
-original — migration on first touch.  ``repro-study store migrate``
-converts a whole cache directory eagerly; mixed directories are fine at
-every point in between.
+Files of any other name in the store directories — such as the
+``<digest>.json`` entries of earlier builds — are never read: the lookup
+misses and the caller re-traces, like any other cold entry.
 
 **Self-healing:** a load that fails *any* validation step — unreadable
 file, bad magic, foreign format version, length mismatch (truncation,
@@ -48,7 +44,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import logging
 import os
 import threading
@@ -61,30 +56,17 @@ from repro.events.types import Event, ProbeCompleted, StoreInvalidated, TraceCap
 from repro.machines.spec import MachineSpec
 from repro.probes.results import MachineProbes
 from repro.tracing import binfmt
-from repro.tracing.serialize import (
-    SCHEMA_VERSION,
-    probes_from_json,
-    probes_to_json,  # noqa: F401  (legacy writer, kept importable for tests)
-    trace_from_json,
-    trace_to_json,  # noqa: F401
-)
-from repro.tracing.trace import ApplicationTrace
+from repro.tracing.binfmt import SCHEMA_VERSION
 from repro.util.clock import as_clock
 from repro.util.io import write_atomic_bytes
 from repro.util.options import CacheModel
 
-__all__ = ["TraceStore", "STORE_SCHEMA_VERSION", "trace_key", "probes_key"]
+__all__ = ["TraceStore", "trace_key", "probes_key"]
 
 log = logging.getLogger(__name__)
 
-#: Version of the *legacy* JSON envelope layout (independent of the
-#: payload's :data:`~repro.tracing.serialize.SCHEMA_VERSION`).  New
-#: entries carry :data:`repro.tracing.binfmt.FORMAT_VERSION` instead.
-STORE_SCHEMA_VERSION = 1
-
-#: Suffix of current (binary) and legacy (JSON envelope) entries.
+#: Suffix of store entries (:mod:`repro.tracing.binfmt` records).
 BINARY_SUFFIX = ".rpb"
-LEGACY_SUFFIX = ".json"
 
 
 #: Live stores with write-behind backlogs; the atexit hook drains them so
@@ -110,10 +92,6 @@ def _digest(*keys: object) -> str:
         h.update(repr(key).encode("utf-8"))
         h.update(b"\x1f")
     return h.hexdigest()
-
-
-def _checksum(payload: str) -> str:
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def trace_key(
@@ -222,13 +200,13 @@ class TraceStore:
         self._kick = threading.Event()
         self._in_flight = False
         self._writer: threading.Thread | None = None
-        # Identity -> (binary, legacy) path memo.  A cold study resolves
-        # every cell's identity twice (miss-check, then save); hashing the
-        # key tuple is ~10x cheaper than re-deriving the blake2b stem and
-        # two suffixed Paths each time.  Bounded by the number of distinct
-        # identities a process touches (apps x cpu counts x machines).
-        self._trace_paths_memo: dict[tuple, tuple[Path, Path]] = {}
-        self._probes_paths_memo: dict[tuple, tuple[Path, Path]] = {}
+        # Identity -> entry path memo.  A cold study resolves every cell's
+        # identity twice (miss-check, then save); hashing the key tuple is
+        # ~10x cheaper than re-deriving the blake2b stem and suffixed Path
+        # each time.  Bounded by the number of distinct identities a
+        # process touches (apps x cpu counts x machines).
+        self._trace_paths: dict[tuple, Path] = {}
+        self._probes_paths: dict[tuple, Path] = {}
         _LIVE_STORES.add(self)
 
     # ------------------------------------------------------------------
@@ -259,7 +237,7 @@ class TraceStore:
                         type(event).kind, exc)
 
     # ------------------------------------------------------------------
-    def _trace_stem(
+    def _trace_path(
         self,
         application: str,
         cpus: int,
@@ -268,55 +246,26 @@ class TraceStore:
         cache_sim: bool,
         cache_model: str | None,
     ) -> Path:
-        return self.traces_dir / trace_key(
-            application, cpus, base_machine, sample_size, cache_sim, cache_model
-        )
-
-    def _probes_stem(self, machine: MachineSpec) -> Path:
-        return self.probes_dir / probes_key(machine)
-
-    def _trace_paths(
-        self,
-        application: str,
-        cpus: int,
-        base_machine: str,
-        sample_size: int,
-        cache_sim: bool,
-        cache_model: str | None,
-    ) -> tuple[Path, Path]:
-        """Memoized ``(binary, legacy)`` entry paths for one trace identity."""
+        """Memoized entry path for one trace identity."""
         key = (application, cpus, base_machine, sample_size, cache_sim, cache_model)
-        paths = self._trace_paths_memo.get(key)
-        if paths is None:
-            stem = self._trace_stem(
-                application, cpus, base_machine, sample_size, cache_sim, cache_model
-            )
-            paths = (stem.with_suffix(BINARY_SUFFIX), stem.with_suffix(LEGACY_SUFFIX))
-            self._trace_paths_memo[key] = paths
-        return paths
+        path = self._trace_paths.get(key)
+        if path is None:
+            path = (self.traces_dir / trace_key(*key)).with_suffix(BINARY_SUFFIX)
+            self._trace_paths[key] = path
+        return path
 
-    def _probes_paths(self, machine: MachineSpec) -> tuple[Path, Path]:
-        """Memoized ``(binary, legacy)`` entry paths for one probe identity."""
+    def _probes_path(self, machine: MachineSpec) -> Path:
+        """Memoized entry path for one probe identity."""
         key = (machine.name, machine.fingerprint())
-        paths = self._probes_paths_memo.get(key)
-        if paths is None:
-            stem = self._probes_stem(machine)
-            paths = (stem.with_suffix(BINARY_SUFFIX), stem.with_suffix(LEGACY_SUFFIX))
-            self._probes_paths_memo[key] = paths
-        return paths
+        path = self._probes_paths.get(key)
+        if path is None:
+            path = (self.probes_dir / probes_key(machine)).with_suffix(BINARY_SUFFIX)
+            self._probes_paths[key] = path
+        return path
 
     # ------------------------------------------------------------------
     # binary entries
     # ------------------------------------------------------------------
-    def _save_entry(self, path: Path, data: bytes) -> None:
-        if self.faults is not None and self.faults.should_corrupt(path.name):
-            data = self.faults.corrupt_bytes(data, path.name)
-        # durable=False: entries are checksummed and self-healing, so a
-        # machine crash that tears one costs a re-trace, not correctness;
-        # skipping the per-file fsync keeps the store tax on a cold study
-        # to a few percent instead of ~40%.
-        write_atomic_bytes(path, data, durable=False)
-
     def _enqueue_entry(self, path: Path, data) -> None:
         """Queue one entry for the background writer (write-behind).
 
@@ -349,6 +298,10 @@ class TraceStore:
             payload = data() if callable(data) else data
             if self.faults is not None and self.faults.should_corrupt(path.name):
                 payload = self.faults.corrupt_bytes(payload, path.name)
+            # durable=False: entries are checksummed and self-healing, so a
+            # machine crash that tears one costs a re-trace, not correctness;
+            # skipping the per-file fsync keeps the store tax on a cold study
+            # to a few percent instead of ~40%.
             write_atomic_bytes(path, payload, durable=False)
         except (OSError, ValueError) as exc:
             log.warning(
@@ -468,66 +421,6 @@ class TraceStore:
         )
 
     # ------------------------------------------------------------------
-    # legacy JSON envelope
-    # ------------------------------------------------------------------
-    def _load_legacy_payload(self, path: Path, kind: str) -> str | None:
-        """Validated payload text of the legacy entry at ``path``, or None.
-
-        Every failure mode self-heals: the entry is logged, deleted and
-        reported absent so the caller recomputes it.
-        """
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            try:
-                envelope = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise TraceCorruptError(f"unparseable store entry: {exc}") from exc
-            if not isinstance(envelope, dict) or envelope.get("kind") != "store-entry":
-                raise TraceCorruptError(
-                    "not a store entry envelope (pre-envelope or foreign file)"
-                )
-            if envelope.get("store_schema") != STORE_SCHEMA_VERSION:
-                raise TraceCorruptError(
-                    f"stale store schema {envelope.get('store_schema')!r} "
-                    f"(this build reads {STORE_SCHEMA_VERSION})"
-                )
-            payload = envelope.get("payload")
-            if not isinstance(payload, str):
-                raise TraceCorruptError("envelope payload missing")
-            if _checksum(payload) != envelope.get("checksum"):
-                raise TraceCorruptError("checksum mismatch (corrupt or torn entry)")
-            return payload
-        except TraceCorruptError as exc:
-            self._invalidate(path, kind, exc)
-            return None
-
-    def _load_legacy(self, path: Path, kind: str, from_json):
-        payload = self._load_legacy_payload(path, kind)
-        if payload is None:
-            return None
-        try:
-            return from_json(payload)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._invalidate(path, kind, exc)
-            return None
-
-    def _migrate_entry(self, legacy: Path, binary: Path, data: bytes) -> None:
-        """Rewrite one validated legacy entry in binary form, atomically.
-
-        The binary file lands first (atomic rename), then the legacy file
-        goes; a crash in between leaves both, and every reader prefers
-        the binary one — migration is idempotent and resumable.
-        """
-        self._save_entry(binary, data)
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
     # traces
     # ------------------------------------------------------------------
     def has_trace(
@@ -540,11 +433,11 @@ class TraceStore:
         cache_model: str = "analytic",
     ) -> bool:
         """Whether an entry exists for this identity (it may still be corrupt)."""
-        binary, legacy = self._trace_paths(
+        path = self._trace_path(
             application, cpus, base_machine, sample_size, cache_sim, cache_model
         )
-        self._sync_pending(binary)
-        return binary.exists() or legacy.exists()
+        self._sync_pending(path)
+        return path.exists()
 
     def load_trace(
         self,
@@ -554,31 +447,16 @@ class TraceStore:
         sample_size: int,
         cache_sim: bool = False,
         cache_model: str = "analytic",
-    ) -> ApplicationTrace | binfmt.MappedTrace | None:
+    ) -> binfmt.MappedTrace | None:
         """The cached trace for this identity, or None if absent/invalid.
 
-        Binary entries come back as zero-copy
-        :class:`~repro.tracing.binfmt.MappedTrace` views of the mapped
-        file; a legacy JSON entry decodes to a full
-        :class:`ApplicationTrace` and is migrated to binary in passing.
+        Entries come back as zero-copy
+        :class:`~repro.tracing.binfmt.MappedTrace` views of the mapped file.
         """
-        binary, legacy = self._trace_paths(
+        path = self._trace_path(
             application, cpus, base_machine, sample_size, cache_sim, cache_model
         )
-        self._sync_pending(binary)
-        if binary.exists():
-            try:
-                return binfmt.load_trace(binary)
-            except TraceCorruptError as exc:
-                self._invalidate(binary, "trace", exc)
-                return None
-        if legacy.exists():
-            trace = self._load_legacy(legacy, "trace", trace_from_json)
-            if trace is None:
-                return None
-            self._migrate_entry(legacy, binary, binfmt.trace_to_bytes(trace))
-            return trace
-        return None
+        return self._load(path, "trace", binfmt.load_trace)
 
     def save_trace(
         self,
@@ -588,7 +466,7 @@ class TraceStore:
         cache_model: str = "analytic",
     ) -> None:
         """Persist ``trace`` under its identity key (binary format)."""
-        binary, _ = self._trace_paths(
+        path = self._trace_path(
             trace.application,
             trace.cpus,
             trace.base_machine,
@@ -598,13 +476,13 @@ class TraceStore:
         )
         # The callable defers the encode to the writer thread: a cold
         # study's foreground cost per save is one dict insert + queue put.
-        self._enqueue_entry(binary, lambda: binfmt.trace_to_bytes(trace))
+        self._enqueue_entry(path, lambda: binfmt.trace_to_bytes(trace))
         self._emit(
             TraceCaptured(
                 application=trace.application,
                 cpus=int(trace.cpus),
                 base_machine=trace.base_machine,
-                key=binary.stem,
+                key=path.stem,
             )
         )
 
@@ -613,54 +491,45 @@ class TraceStore:
     # ------------------------------------------------------------------
     def has_probes(self, machine: MachineSpec) -> bool:
         """Whether an entry exists for this exact spec."""
-        binary, legacy = self._probes_paths(machine)
-        self._sync_pending(binary)
-        return binary.exists() or legacy.exists()
+        path = self._probes_path(machine)
+        self._sync_pending(path)
+        return path.exists()
 
     def load_probes(self, machine: MachineSpec) -> MachineProbes | None:
         """Cached probe bundle for this exact spec, or None.
 
-        Binary entries keep their curve arrays as zero-copy views of the
-        mapped file; legacy JSON entries migrate to binary in passing.
+        Curve arrays stay zero-copy views of the mapped file.
         """
-        binary, legacy = self._probes_paths(machine)
-        self._sync_pending(binary)
-        if binary.exists():
-            try:
-                return binfmt.load_probes(binary)
-            except TraceCorruptError as exc:
-                self._invalidate(binary, "probes", exc)
-                return None
-        if legacy.exists():
-            probes = self._load_legacy(legacy, "probes", probes_from_json)
-            if probes is None:
-                return None
-            self._migrate_entry(legacy, binary, binfmt.probes_to_bytes(probes))
-            return probes
-        return None
+        return self._load(self._probes_path(machine), "probes", binfmt.load_probes)
 
     def save_probes(self, machine: MachineSpec, probes: MachineProbes) -> None:
         """Persist ``probes`` keyed by the spec's content fingerprint."""
-        binary, _ = self._probes_paths(machine)
-        self._enqueue_entry(binary, lambda: binfmt.probes_to_bytes(probes))
-        self._emit(ProbeCompleted(machine=machine.name, key=binary.stem))
+        path = self._probes_path(machine)
+        self._enqueue_entry(path, lambda: binfmt.probes_to_bytes(probes))
+        self._emit(ProbeCompleted(machine=machine.name, key=path.stem))
+
+    def _load(self, path: Path, kind: str, decode):
+        """Decode the entry at ``path``; absent or invalid -> None (healed)."""
+        self._sync_pending(path)
+        if not path.exists():
+            return None
+        try:
+            return decode(path)
+        except TraceCorruptError as exc:
+            self._invalidate(path, kind, exc)
+            return None
 
     # ------------------------------------------------------------------
-    # maintenance (``repro-study store ...``)
+    # maintenance (``repro-study store info``)
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Format versions, entry counts and byte totals, per kind."""
         self.flush()
 
         def scan(directory: Path) -> dict:
-            counts = {"binary": 0, "legacy_json": 0, "bytes": 0}
-            for path in sorted(directory.iterdir()):
-                if path.suffix == BINARY_SUFFIX:
-                    counts["binary"] += 1
-                elif path.suffix == LEGACY_SUFFIX:
-                    counts["legacy_json"] += 1
-                else:
-                    continue
+            counts = {"binary": 0, "bytes": 0}
+            for path in sorted(directory.glob(f"*{BINARY_SUFFIX}")):
+                counts["binary"] += 1
                 try:
                     counts["bytes"] += path.stat().st_size
                 except OSError:
@@ -671,43 +540,7 @@ class TraceStore:
             "root": str(self.root),
             "binary_format_version": binfmt.FORMAT_VERSION,
             "payload_schema_version": SCHEMA_VERSION,
-            "legacy_store_schema": STORE_SCHEMA_VERSION,
             "traces": scan(self.traces_dir),
             "probes": scan(self.probes_dir),
             "invalidated": self.invalidated,
         }
-
-    def migrate(self) -> dict:
-        """Rewrite every legacy JSON entry in binary form, in place.
-
-        Each entry converts independently and atomically (binary written,
-        then legacy removed), so an interrupted migration resumes where
-        it stopped: already-converted entries are skipped, leftover
-        legacy twins of existing binaries are just cleaned up, and
-        corrupt legacy entries are invalidated exactly as a load would.
-        Returns counts per outcome.
-        """
-        self.flush()
-        report = {"migrated": 0, "cleaned": 0, "invalidated": 0}
-        plans = (
-            (self.traces_dir, "trace", trace_from_json, binfmt.trace_to_bytes),
-            (self.probes_dir, "probes", probes_from_json, binfmt.probes_to_bytes),
-        )
-        for directory, kind, from_json, to_bytes in plans:
-            for legacy in sorted(directory.glob(f"*{LEGACY_SUFFIX}")):
-                binary = legacy.with_suffix(BINARY_SUFFIX)
-                if binary.exists():
-                    try:
-                        legacy.unlink()
-                    except OSError:
-                        pass
-                    report["cleaned"] += 1
-                    continue
-                before = self.invalidated
-                obj = self._load_legacy(legacy, kind, from_json)
-                if obj is None:
-                    report["invalidated"] += self.invalidated - before
-                    continue
-                self._migrate_entry(legacy, binary, to_bytes(obj))
-                report["migrated"] += 1
-        return report

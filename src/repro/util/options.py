@@ -18,7 +18,7 @@ byte-identical to the stringly-typed era.
 
 The definitions live in :mod:`repro.util` — the bottom of the dependency
 stack — because the tracer and store (below :mod:`repro.core`) validate
-with them too; :mod:`repro.core.options` is the canonical public home.
+with them too.  :mod:`repro.core` re-exports both names.
 """
 
 from __future__ import annotations

@@ -107,6 +107,26 @@ def test_block_timings_overlap_bounds(avus):
         assert bt.seconds <= bt.fp_seconds + bt.mem_seconds + 1e-12
 
 
+@pytest.mark.parametrize("machine", ["NAVO_690", "ARL_Opteron", "ARL_Xeon"])
+@pytest.mark.parametrize("label", ["AVUS-large", "OVERFLOW2-standard", "RFCTH-standard"])
+def test_tensor_timings_match_scalar_block_walk(machine, label):
+    """The executor's block-axis kernels against its scalar per-block walk.
+
+    The tensor pass reorders a few additions, so the two agree to a few
+    float64 ulps rather than bit-for-bit; the golden records pin the
+    tensor pass itself.
+    """
+    ex = GroundTruthExecutor(get_machine(machine), noise=False)
+    app = get_application(label)
+    for cpus in app.cpu_counts:
+        cells, rank_bytes = app.rank_cells(cpus), app.rank_bytes(cpus)
+        for block, tensor in zip(app.blocks, ex._timings(app, cells, rank_bytes)):
+            scalar = ex.block_timing(block, cells, rank_bytes)
+            assert tensor.fp_seconds == scalar.fp_seconds
+            assert tensor.mem_seconds == pytest.approx(scalar.mem_seconds, rel=1e-13)
+            assert tensor.seconds == pytest.approx(scalar.seconds, rel=1e-13)
+
+
 def test_observed_time_wrapper(avus):
     m = get_machine("ARL_Opteron")
     assert observed_time(m, avus, 64) > 0

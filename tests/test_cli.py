@@ -149,79 +149,55 @@ def test_bad_fault_spec_rejected(capsys):
     assert "bad fault spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["table4", "--workers", "0"], "--workers"),
+        (["serve", "--workers", "-3"], "--workers"),
+        (["table4", "--cache-dir", "{file}"], "{file}"),
+        (["store", "info", "--cache-dir", "{file}/below"], "{file}"),
+    ],
+    ids=["workers-0", "serve-workers-negative", "cache-dir-is-file", "cache-dir-below-file"],
+)
+def test_bad_arguments_exit_2_at_parse_time(tmp_path, capsys, argv, named):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=blocker) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named.format(file=blocker) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "a file, not a directory"
+
+
 # ---------------------------------------------------------------------------
 # store maintenance subcommand
 # ---------------------------------------------------------------------------
 
 
-def _seed_legacy_store(root):
-    """Populate a cache dir with legacy JSON entries plus one corrupt file."""
-    import json
-
+def test_store_info_reports_format_and_counts(tmp_path, capsys):
     from repro.apps.suite import get_application
     from repro.machines import get_machine
     from repro.probes.suite import probe_machine
     from repro.tracing.metasim import trace_application
-    from repro.tracing.serialize import probes_to_json, trace_to_json
-    from repro.tracing.store import STORE_SCHEMA_VERSION, TraceStore, _checksum
-
-    store = TraceStore(root)
-    base = get_machine("NAVO_P3")
-    trace = trace_application(get_application("AVUS-standard"), 64, base, use_cache=False)
-    probes = probe_machine(base, use_cache=False)
-
-    def envelope(payload):
-        return json.dumps(
-            {
-                "kind": "store-entry",
-                "store_schema": STORE_SCHEMA_VERSION,
-                "checksum": _checksum(payload),
-                "payload": payload,
-            }
-        )
-
-    stem = store._trace_stem(
-        trace.application, trace.cpus, trace.base_machine, trace.sample_size,
-        False, "analytic",
-    )
-    stem.with_suffix(".json").write_text(envelope(trace_to_json(trace)))
-    store._probes_stem(base).with_suffix(".json").write_text(
-        envelope(probes_to_json(probes))
-    )
-    (store.traces_dir / "deadbeef.json").write_text("{not json")
-    return trace, base
-
-
-def test_store_info_reports_format_and_counts(tmp_path, capsys):
-    _seed_legacy_store(tmp_path)
-    assert main(["store", "info", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "binary format" in out and "v1" in out
-    assert "2 legacy JSON" in out  # real trace + the corrupt decoy
-    assert "0 binary" in out
-
-
-def test_store_migrate_converts_and_heals(tmp_path, capsys):
-    trace, base = _seed_legacy_store(tmp_path)
-    assert main(["store", "migrate", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "2 entries converted to binary" in out
-    assert "1 corrupt entry invalidated" in out
-
-    # the migrated entries are loadable and exact; no legacy files remain
     from repro.tracing.store import TraceStore
 
     store = TraceStore(tmp_path)
-    reloaded = store.load_trace(
-        trace.application, trace.cpus, trace.base_machine, trace.sample_size
+    base = get_machine("NAVO_P3")
+    trace_application(
+        get_application("AVUS-standard"), 64, base, use_cache=False, store=store
     )
-    assert reloaded == trace
-    assert store.load_probes(base) is not None
-    assert not list(tmp_path.rglob("*.json"))
+    probe_machine(base, use_cache=False, store=store)
+    store.flush()
+    (store.traces_dir / "deadbeef.json").write_text("{}")  # earlier builds' format
 
-    # a second migrate is a no-op
-    assert main(["store", "migrate", "--cache-dir", str(tmp_path)]) == 0
-    assert "0 entries converted" in capsys.readouterr().out
+    assert main(["store", "info", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "binary format   : v1" in out
+    assert "payload schema  : v2" in out
+    assert "traces          : 1 binary" in out
+    assert "probes          : 1 binary" in out
 
 
 def test_store_requires_action_and_cache_dir(tmp_path, capsys):
@@ -229,13 +205,13 @@ def test_store_requires_action_and_cache_dir(tmp_path, capsys):
         main(["store", "--cache-dir", str(tmp_path)])
     assert "expected an action" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["store", "migrate"])
+        main(["store", "info"])
     assert "--cache-dir is required" in capsys.readouterr().err
 
 
 def test_store_action_rejected_for_other_artifacts(capsys):
     with pytest.raises(SystemExit):
-        main(["table4", "migrate"])
+        main(["table4", "info"])
     assert (
         "only applies to the 'store', 'events', 'sim' or 'catalog' artifact"
         in capsys.readouterr().err

@@ -18,7 +18,6 @@ from repro.engine import (
     FaultMiddleware,
     MatrixPlan,
     PointPlan,
-    RetryMiddleware,
     StageRunner,
 )
 from repro.machines.registry import get_machine
@@ -155,21 +154,6 @@ def test_fault_middleware_reads_live_plan():
         mw("probe", None, lambda d: "x")
     plans["current"] = None  # chaos switched off mid-test
     assert mw("probe", None, lambda d: "x") == "x"
-
-
-def test_retry_middleware_retries_then_raises():
-    slept = []
-    mw = RetryMiddleware(2, sleep=slept.append)
-    calls = []
-
-    def flaky(d):
-        calls.append(1)
-        raise IOError("flaky")
-
-    with pytest.raises(IOError):
-        mw("probe", None, flaky)
-    assert len(calls) == 3  # first try + 2 retries
-    assert len(slept) == 2
 
 
 # ---------------------------------------------------------------------------

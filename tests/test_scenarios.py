@@ -105,26 +105,8 @@ def test_unknown_ids_raise_with_nearest():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# package wrappers
 # ----------------------------------------------------------------------
-def test_machines_dict_shim_warns_and_matches_registry():
-    import repro.machines as pkg
-    from repro.machines.registry import MACHINES
-
-    with pytest.warns(DeprecationWarning, match="repro.machines.MACHINES"):
-        shimmed = pkg.MACHINES
-    assert shimmed == dict(MACHINES)
-
-
-def test_applications_dict_shim_warns_and_builds_models():
-    import repro.apps as pkg
-    from repro.apps.suite import APPLICATIONS
-
-    with pytest.warns(DeprecationWarning, match="repro.apps.APPLICATIONS"):
-        shimmed = pkg.APPLICATIONS
-    assert shimmed == {label: factory() for label, factory in APPLICATIONS.items()}
-
-
 def test_package_wrappers_route_through_catalog():
     import repro.apps
     import repro.machines

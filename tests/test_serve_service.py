@@ -1,8 +1,6 @@
 """Tests for the resilient prediction service: validation, degradation,
 deadlines, chaos, and recovery — all on an injectable clock, no sleeps."""
 
-import math
-
 import pytest
 
 from repro.core.errors import (
@@ -11,10 +9,11 @@ from repro.core.errors import (
     UnknownIdError,
 )
 from repro.core.metrics import ALL_METRICS
+from repro.core.registry import REGISTRY
 from repro.core.predictor import PerformancePredictor
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerBoard
-from repro.serve.degrade import LADDER, ladder_for, stages_for
+from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService
 from repro.util.faults import FaultPlan
 
@@ -68,7 +67,7 @@ def test_stages_split_simple_vs_predictive():
             assert stages == ("probe",)
         else:
             assert stages == ("probe", "trace", "convolve")
-    assert set(LADDER) <= set(ALL_METRICS)
+    assert set(REGISTRY.ladder()) <= set(ALL_METRICS)
 
 
 # ----------------------------------------------------------------------

@@ -148,3 +148,9 @@ def test_store_digests_are_usable_shard_keys():
     ring = ShardRing(("w0", "w1"), vnodes=DEFAULT_VNODES)
     for key in (a, b, c):
         assert ring.node_for(key) in ("w0", "w1")
+    # Pinned digests: a change renames every store entry and moves every
+    # shard, so it must be deliberate.
+    assert trace_key("AVUS-standard", 64, "NAVO_690", 4096) == (
+        "191b40c79e6dc0df06ae50d941f15e47"
+    )
+    assert probes_key(get_machine("NAVO_690")) == "bf262df4e58b866507548423f98d5561"

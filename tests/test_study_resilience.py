@@ -7,11 +7,13 @@ so the recovery paths can be asserted *byte-identical* to a fault-free
 study rather than merely "it didn't crash".
 """
 
-import json
+import gc
+import warnings
 
 import pytest
 
 from repro.core.errors import (
+    CheckpointError,
     ChunkTimeoutError,
     ReproError,
     StudyAbortedError,
@@ -272,59 +274,39 @@ def test_checkpoint_torn_tail_is_dropped_and_compacted(tmp_path, clean):
     assert_bit_identical(resumed, clean)
 
 
-def test_legacy_single_file_checkpoint_migrates(tmp_path, clean, monkeypatch):
-    """A schema-v1 single-file journal loads transparently, resumes the
-    study byte-identically, and is migrated into an event-log directory."""
+def test_file_at_checkpoint_path_is_rejected_untouched(tmp_path, monkeypatch, capsys):
+    """A regular file where the journal directory belongs (such as an
+    earlier build's single-file journal) fails before any chunk runs."""
     import repro.study.runner as runner_mod
-    from repro.events import replay_dir
-    from repro.study.resilience import _entry_checksum
+    from repro.cli import main
 
-    # Capture two real chunk documents from an aborted event-log run...
-    src = tmp_path / "src.ckpt"
-    with pytest.raises(StudyAbortedError):
-        run_study(REDUCED, checkpoint=src, faults=FaultPlan(abort_after=2))
-    chunks = [
-        ev for _, _, ev in replay_dir(src) if type(ev).kind == "chunk-completed"
+    ck = tmp_path / "study.ckpt"
+    content = b'{"kind": "study-checkpoint", "schema_version": 1}\n'
+    ck.write_bytes(content)
+    monkeypatch.setattr(
+        runner_mod, "_run_submatrix",
+        lambda *a, **k: pytest.fail("no chunk may run before the check"),
+    )
+    with pytest.raises(CheckpointError, match=str(ck)):
+        run_study(REDUCED, checkpoint=ck)
+    assert main(["table4", "--checkpoint", str(ck)]) == 7
+    assert str(ck) in capsys.readouterr().err
+    assert ck.read_bytes() == content
+
+
+def test_aborted_and_resumed_study_close_the_journal(tmp_path, clean):
+    ck = tmp_path / "study.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StudyAbortedError):
+            run_study(REDUCED, checkpoint=ck, faults=FaultPlan(abort_after=1))
+        assert_bit_identical(run_study(REDUCED, checkpoint=ck), clean)
+        gc.collect()
+    leaks = [
+        w for w in caught
+        if issubclass(w.category, ResourceWarning) and str(ck) in str(w.message)
     ]
-    assert len(chunks) == 2
-
-    # ...and rewrite them in the legacy v1 single-file format.
-    ck = tmp_path / "legacy.ckpt"
-    lines = [
-        json.dumps(
-            {
-                "kind": "study-checkpoint",
-                "schema_version": 1,
-                "config_digest": config_digest(REDUCED),
-            }
-        )
-    ]
-    for ev in chunks:
-        doc = {
-            "label": ev.label,
-            "records": ev.records,
-            "observed": ev.observed,
-            "stages": ev.stages,
-        }
-        doc["checksum"] = _entry_checksum(dict(doc))
-        lines.append(json.dumps(doc, sort_keys=True))
-    ck.write_text("\n".join(lines) + "\n")
-
-    computed = []
-    original = runner_mod._run_submatrix
-
-    def spy(cfg, labels, systems, store, timer=None):
-        computed.extend(labels)
-        return original(cfg, labels, systems, store, timer)
-
-    monkeypatch.setattr(runner_mod, "_run_submatrix", spy)
-    resumed = run_study(REDUCED, checkpoint=ck)
-    assert len(computed) == 1  # only the chunk the legacy journal lacked
-    assert_bit_identical(resumed, clean)
-    # The single file became an event-log directory holding everything.
-    assert ck.is_dir()
-    kinds = [type(ev).kind for _, _, ev in replay_dir(ck)]
-    assert kinds == ["study-started"] + ["chunk-completed"] * 3
+    assert leaks == []
 
 
 def test_quarantined_chunks_leave_audit_events(tmp_path):
@@ -333,6 +315,7 @@ def test_quarantined_chunks_leave_audit_events(tmp_path):
     ck = StudyCheckpoint(str(tmp_path / "j"), "d" * 32)
     ck.record("chunk", [], {}, {})
     ck.record_failure(CellFailure("app", "WorkerCrashError", "boom", 3))
+    ck.close()
     kinds = [type(ev).kind for _, _, ev in replay_dir(tmp_path / "j")]
     assert kinds == ["study-started", "chunk-completed", "cell-failed"]
 
@@ -376,6 +359,7 @@ def test_checkpoint_float_round_trip_is_exact(tmp_path):
     ck = StudyCheckpoint(str(tmp_path / "c.ckpt"), "digest")
     records = [["app", 4, "sys", 1, 0.1 + 0.2, 1e-17, -3.25]]
     ck.record("app", records, {("app", "sys", 4): 0.30000000000000004}, {"trace": 0.5})
+    ck.close()
     loaded = StudyCheckpoint(str(tmp_path / "c.ckpt"), "digest").load()
     row = loaded["app"]["records"][0]
     assert row[4].hex() == (0.1 + 0.2).hex()
@@ -387,6 +371,7 @@ def test_checkpoint_rejects_wrong_digest(tmp_path):
     path = str(tmp_path / "c.ckpt")
     ck = StudyCheckpoint(path, "digest-a")
     ck.record("app", [], {}, {})
+    ck.close()
     assert StudyCheckpoint(path, "digest-b").load() == {}
     assert StudyCheckpoint(path, "digest-a").load().keys() == {"app"}
 

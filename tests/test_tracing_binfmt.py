@@ -6,7 +6,9 @@ tests here cover adversarial floats (subnormals, signed zeros, inf, NaN)
 via hypothesis, not just traces the tracer happens to emit today.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.network.model import CollectiveKind
 from repro.probes.suite import probe_machine
 from repro.tracing import binfmt
 from repro.tracing.metasim import trace_application
+from repro.tracing.store import TraceStore
 from repro.tracing.trace import ApplicationTrace, BlockTrace, CommRecord, ReuseHistogram
 
 # ---------------------------------------------------------------------------
@@ -271,3 +274,32 @@ def test_kind_mismatch_raises(base_machine, trace_bytes):
         binfmt.trace_from_bytes(binfmt.probes_to_bytes(probes))
     with pytest.raises(TraceCorruptError, match="not a machine_probes"):
         binfmt.probes_from_bytes(trace_bytes)
+
+
+def _with_stale_schema(data: bytes) -> bytes:
+    """``data`` rewritten as a schema-1 entry with a valid checksum."""
+    current = f'"schema_version":{binfmt.SCHEMA_VERSION}'.encode()
+    assert data.count(current) == 1
+    stale = data.replace(current, b'"schema_version":1')
+    prelude = struct.Struct("<4sHBBIQ16s")
+    fields = list(prelude.unpack(stale[: prelude.size]))
+    fields[-1] = hashlib.blake2b(stale[prelude.size :], digest_size=16).digest()
+    return prelude.pack(*fields) + stale[prelude.size :]
+
+
+def test_stale_payload_schema_raises_and_store_retraces(tmp_path, avus, base_machine):
+    store = TraceStore(tmp_path)
+    trace = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    store.flush()
+    (path,) = store.traces_dir.iterdir()
+    path.write_bytes(_with_stale_schema(path.read_bytes()))
+    with pytest.raises(TraceCorruptError, match="unsupported payload schema version 1"):
+        binfmt.load_trace(path)
+
+    identity = (trace.application, trace.cpus, trace.base_machine, trace.sample_size)
+    assert store.load_trace(*identity) is None
+    assert store.invalidated == 1
+    assert not path.exists()
+    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    assert retraced == trace
+    assert store.load_trace(*identity) == trace

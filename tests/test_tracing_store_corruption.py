@@ -2,10 +2,10 @@
 
 Every damage shape a shared cache directory can exhibit — truncated
 binary entries (length mismatch), flipped payload bytes (checksum
-mismatch), foreign format versions, bare-JSON files at the binary path,
-outright garbage, and every legacy-JSON failure mode (stale payload
-schema, stale envelope, pre-envelope payloads) — must be detected on
-load, logged, deleted, and reported as a miss so the caller recomputes.
+mismatch), foreign format versions, bare-JSON files at the binary path
+and outright garbage — must be detected on load, logged, deleted, and
+reported as a miss so the caller recomputes.  The ``<digest>.json``
+entries of earlier builds are never read at all.
 """
 
 import json
@@ -17,12 +17,7 @@ import pytest
 from repro.probes.suite import probe_machine
 from repro.tracing import binfmt
 from repro.tracing.metasim import trace_application
-from repro.tracing.serialize import trace_to_json
-from repro.tracing.store import (
-    STORE_SCHEMA_VERSION,
-    TraceStore,
-    _checksum,
-)
+from repro.tracing.store import TraceStore
 from repro.util.faults import FaultPlan
 
 
@@ -44,17 +39,6 @@ def _trace_file(store):
 def _load(store, trace):
     return store.load_trace(
         trace.application, trace.cpus, trace.base_machine, trace.sample_size, False
-    )
-
-
-def _legacy_envelope(payload: str) -> str:
-    return json.dumps(
-        {
-            "kind": "store-entry",
-            "store_schema": STORE_SCHEMA_VERSION,
-            "checksum": _checksum(payload),
-            "payload": payload,
-        }
     )
 
 
@@ -103,10 +87,10 @@ def test_foreign_format_version_invalidates(stored):
 
 
 def test_bare_json_at_binary_path_invalidates(stored, base_machine, avus):
-    # A pre-binary payload dropped at the binary path: bad magic.
+    # A JSON document dropped at the binary path: bad magic.
     store, trace = stored
     path = _trace_file(store)
-    path.write_bytes(trace_to_json(trace).encode())
+    path.write_bytes(json.dumps({"application": trace.application}).encode())
     assert _load(store, trace) is None
     assert store.invalidated == 1
 
@@ -127,63 +111,23 @@ def test_corrupt_probe_entry_invalidates(stored, base_machine):
     assert not path.exists()
 
 
-# ---------------------------------------------------------------------------
-# legacy-JSON damage shapes (mixed-format directories keep healing)
-# ---------------------------------------------------------------------------
-
-
-def _as_legacy(store, trace, payload: str):
-    """Replace the binary entry with a legacy JSON entry holding payload."""
+def test_json_era_entry_is_ignored_and_retraced(stored, base_machine, avus):
+    """An earlier build's ``<digest>.json`` entry is a plain miss."""
+    store, trace = stored
     path = _trace_file(store)
     legacy = path.with_suffix(".json")
-    legacy.write_text(_legacy_envelope(payload))
-    path.unlink()
-    return legacy
-
-
-def test_stale_payload_schema_version_invalidates(stored, base_machine, avus):
-    store, trace = stored
-    doc = json.loads(trace_to_json(trace))
-    doc["schema_version"] = 1  # an old build's artifact
-    legacy = _as_legacy(store, trace, json.dumps(doc))  # checksum fresh: only schema stale
-    assert _load(store, trace) is None
-    assert not legacy.exists()
-    assert store.invalidated == 1
-
-
-def test_stale_envelope_schema_invalidates(stored):
-    store, trace = stored
-    legacy = _as_legacy(store, trace, trace_to_json(trace))
-    doc = json.loads(legacy.read_text())
-    doc["store_schema"] = STORE_SCHEMA_VERSION + 1
-    legacy.write_text(json.dumps(doc))
-    assert _load(store, trace) is None
-    assert store.invalidated == 1
-
-
-def test_pre_envelope_entry_invalidates(stored, base_machine, avus):
-    # An entry from before the checksummed envelope existed: bare payload.
-    store, trace = stored
-    path = _trace_file(store)
-    path.with_suffix(".json").write_text(trace_to_json(trace))
+    legacy.write_text(json.dumps({"kind": "store-entry", "payload": "{}"}))
     path.unlink()
     assert _load(store, trace) is None
-    assert store.invalidated == 1
-
-
-def test_valid_legacy_entry_loads_and_migrates(stored):
-    store, trace = stored
-    legacy = _as_legacy(store, trace, trace_to_json(trace))
-    loaded = _load(store, trace)
-    assert loaded == trace
-    assert store.invalidated == 0
-    # migrate-on-first-touch: the legacy file is gone, a binary twin exists
-    assert not legacy.exists()
-    binary = legacy.with_suffix(".rpb")
-    assert binary.exists()
-    assert store.load_trace(
+    assert not store.has_trace(
         trace.application, trace.cpus, trace.base_machine, trace.sample_size
-    ) == trace
+    )
+    assert store.invalidated == 0
+    assert legacy.exists()  # never read, so never judged or deleted
+    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    assert retraced == trace
+    assert _load(store, trace) == trace
+    assert store.stats()["traces"]["binary"] == 1
 
 
 # ---------------------------------------------------------------------------
