@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.probes.results import MachineProbes
 
@@ -103,6 +102,7 @@ def optimise_weights(
     """
     if not observations:
         raise ValueError("need at least one observation to fit weights")
+    from scipy import optimize
 
     def mean_abs_error(raw: np.ndarray) -> float:
         w = np.abs(raw)

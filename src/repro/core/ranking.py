@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from scipy import stats
-
 __all__ = ["rank_systems", "rank_agreement"]
 
 
@@ -39,6 +37,8 @@ def rank_agreement(
     common = sorted(set(predicted) & set(actual))
     if len(common) < 2:
         raise ValueError("need at least two common systems to compare rankings")
+    from scipy import stats
+
     p = [predicted[name] for name in common]
     a = [actual[name] for name in common]
     tau = stats.kendalltau(p, a).statistic

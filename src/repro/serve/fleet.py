@@ -26,7 +26,7 @@ thread is charged to its deadline.
 Supervision of forked workers is kernel-grade, not protocol-grade: the
 front end watches each worker's ``Process.sentinel`` through
 ``loop.add_reader``, so a ``SIGKILL``-ed worker is detected the moment
-the process dies even if its socket lingers in some forked sibling.
+the process dies, whatever state its socket is in.
 Death removes the worker from the shard ring (its key range re-routes to
 the survivors — and *only* its range moves, the ring's minimal-movement
 property), fails the worker's in-flight requests with retry-able
@@ -274,8 +274,21 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
         reply({"id": rid, "ok": False, **error_payload(exc)})
 
 
-def _worker_main(sock: socket.socket, worker_id: str, config: dict) -> None:
-    """Entry point of one forked engine worker process."""
+def _worker_main(
+    sock: socket.socket,
+    worker_id: str,
+    config: dict,
+    frontend_socks: tuple[socket.socket, ...],
+) -> None:
+    """Entry point of one forked engine worker process.
+
+    ``frontend_socks`` are the front end's ends of every worker socketpair,
+    this one's included, which a forked child inherits; closing them first
+    leaves the front end the only holder, so its close reaches each worker
+    as EOF.
+    """
+    for inherited in frontend_socks:
+        inherited.close()
     # The front end owns Ctrl-C; a worker must only exit on socket EOF
     # (orderly shutdown), a graceful SIGTERM, or a kill (chaos /
     # supervisor restart).
@@ -502,10 +515,18 @@ class ProcessHandle(WorkerHandle):
                 pass
 
     async def wait_closed(self) -> None:
-        self.proc.join(timeout=2.0)
+        # Let the loop finish closing the transport (the worker's EOF),
+        # then wait for the worker's drain without blocking the loop.
+        if self._writer is not None:
+            try:
+                await self._writer.wait_closed()
+            except OSError:
+                pass  # the worker died first; the socket is gone either way
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.proc.join, 2.0)
         if self.proc.is_alive():
             self.proc.terminate()
-            self.proc.join(timeout=2.0)
+            await loop.run_in_executor(None, self.proc.join, 2.0)
 
 
 class Fleet:
@@ -577,9 +598,12 @@ class Fleet:
             handle = LocalHandle(name, self.config, max_pending=self.max_pending)
         else:
             parent_sock, child_sock = socket.socketpair()
+            frontend_socks = (parent_sock,) + tuple(
+                handle._sock for handle in self.workers.values()
+            )
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(child_sock, name, self.config),
+                args=(child_sock, name, self.config, frontend_socks),
                 name=f"repro-fleet-{name}",
                 daemon=True,
             )

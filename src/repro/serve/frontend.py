@@ -122,6 +122,11 @@ class FleetFrontend:
         self.batch_reroutes_total = 0
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
+        # Open connections (their handler tasks) and the subset waiting
+        # for a request line, which stop() closes.
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -135,10 +140,16 @@ class FleetFrontend:
         return self.address
 
     async def stop(self) -> None:
-        """The graceful drain: stop accepting, let the workers finish their
-        in-flight requests, then flush their stores and event logs."""
+        """The graceful drain: stop accepting, close idle keep-alive
+        connections, answer in-flight requests with ``Connection: close``,
+        then let the workers finish and flush their stores and event logs."""
         if self._server is not None:
             self._server.close()
+            self._stopping = True
+            for writer in self._idle:
+                writer.close()  # EOF for a reader waiting on a request line
+            if self._connections:
+                await asyncio.wait(set(self._connections))
             await self._server.wait_closed()
             self._server = None
         await self.fleet.stop()
@@ -149,10 +160,12 @@ class FleetFrontend:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except ValueError as exc:
                     # Unparseable framing: the stream position is lost,
                     # so answer once and hang up.
@@ -168,7 +181,10 @@ class FleetFrontend:
                 status, payload, retry_after = await self._dispatch(
                     method, target, body
                 )
-                close = headers.get("connection", "").lower() == "close"
+                close = (
+                    self._stopping
+                    or headers.get("connection", "").lower() == "close"
+                )
                 self._write_response(
                     writer, status, payload, retry_after=retry_after, close=close
                 )
@@ -183,17 +199,26 @@ class FleetFrontend:
         ):
             pass  # client went away; nothing to answer
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
             except OSError:
                 pass
 
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ):
         """One request as ``(method, target, headers, body)``; ``None`` at
-        EOF.  Raises :class:`ValueError` on framing it cannot parse
-        (``readline`` itself raises it for a line over the stream limit)."""
-        line = await reader.readline()
+        EOF or once the server is stopping.  Raises :class:`ValueError` on
+        framing it cannot parse (``readline`` itself raises it for a line
+        over the stream limit)."""
+        if self._stopping:
+            return None
+        self._idle.add(writer)
+        try:
+            line = await reader.readline()
+        finally:
+            self._idle.discard(writer)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()

@@ -701,15 +701,16 @@ class PredictionService:
         }
 
     def drain(self) -> None:
-        """Flush everything durable: the store's backlog, then the log.
+        """Flush the store's backlog, then commit and close the event log.
 
-        The SIGTERM graceful-drain path: called after the HTTP server has
-        stopped accepting and finished in-flight requests.
+        The SIGTERM graceful-drain path and the last call a service gets:
+        made after the HTTP server has stopped accepting and finished
+        in-flight requests.
         """
         if self.store is not None:
             self.store.close()
         if self.events is not None:
-            self.events.commit()
+            self.events.close()
 
     # ------------------------------------------------------------------
     # health surfaces

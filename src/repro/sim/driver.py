@@ -226,82 +226,83 @@ def _run_serve_recovery(
             events=Path(tmp) / "events",
             clock=clock,
         )
-        faults = ScheduleFaults(schedule, clock)
-        service.faults = faults
+        try:
+            faults = ScheduleFaults(schedule, clock)
+            service.faults = faults
 
-        rng = stable_rng("sim-requests", schedule.seed, schedule.scenario)
-        apps = ("AVUS-standard", "HYCOM-standard", "RFCTH-standard")
-        machines = ("ARL_Xeon", "ARL_Opteron", "NAVO_655")
-        requested = 9
+            rng = stable_rng("sim-requests", schedule.seed, schedule.scenario)
+            apps = ("AVUS-standard", "HYCOM-standard", "RFCTH-standard")
+            machines = ("ARL_Xeon", "ARL_Opteron", "NAVO_655")
+            requested = 9
 
-        def drive_one(phase: str) -> None:
-            app = apps[int(rng.integers(0, len(apps)))]
-            cpus = int(rng.integers(1, 5)) * 16
-            machine = machines[int(rng.integers(0, len(machines)))]
-            entry = {
-                "phase": phase,
-                "t": round(clock.monotonic(), 6),
-                "application": app,
-                "cpus": cpus,
-                "machine": machine,
-            }
-            try:
-                response = service.predict(app, cpus, machine, requested)
-            except ReproError as exc:
-                check_error(exc)  # typed: fine, record the class
-                entry.update(error=type(exc).__name__)
-            except InvariantViolation:
-                raise
-            except Exception as exc:  # noqa: BLE001 - the 500 invariant
-                check_error(exc)
-                raise  # unreachable: check_error raised
-            else:
-                response = _apply_canary(response, canary)
-                entry.update(
-                    served_metric=response.served_metric,
-                    degraded=response.degraded,
-                    predicted=round(response.predicted_seconds, 9),
-                    latency=round(response.latency_seconds, 6),
-                )
-                check_response(response, requested)
-                if phase == "recovered":
-                    check_recovery(response)
-            finally:
-                transcript.append(entry)
-            check_breaker_transitions(transitions)
+            def drive_one(phase: str) -> None:
+                app = apps[int(rng.integers(0, len(apps)))]
+                cpus = int(rng.integers(1, 5)) * 16
+                machine = machines[int(rng.integers(0, len(machines)))]
+                entry = {
+                    "phase": phase,
+                    "t": round(clock.monotonic(), 6),
+                    "application": app,
+                    "cpus": cpus,
+                    "machine": machine,
+                }
+                try:
+                    response = service.predict(app, cpus, machine, requested)
+                except ReproError as exc:
+                    check_error(exc)  # typed: fine, record the class
+                    entry.update(error=type(exc).__name__)
+                except InvariantViolation:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - the 500 invariant
+                    check_error(exc)
+                    raise  # unreachable: check_error raised
+                else:
+                    response = _apply_canary(response, canary)
+                    entry.update(
+                        served_metric=response.served_metric,
+                        degraded=response.degraded,
+                        predicted=round(response.predicted_seconds, 9),
+                        latency=round(response.latency_seconds, 6),
+                    )
+                    check_response(response, requested)
+                    if phase == "recovered":
+                        check_recovery(response)
+                finally:
+                    transcript.append(entry)
+                check_breaker_transitions(transitions)
 
-        # Phase 1: drive requests while the schedule plays out.
-        pending_skews = [e for e in schedule.events if isinstance(e, SkewClock)]
-        while clock.monotonic() < schedule.horizon or not faults.exhausted():
-            now = clock.monotonic()
-            for skew in [e for e in pending_skews if e.at <= now]:
-                pending_skews.remove(skew)
-                faults.fired.append({"t": round(now, 6), **skew.to_doc()})
-                clock.advance(skew.seconds)
-            drive_one("chaos")
-            clock.advance(REQUEST_PACE_SECONDS)
+            # Phase 1: drive requests while the schedule plays out.
+            pending_skews = [e for e in schedule.events if isinstance(e, SkewClock)]
+            while clock.monotonic() < schedule.horizon or not faults.exhausted():
+                now = clock.monotonic()
+                for skew in [e for e in pending_skews if e.at <= now]:
+                    pending_skews.remove(skew)
+                    faults.fired.append({"t": round(now, 6), **skew.to_doc()})
+                    clock.advance(skew.seconds)
+                drive_one("chaos")
+                clock.advance(REQUEST_PACE_SECONDS)
 
-        # Phase 2: faults stop, cooldowns elapse, service must fully heal.
-        service.faults = None
-        clock.advance(60.0)  # past every backoff-grown cooldown (cap 16 s)
-        drive_one("healing")  # half-open probes close the breakers
-        drive_one("recovered")
-        drive_one("recovered")
+            # Phase 2: faults stop, cooldowns elapse, service must fully heal.
+            service.faults = None
+            clock.advance(60.0)  # past every backoff-grown cooldown (cap 16 s)
+            drive_one("healing")  # half-open probes close the breakers
+            drive_one("recovered")
+            drive_one("recovered")
 
-        transcript.append(
-            {
-                "fired": faults.fired,
-                "transitions": [list(t) for t in transitions],
-                "health": {
-                    "requests_total": service.requests_total,
-                    "degraded_total": service.degraded_total,
-                    "unserved_total": service.unserved_total,
-                },
-            }
-        )
-        if service.events is not None:
-            service.events.commit()
-            check_journal(Path(tmp) / "events")
+            transcript.append(
+                {
+                    "fired": faults.fired,
+                    "transitions": [list(t) for t in transitions],
+                    "health": {
+                        "requests_total": service.requests_total,
+                        "degraded_total": service.degraded_total,
+                        "unserved_total": service.unserved_total,
+                    },
+                }
+            )
+        finally:
+            service.drain()  # closes the event log before tmp goes
+        check_journal(Path(tmp) / "events")
 
 
 # ---------------------------------------------------------------------------

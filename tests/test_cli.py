@@ -400,5 +400,6 @@ def test_serve_sigterm_drains_and_exits_zero(tmp_path):
         if proc.poll() is None:  # pragma: no cover - cleanup on failure
             proc.kill()
             proc.wait()
+        proc.stderr.close()
     report = verify_dir(events_dir)
     assert report["ok"] and report["frames"] >= 1

@@ -309,3 +309,4 @@ def test_store_accounting_is_event_derived(tmp_path, base_machine, avus):
     kinds = [e.to_doc()["kind"] for _w, _s, e in replay_dir(tmp_path / "events")]
     assert kinds.count("store-invalidated") == store.invalidated
     store.close()
+    events.close()  # the store does not own the log it was handed

@@ -25,6 +25,7 @@ re-add), driven through the public HTTP surface.
 
 import asyncio
 import json
+import logging
 import signal
 import socket
 import threading
@@ -612,3 +613,74 @@ def test_fleet_events_stats_and_worker_audit(tmp_path_factory):
     writers = {stream["writer"] for stream in report["streams"]}
     assert "frontend" in writers
     assert any(writer.startswith("w") for writer in writers - {"frontend"})
+
+
+# ---------------------------------------------------------------------------
+# stop: workers drain on EOF, idle keep-alive connections are closed
+# ---------------------------------------------------------------------------
+def test_fleet_stop_drains_workers_on_eof(tmp_path):
+    from repro.events import verify_dir
+
+    server = FleetServer(2, service_config={"events_dir": str(tmp_path / "ev")})
+    server.start()
+    assert get(server, PREDICT)[0] == 200
+    procs = [handle.proc for handle in server.fleet.workers.values()]
+    started = time.perf_counter()
+    server.stop()
+    # A worker that saw no EOF would wait out the 2 s join, then SIGTERM.
+    assert time.perf_counter() - started < 1.0
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    report = verify_dir(tmp_path / "ev")
+    assert report["ok"] and report["frames"] >= 1
+
+
+def test_stop_closes_idle_keepalive_connection(caplog):
+    import http.client
+
+    server = FleetServer(1)
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.getheader("Connection") == "keep-alive"
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            started = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started < 1.0
+        assert conn.sock.recv(1) == b""  # EOF: the server hung up
+    finally:
+        conn.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+def test_stop_answers_in_flight_request_with_connection_close():
+    import http.client
+
+    # Every engine stage stalls 0.3 s, so the request is in flight at stop.
+    server = FleetServer(
+        1, service_config={"faults": "stall=1.0,stall_seconds=0.3", "noise": False}
+    )
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    result = {}
+
+    def fire():
+        conn.request("GET", PREDICT + "&metric=9")
+        response = conn.getresponse()
+        response.read()
+        result.update(status=response.status, connection=response.getheader("Connection"))
+
+    client = threading.Thread(target=fire)
+    client.start()
+    try:
+        deadline = time.time() + 5.0
+        while server.frontend.requests_total < 1 and time.time() < deadline:
+            time.sleep(0.01)
+        server.stop()
+        client.join(10)
+    finally:
+        conn.close()
+    assert result["status"] in (200, 503)
+    assert result["connection"] == "close"

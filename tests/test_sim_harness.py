@@ -7,10 +7,12 @@ bug must be detected and shrink to a tiny reproducer, and the committed
 corpus must replay exactly as recorded.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,16 @@ class TestEpisodeFuzz:
     def test_coalesce_invariants_hold(self, seed):
         result = run_episode("coalesce", seed)
         assert result.ok, result.violations
+
+    def test_serve_episode_closes_its_event_log(self):
+        """The episode's service is drained, so its log file is closed
+        before the temp dir goes; an open one warns when collected."""
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_episode("serve-recovery", 0).ok
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_virtual_time_outruns_wall_time(self):
         """The whole point: simulated chaos is ~free in wall-clock."""
