@@ -52,6 +52,14 @@ paid* is the whole point: scipy is most of ``import repro`` (~1 s of
 ``cache_sim`` set-associativity accounting call it, so it is imported
 inside those functions and the serve and study processes never load it.
 
+A fourth pass keeps **serving on the engine's backends**: no
+``repro.serve`` module may import (or reach as an attribute)
+``probe_machine``, ``trace_application``, ``GroundTruthExecutor`` or
+``executor_for``.  The service gets probes, base times, traces and
+executions only through :class:`repro.engine.Engine`, whose memos are the
+process's only copies; a serve-side cache of those artifacts is a second
+copy that drifts from the first and escapes its bound.
+
 Run from the repository root (CI does)::
 
     python scripts/check_layering.py
@@ -217,6 +225,46 @@ def import_time_imports_of(path: Path) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+#: Package prefix whose modules may not call the pipeline backends directly.
+SERVE_PACKAGE = "repro.serve"
+
+#: Backend entry points serving reaches only through ``repro.engine.Engine``.
+ENGINE_BACKENDS: frozenset[str] = frozenset(
+    {"probe_machine", "trace_application", "GroundTruthExecutor", "executor_for"}
+)
+
+
+def backend_uses_of(path: Path) -> list[tuple[int, str]]:
+    """Engine-backend names ``path`` imports or reaches as attributes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in ENGINE_BACKENDS
+            )
+        elif isinstance(node, ast.Attribute) and node.attr in ENGINE_BACKENDS:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def check_serve_backends() -> list[str]:
+    violations: list[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        mod = module_name(path)
+        if not (mod == SERVE_PACKAGE or mod.startswith(SERVE_PACKAGE + ".")):
+            continue
+        for line, name in backend_uses_of(path):
+            violations.append(
+                f"{path.relative_to(SRC.parent)}:{line}: "
+                f"{mod} uses {name} directly "
+                f"(go through repro.engine.Engine)"
+            )
+    return violations
+
+
 def check_lazy_imports() -> list[str]:
     violations: list[str] = []
     for path in sorted(SRC.rglob("*.py")):
@@ -290,7 +338,11 @@ def check_builder_imports() -> list[str]:
 
 def main() -> int:
     violations = (
-        check() + check_builder_imports() + check_time_usage() + check_lazy_imports()
+        check()
+        + check_builder_imports()
+        + check_time_usage()
+        + check_lazy_imports()
+        + check_serve_backends()
     )
     for v in violations:
         print(v, file=sys.stderr)
@@ -300,7 +352,10 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print("check_layering: import boundaries, time usage and lazy imports clean")
+    print(
+        "check_layering: import boundaries, time usage, lazy imports "
+        "and serve backends clean"
+    )
     return 0
 
 

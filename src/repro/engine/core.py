@@ -27,33 +27,30 @@ baselines written before the refactor replay bit-for-bit.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from repro.apps.execution import executor_for
 from repro.core.metrics import PredictionContext, predict_all, resolve_metrics
 from repro.engine.middleware import StageRunner, TimingMiddleware
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
 from repro.scenarios import BASE_SYSTEM, get_application, get_machine
 from repro.probes.suite import probe_machine
-from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE, trace_application
+from repro.tracing.metasim import _TRACE_CACHE, DEFAULT_SAMPLE_SIZE, trace_application
 from repro.tracing.store import TraceStore
+from repro.util.lru import BoundedLRU
 from repro.util.options import CacheModel, Mode
 from repro.util.timing import StageTimer
 
 __all__ = ["Engine", "clear_row_cache"]
 
 #: Row-level convolve memo: predict_all output keyed by the *identities* of
-#: its inputs.  On the warm study path every input object recurs — metrics
-#: are registry singletons, traces come from the in-memory trace cache,
-#: probe bundles from the probe cache — so a repeat study row costs one
-#: dict lookup instead of a full rate-table rebuild.  Each entry anchors
-#: strong references to the keyed objects, which keeps their ids live for
-#: exactly as long as the entry exists (an id can only be recycled after
-#: the object is garbage collected), so identity keys can never alias.
-_ROW_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_ROW_CACHE_MAX = 4096
-_ROW_LOCK = threading.Lock()
+#: its inputs.  On the warm study and point paths every input object
+#: recurs — metrics are registry singletons, traces come from the tracer's
+#: memo, probe bundles from the probe cache — so a repeat row or point
+#: costs one lookup instead of a full rate-table rebuild.  Each entry
+#: anchors strong references to the keyed objects, which keeps their ids
+#: live for exactly as long as the entry exists (an id can only be
+#: recycled after the object is garbage collected), so identity keys can
+#: never alias.
+_ROW_CACHE = BoundedLRU(4096)
 
 
 def _predict_all_cached(metrics, trace, probes_row, base_probes, base_time, mode):
@@ -65,26 +62,19 @@ def _predict_all_cached(metrics, trace, probes_row, base_probes, base_time, mode
         base_time,
         mode,
     )
-    with _ROW_LOCK:
-        hit = _ROW_CACHE.get(key)
-        if hit is not None:
-            _ROW_CACHE.move_to_end(key)
-            return hit[0]
+    hit = _ROW_CACHE.get(key)
+    if hit is not None:
+        return hit[0]
     rows = predict_all(metrics, trace, probes_row, base_probes, base_time, mode)
-    with _ROW_LOCK:
-        _ROW_CACHE[key] = (
-            rows,
-            (tuple(metrics), trace, tuple(probes_row), base_probes),
-        )
-        while len(_ROW_CACHE) > _ROW_CACHE_MAX:
-            _ROW_CACHE.popitem(last=False)
+    _ROW_CACHE.put(
+        key, (rows, (tuple(metrics), trace, tuple(probes_row), base_probes))
+    )
     return rows
 
 
 def clear_row_cache() -> None:
     """Drop the row-level convolve memo (bench/test hook)."""
-    with _ROW_LOCK:
-        _ROW_CACHE.clear()
+    _ROW_CACHE.clear()
 
 #: Stages the study path books wall-clock for via middleware; the trace
 #: stage books itself (net of cache-model time) through the engine's
@@ -165,6 +155,18 @@ class Engine:
             deadline=deadline,
         )
 
+    @staticmethod
+    def cache_counters() -> dict:
+        """Counters of the process-wide trace memo and row memo.
+
+        The ``trace_cache`` and ``convolve_cache`` entries of the serve
+        layer's ``/healthz`` body.
+        """
+        return {
+            "trace_cache": _TRACE_CACHE.counters(),
+            "convolve_cache": _ROW_CACHE.counters(),
+        }
+
     # ------------------------------------------------------------------
     # point plans: one (application, cpus, machine, metric) query
     # ------------------------------------------------------------------
@@ -176,13 +178,10 @@ class Engine:
         evaluated straight from the probe bundle — the tracer and
         convolver are never entered, which is what lets the serve layer
         keep answering from the probe cache when the convolver is down.
+        The convolve goes through the row memo, so a repeated query
+        costs a lookup.
         """
-        probe = plan.probe
-        if probe is None:
-            probe = lambda d: self.probe_bundle(plan.app, plan.cpus, plan.target, d)
-        target_probes, base_probes, base_time = self._stages.run(
-            "probe", deadline, probe
-        )
+        target_probes, base_probes, base_time = self._probe_stage(plan, deadline)
         metric = plan.metric
         if "trace" not in metric.needs:
             return metric.predict(
@@ -194,17 +193,14 @@ class Engine:
                     mode=self.mode,
                 )
             )
-        trace_fn = plan.trace
-        if trace_fn is None:
-            trace_fn = lambda d: self.trace(plan.app, plan.cpus, d)
-        trace = self._stages.run("trace", deadline, trace_fn)
+        trace = self._trace_stage(plan, deadline)
 
         def convolve(d):
             if d is not None:
                 d.checkpoint("convolve")
-            return metric.predict_many(
-                trace, [target_probes], base_probes, base_time, self.mode
-            )[0]
+            return _predict_all_cached(
+                (metric,), trace, (target_probes,), base_probes, base_time, self.mode
+            )[metric.number][0]
 
         return self._stages.run("convolve", deadline, convolve)
 
@@ -216,28 +212,31 @@ class Engine:
         ``PerformancePredictor.predict_row`` delegates here.
         """
         metric_objs = resolve_metrics(metrics)
-        probe = plan.probe
-        if probe is None:
-            probe = lambda d: self.probe_bundle(plan.app, plan.cpus, plan.target, d)
-        target_probes, base_probes, base_time = self._stages.run(
-            "probe", deadline, probe
-        )
+        target_probes, base_probes, base_time = self._probe_stage(plan, deadline)
         trace = None
         if any("trace" in m.needs for m in metric_objs):
-            trace_fn = plan.trace
-            if trace_fn is None:
-                trace_fn = lambda d: self.trace(plan.app, plan.cpus, d)
-            trace = self._stages.run("trace", deadline, trace_fn)
+            trace = self._trace_stage(plan, deadline)
 
         def convolve(d):
             if d is not None:
                 d.checkpoint("convolve")
-            return predict_all(
-                metric_objs, trace, [target_probes], base_probes, base_time, self.mode
+            return _predict_all_cached(
+                metric_objs, trace, (target_probes,), base_probes, base_time, self.mode
             )
 
         rows = self._stages.run("convolve", deadline, convolve)
         return {number: values[0] for number, values in rows.items()}
+
+    def _probe_stage(self, plan: PointPlan, deadline):
+        probe = plan.probe
+        if probe is None:
+            probe = lambda d: self.probe_bundle(plan.app, plan.cpus, plan.target, d)
+        return self._stages.run("probe", deadline, probe)
+
+    def _trace_stage(self, plan: PointPlan, deadline):
+        return self._stages.run(
+            "trace", deadline, lambda d: self.trace(plan.app, plan.cpus, d)
+        )
 
     # ------------------------------------------------------------------
     # matrix plans: the offline study block

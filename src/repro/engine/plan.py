@@ -135,13 +135,11 @@ class PointPlan:
     metric:
         The runtime :class:`~repro.core.metrics.Metric` to apply; its
         ``needs`` tuple is the engine's stage list for this plan.
-    probe, trace:
-        Optional stage-backend overrides, called with the stage's
-        (sub-)deadline.  ``probe`` must return a
-        :class:`ProbeBundle`-shaped tuple; ``trace`` an
-        :class:`~repro.tracing.trace.ApplicationTrace`.  When omitted the
-        engine uses its own cached backends.  The serve layer injects its
-        probe bundle here so request-scoped caching stays in the service.
+    probe:
+        Optional probe-stage override, called with the stage's
+        (sub-)deadline; it must return a :class:`ProbeBundle`-shaped
+        tuple.  When omitted the engine uses its own cached backend
+        (:meth:`~repro.engine.core.Engine.probe_bundle`).
     """
 
     app: object
@@ -149,4 +147,3 @@ class PointPlan:
     target: object
     metric: object
     probe: Callable | None = None
-    trace: Callable | None = None

@@ -194,9 +194,17 @@ class MachineSpec:
         called, so mutated variants sharing a name can never alias.  The
         hash covers every field (the nested dataclass ``repr`` is
         deterministic) and is stable across processes, unlike ``hash()``.
+        Computed once per instance: the spec is frozen, so the digest is
+        kept on it (outside the fields, so ``repr``, ``==`` and ``hash``
+        never see it).
         """
-        digest = hashlib.blake2b(repr(self).encode("utf-8"), digest_size=16)
-        return digest.hexdigest()
+        cached = getattr(self, "_fingerprint", None)
+        if cached is None:
+            digest = hashlib.blake2b(repr(self).encode("utf-8"), digest_size=16)
+            cached = digest.hexdigest()
+            # Frozen dataclass: the cache slot bypasses the field guard.
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     @property
     def peak_flops(self) -> float:

@@ -2,10 +2,10 @@
 
 Every backend worker owns a full
 :class:`~repro.serve.service.PredictionService` — its own
-:class:`~repro.engine.Engine`, mapped-trace LRU, probe caches, circuit
-breakers, degradation ladder and admission queue — and serves requests on
-a small thread pool, so point queries overtake an in-flight batch.  The
-worker count picks the transport:
+:class:`~repro.engine.Engine` over the process's trace, probe and row
+memos, circuit breakers, degradation ladder and admission queue — and
+serves requests on a small thread pool, so point queries overtake an
+in-flight batch.  The worker count picks the transport:
 
 * **one worker** (the default of ``repro-study serve``) runs the service
   inside the front end's process: :class:`LocalHandle` hands each request
@@ -55,7 +55,6 @@ from repro.serve.admission import AdmissionQueue, ServiceTimeEwma
 from repro.serve.shard import DEFAULT_VNODES, ShardRing
 from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import trace_key
-from repro.util.clock import SYSTEM_CLOCK
 
 __all__ = ["Fleet", "LocalHandle", "ProcessHandle", "WorkerHandle", "error_payload"]
 
@@ -180,7 +179,6 @@ def _build_service(config: dict, worker_id: str | None = None):
         cache_model=config.get("cache_model", "analytic"),
         noise=config.get("noise", True),
         store=config.get("store"),
-        trace_cache_size=config.get("trace_cache_size", 32),
         default_deadline=config.get("default_deadline", 1.0),
         stage_fraction=config.get("stage_fraction", 0.5),
         stage_timeouts=config.get("stage_timeouts"),
@@ -192,8 +190,9 @@ def _build_service(config: dict, worker_id: str | None = None):
 
 
 def _submit(pool: ThreadPoolExecutor, service, worker_id: str, msg: dict, reply) -> None:
-    """Queue one request on a worker's pool, stamped with its arrival."""
-    msg["arrived"] = SYSTEM_CLOCK.monotonic()
+    """Queue one request on a worker's pool, stamped with its arrival on
+    the service's clock (the clock its deadline runs on)."""
+    msg["arrived"] = service._clock()
     pool.submit(_handle_frame, service, worker_id, msg, reply)
 
 
@@ -209,7 +208,7 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
     budget = default if deadline_ms is None else float(deadline_ms) / 1000.0
     if budget is None or budget <= 0:
         return budget  # unbounded, or invalid: the service answers 400
-    waited = SYSTEM_CLOCK.monotonic() - msg["arrived"]
+    waited = service._clock() - msg["arrived"]
     if waited >= budget:
         raise OverloadedError(
             f"waited {waited:.3f}s for a worker thread, past the request's "

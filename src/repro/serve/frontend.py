@@ -40,7 +40,7 @@ Routes:
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
-    per-worker breaker boards, admission depths and trace-LRU counters
+    per-worker breaker boards, admission depths and trace/convolve memo counters
     (gathered concurrently), ring membership and hash-space shares,
     coalescing counters, death/respawn totals; ``status`` reads
     ``degraded`` while a worker is down or any breaker is open.

@@ -39,11 +39,9 @@ import logging
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.apps.execution import GroundTruthExecutor
 from repro.core.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -67,11 +65,10 @@ from repro.events.log import EventLog
 from repro.events.projections import ProjectionEngine
 from repro.events.types import BreakerTripped, PredictionEmitted
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
-from repro.probes.suite import probe_machine
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerBoard
 from repro.serve.degrade import RungAttempt, ladder_for, stages_for
-from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE, trace_application
+from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import TraceStore
 from repro.util.clock import Clock, as_clock
 from repro.util.deadline import Deadline
@@ -203,52 +200,6 @@ class ServedPrediction:
         }
 
 
-class _TraceLRU:
-    """Bounded, thread-safe LRU of traces keyed by (application, cpus).
-
-    Holds the store's memmap-backed :class:`~repro.tracing.binfmt.MappedTrace`
-    objects so repeat queries skip the disk entirely.  Counters feed the
-    ``/healthz`` body; all state shares one lock (the service's request
-    threads hit this concurrently).
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.size:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def counters(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._data),
-                "max_size": self.size,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
 class PredictionService:
     """Thread-safe online prediction front end over the staged engine.
 
@@ -306,7 +257,6 @@ class PredictionService:
         cache_model: str = "analytic",
         noise: bool = True,
         store: "TraceStore | str | os.PathLike | None" = None,
-        trace_cache_size: int = 32,
         default_deadline: float = DEFAULT_DEADLINE_SECONDS,
         stage_fraction: float = DEFAULT_STAGE_FRACTION,
         stage_timeouts: dict[str, float] | None = None,
@@ -357,15 +307,6 @@ class PredictionService:
             self.store = store
         else:
             self.store = TraceStore(store, events=self.events)
-        if trace_cache_size < 1:
-            raise ValueError(
-                f"trace_cache_size must be >= 1, got {trace_cache_size!r}"
-            )
-        # Bounded LRU of memmap-backed traces: a repeat /predict query for a
-        # cached (application, cpus) never touches the disk — the store is
-        # only read on an LRU miss.  Only wired when a store exists (without
-        # one, the tracer's own in-memory cache is already disk-free).
-        self._trace_cache = _TraceLRU(trace_cache_size)
         self.breakers = breakers if breakers is not None else BreakerBoard(STAGES, clock=clock)
         # Live projections over this service's own event stream; also the
         # sink for breaker trips (the board's single trip choke point).
@@ -399,9 +340,6 @@ class PredictionService:
                 ),
             ),
         )
-        self._base_machine = self._engine.base_machine
-        self._base_executor = GroundTruthExecutor(self._base_machine, noise=noise)
-        self._base_times: dict[tuple[str, int], float] = {}
         self._state_lock = threading.Lock()
         self.requests_total = 0
         self.degraded_total = 0
@@ -483,24 +421,8 @@ class PredictionService:
                     )
                 )
                 continue
-            plan = PointPlan(
-                app=app,
-                cpus=cpus,
-                target=target,
-                metric=get_metric(rung),
-                # Late-bound through the service so the request-scoped
-                # base-time cache (and test instrumentation) stays here.
-                probe=lambda d: self._probe_bundle(app, cpus, target, d),
-                # With a store, traces route through the service's bounded
-                # LRU of memmap-backed entries; without one the engine's
-                # default (the tracer's in-memory cache) is already
-                # disk-free.
-                trace=(
-                    (lambda d: self._trace_cached(app, cpus, d))
-                    if self.store is not None
-                    else None
-                ),
-            )
+            metric = get_metric(rung)
+            plan = PointPlan(app=app, cpus=cpus, target=target, metric=metric)
             try:
                 predicted = self._engine.run_point(plan, deadline)
             except CircuitOpenError as exc:
@@ -527,7 +449,7 @@ class PredictionService:
                         application=app.label,
                         cpus=cpus,
                         machine=target.name,
-                        metric=get_metric(rung).label,
+                        metric=metric.label,
                         predicted_seconds=float(predicted),
                         degraded=degraded,
                     )
@@ -538,7 +460,7 @@ class PredictionService:
                     machine=target.name,
                     requested_metric=requested,
                     served_metric=rung,
-                    metric_label=get_metric(rung).label,
+                    metric_label=metric.label,
                     predicted_seconds=float(predicted),
                     degraded=degraded,
                     latency_seconds=self._clock() - start,
@@ -627,44 +549,6 @@ class PredictionService:
         return records
 
     # ------------------------------------------------------------------
-    # backends
-    # ------------------------------------------------------------------
-    def _trace_cached(self, app, cpus: int, d: Deadline):
-        """Trace backend: bounded LRU over the store's memmap entries.
-
-        A hit costs one dict lookup; a miss reads (or creates) the store
-        entry — ``use_cache=False`` bypasses the tracer's unbounded global
-        cache, so the mapped trace object enters *this* LRU and the disk
-        is only touched again after an eviction.
-        """
-        key = (app.label, cpus)
-        trace = self._trace_cache.get(key)
-        if trace is None:
-            trace = trace_application(
-                app,
-                cpus,
-                self._base_machine,
-                self.sample_size,
-                cache_model=self.cache_model,
-                use_cache=False,
-                store=self.store,
-                deadline=d,
-            )
-            self._trace_cache.put(key, trace)
-        return trace
-
-    def _probe_bundle(self, app, cpus: int, target, d: Deadline):
-        target_probes = probe_machine(target, store=self.store, deadline=d)
-        base_probes = probe_machine(self._base_machine, store=self.store, deadline=d)
-        key = (app.label, cpus)
-        base_time = self._base_times.get(key)
-        if base_time is None:
-            d.checkpoint("probe")
-            base_time = self._base_executor.run(app, cpus).total_seconds
-            self._base_times[key] = base_time
-        return target_probes, base_probes, base_time
-
-    # ------------------------------------------------------------------
     # serving events
     # ------------------------------------------------------------------
     def _emit_event(self, event) -> None:
@@ -732,7 +616,8 @@ class PredictionService:
                 "enabled": self.store is not None,
                 "invalidated": self.store.invalidated if self.store is not None else 0,
             },
-            "trace_cache": self._trace_cache.counters(),
+            # trace_cache, convolve_cache: process-wide, shared by every service.
+            **self._engine.cache_counters(),
             "events": {
                 "enabled": self.events is not None,
                 "last_seq": self.events.last_seq if self.events is not None else 0,

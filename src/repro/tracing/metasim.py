@@ -39,6 +39,7 @@ from repro.memory.stride import StrideDetector
 from repro.tracing.static_analysis import classify_block
 from repro.tracing.trace import ApplicationTrace, BlockTrace, ReuseHistogram
 from repro.tracing.mpidtrace import trace_communication
+from repro.util.lru import BoundedLRU
 from repro.util.options import CacheModel
 
 __all__ = ["MetaSimTracer", "trace_application", "clear_trace_cache"]
@@ -46,7 +47,11 @@ __all__ = ["MetaSimTracer", "trace_application", "clear_trace_cache"]
 #: Default references sampled per basic block.
 DEFAULT_SAMPLE_SIZE = 4096
 
-_TRACE_CACHE: dict[tuple, ApplicationTrace] = {}
+#: Process-wide trace memo keyed by trace identity.  Bounded like the
+#: engine's row memo, whose 4,096 entries it matches: every shipped study
+#: matrix fits without eviction (the paper matrix x16 has 240 rows), and
+#: a long-lived server cannot grow it without limit.
+_TRACE_CACHE = BoundedLRU(4096)
 
 
 class MetaSimTracer:
@@ -277,8 +282,8 @@ def trace_application(
     # cache_model only affects output when cache accounting runs at all.
     model = cache_model if cache_sim else None
     key = (app.label, cpus, base_machine.name, sample_size, cache_sim, model)
-    if use_cache and key in _TRACE_CACHE:
-        trace = _TRACE_CACHE[key]
+    trace = _TRACE_CACHE.get(key) if use_cache else None
+    if trace is not None:
         # Write-through: a warm in-memory cache must still populate the
         # persistent store, or fresh processes would find it empty.
         if store is not None and not store.has_trace(
@@ -288,7 +293,6 @@ def trace_application(
         if timer is not None:
             timer.add("trace", 0.0)  # keep the stage in warm-run breakdowns
         return trace
-    trace = None
     if store is not None:
         trace = store.load_trace(
             app.label, cpus, base_machine.name, sample_size, cache_sim, cache_model
@@ -319,7 +323,7 @@ def trace_application(
     elif timer is not None:
         timer.add("trace", 0.0)  # loaded from the store; no tracing cost
     if use_cache:
-        _TRACE_CACHE[key] = trace
+        _TRACE_CACHE.put(key, trace)
     return trace
 
 

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import StudyAbortedError
+from repro.core.metrics import get_metric
 from repro.core.predictor import PerformancePredictor
+from repro.serve.service import PredictionService
 from repro.study.runner import StudyConfig, clear_study_caches, run_study
 from repro.util.faults import FaultPlan
 
@@ -111,6 +113,54 @@ def test_store_parallel_study_matches_golden(golden, tmp_path):
     clear_study_caches()
     result = run_study(StudyConfig(), store=store, workers=2)
     assert as_rows(result) == golden["records"]
+
+
+# ---------------------------------------------------------------------------
+# point requests, one golden record at a time
+# ---------------------------------------------------------------------------
+
+
+def serve_points(service, records):
+    """``predicted_seconds`` of every record's cell, one point request each."""
+    return [
+        service.predict(app, cpus, system, metric).predicted_seconds
+        for app, cpus, system, metric, *_ in records
+    ]
+
+
+def assert_points_golden_then_memo_hits(service, golden):
+    """Two point passes over the golden cells: both golden, the second
+    served entirely from the row memo."""
+    records = golden["records"]
+    expected = [record[5] for record in records]
+    convolves = sum("trace" in get_metric(r[3]).needs for r in records)
+    assert serve_points(service, records) == expected
+    before = service.health()["convolve_cache"]
+    assert serve_points(service, records) == expected
+    after = service.health()["convolve_cache"]
+    assert after["hits"] - before["hits"] == convolves
+    assert after["misses"] == before["misses"]
+
+
+def test_point_requests_are_byte_identical_to_study(golden):
+    assert_points_golden_then_memo_hits(PredictionService(), golden)
+
+
+def test_store_backed_point_requests_after_a_batch_match_golden(golden, tmp_path):
+    records = golden["records"]
+    clear_study_caches()
+    service = PredictionService(store=str(tmp_path / "cache"))
+    batch = service.predict_cells(
+        list(dict.fromkeys((r[0], r[1]) for r in records)),
+        list(dict.fromkeys(r[2] for r in records)),
+        sorted({r[3] for r in records}),
+    )
+    assert sorted(list(r) for r in batch) == sorted(records)
+    # Point requests reuse the traces the batch put in the tracer memo.
+    traces_before = service.health()["trace_cache"]
+    assert_points_golden_then_memo_hits(service, golden)
+    assert service.health()["trace_cache"]["misses"] == traces_before["misses"]
+    service.drain()
 
 
 def test_predict_row_accepts_registry_names():

@@ -36,8 +36,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve.fleet import Fleet
+from repro.serve.fleet import Fleet, _submit
 from repro.serve.frontend import FleetFrontend, FleetServer
+from tests.test_serve_service import FakeClock, make_service
 
 GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
 
@@ -306,9 +307,11 @@ def test_healthz_shape(server):
         assert health["admission"]["active"] == 0
         assert health["store"] == {"enabled": False, "invalidated": 0}
         assert health["requests"]["total"] >= 0
-        assert set(health["trace_cache"]) == {
-            "size", "max_size", "hits", "misses", "evictions"
-        }
+        for memo in ("trace_cache", "convolve_cache"):
+            assert set(health[memo]) == {
+                "size", "max_size", "hits", "misses", "evictions"
+            }
+            assert health[memo]["size"] <= health[memo]["max_size"] == 4096
 
 
 def test_readyz_tracks_breaker_state():
@@ -412,6 +415,51 @@ def test_burst_deadline_covers_the_wait_for_a_worker_thread(workers):
     for status, _, headers in results:
         if status == 429:
             assert int(headers["Retry-After"]) >= 1
+
+
+class _HeldPool:
+    """A worker pool whose queued requests run only when the test says."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, fn, *args):
+        self.jobs.append((fn, args))
+
+    def run_all(self):
+        for fn, args in self.jobs:
+            fn(*args)
+
+
+def test_pool_wait_is_charged_on_the_service_clock():
+    # The wait for a pool thread runs on the service's clock, the clock
+    # its deadline runs on: a fake clock decides who is shed, exactly.
+    clock = FakeClock()
+    service = make_service(clock)
+    deadlines = []
+    real_predict = service.predict
+
+    def recording_predict(*args, deadline_seconds=None, **kwargs):
+        deadlines.append(deadline_seconds)
+        return real_predict(*args, deadline_seconds=deadline_seconds, **kwargs)
+
+    service.predict = recording_predict
+    pool, replies = _HeldPool(), []
+    query = {"op": "predict", "application": "AVUS-standard", "cpus": 64,
+             "machine": "ARL_Xeon", "metric": 9, "deadline_ms": 500}
+    _submit(pool, service, "w0", {"id": 1, **query}, replies.append)
+    clock.advance(0.25)
+    _submit(pool, service, "w0", {"id": 2, **query}, replies.append)
+    clock.advance(0.25)
+    pool.run_all()
+
+    late, early = sorted(replies, key=lambda reply: reply["id"])
+    # Request 1 waited its whole 0.5 s budget: shed before the service.
+    assert late["ok"] is False and late["status"] == 429
+    assert late["retry_after"] > 0
+    # Request 2 waited 0.25 s and is served under the remaining 0.25 s.
+    assert early["ok"] is True
+    assert deadlines == [0.25]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the resilient prediction service: validation, degradation,
 deadlines, chaos, and recovery — all on an injectable clock, no sleeps."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import (
@@ -15,7 +18,11 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerBoard
 from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService
+from repro.tracing import metasim
+from repro.tracing.metasim import clear_trace_cache
 from repro.util.faults import FaultPlan
+
+GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
 
 
 class FakeClock:
@@ -260,13 +267,13 @@ def test_spent_budget_rejects_without_poisoning_breakers():
     svc = make_service(clock)
     svc.predict("AVUS-standard", 64, "ARL_Xeon", 9)
 
-    real_probe = svc._probe_bundle
+    real_probe = svc._engine.probe_bundle
 
     def slow_probe(app, cpus, target, d):
         clock.advance(1.0)  # the whole request budget, inside the stage
         return real_probe(app, cpus, target, d)
 
-    svc._probe_bundle = slow_probe
+    svc._engine.probe_bundle = slow_probe
     with pytest.raises(ServiceUnavailableError):
         svc.predict(
             "AVUS-standard", 64, "ARL_Xeon", 9, deadline_seconds=0.5
@@ -329,19 +336,39 @@ def test_health_reports_store_invalidations(tmp_path):
     assert health["store"]["invalidated"] == 0
 
 
-def test_trace_lru_hits_and_misses(tmp_path):
-    svc = make_service(store=str(tmp_path), trace_cache_size=4)
+@pytest.fixture()
+def small_trace_memo(monkeypatch):
+    """The tracer's process-wide memo, emptied and bounded at one entry."""
+    monkeypatch.setattr(metasim._TRACE_CACHE, "max_size", 1)
+    clear_trace_cache()
+
+
+def golden_seconds(application, cpus, machine, metric):
+    """The committed study record's prediction for one cell."""
+    for record in json.loads(GOLDEN.read_text())["records"]:
+        if tuple(record[:4]) == (application, cpus, machine, metric):
+            return record[5]
+    raise KeyError((application, cpus, machine, metric))
+
+
+def trace_counter_deltas(svc, before):
+    after = svc.health()["trace_cache"]
+    return {key: after[key] - before[key] for key in ("hits", "misses", "evictions")}
+
+
+def test_trace_lru_hits_and_misses(tmp_path, small_trace_memo):
+    svc = make_service(store=str(tmp_path))
+    before = svc.health()["trace_cache"]
     svc.predict("AVUS-standard", 64, "ARL_Xeon", 9)
-    first = svc.health()["trace_cache"]
-    assert first["misses"] == 1 and first["hits"] == 0 and first["size"] == 1
-    # same (application, cpus) again: served from the LRU, disk untouched
+    assert trace_counter_deltas(svc, before) == {"hits": 0, "misses": 1, "evictions": 0}
+    assert svc.health()["trace_cache"]["size"] == 1
+    # same (application, cpus) on another machine: served from the memo
     svc.predict("AVUS-standard", 64, "ARL_Opteron", 9)
-    second = svc.health()["trace_cache"]
-    assert second["hits"] == 1 and second["misses"] == 1
+    assert trace_counter_deltas(svc, before) == {"hits": 1, "misses": 1, "evictions": 0}
 
 
-def test_trace_lru_repeat_query_skips_disk(tmp_path, monkeypatch):
-    svc = make_service(store=str(tmp_path), trace_cache_size=4)
+def test_trace_lru_repeat_query_skips_disk(tmp_path, monkeypatch, small_trace_memo):
+    svc = make_service(store=str(tmp_path))
     svc.predict("AVUS-standard", 64, "ARL_Xeon", 9)
 
     def no_disk(*args, **kwargs):  # any store read after warm-up is a bug
@@ -353,21 +380,21 @@ def test_trace_lru_repeat_query_skips_disk(tmp_path, monkeypatch):
     assert resp.served_metric == 9
 
 
-def test_trace_lru_bounded_with_evictions(tmp_path):
-    svc = make_service(store=str(tmp_path), trace_cache_size=1)
-    svc.predict("AVUS-standard", 32, "ARL_Xeon", 9)
-    svc.predict("AVUS-standard", 64, "ARL_Xeon", 9)  # evicts cpus=32
-    counters = svc.health()["trace_cache"]
-    assert counters["size"] == 1 and counters["max_size"] == 1
-    assert counters["evictions"] == 1
-    # the evicted entry re-reads from the store: a miss, not a hit
-    svc.predict("AVUS-standard", 32, "ARL_Xeon", 9)
-    assert svc.health()["trace_cache"]["misses"] == 3
-
-
-def test_trace_cache_size_validated():
-    with pytest.raises(ValueError):
-        PredictionService(trace_cache_size=0)
+def test_trace_lru_bounded_with_evictions(tmp_path, small_trace_memo):
+    svc = make_service(store=str(tmp_path), noise=True)
+    before = svc.health()["trace_cache"]
+    cells = [
+        ("AVUS-standard", 32, "ARL_Xeon", 9),
+        ("AVUS-standard", 64, "ARL_Xeon", 9),  # evicts cpus=32
+        ("AVUS-standard", 32, "ARL_Xeon", 9),  # re-read from the store
+    ]
+    for cell in cells:
+        served = svc.predict(*cell)
+        # A trace re-read after its eviction prices the golden answer.
+        assert served.predicted_seconds == golden_seconds(*cell)
+        counters = svc.health()["trace_cache"]
+        assert counters["size"] <= counters["max_size"] == 1
+    assert trace_counter_deltas(svc, before) == {"hits": 0, "misses": 3, "evictions": 2}
 
 
 def test_service_constructor_validation():

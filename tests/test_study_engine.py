@@ -1,5 +1,8 @@
 """Tests for the parallel/persistent study engine and its caches."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,23 @@ def test_fingerprint_tracks_content_not_name():
     c = make_machine(name="X", mem_bw=9.9)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
+
+
+def test_fingerprint_memo_is_invisible_and_follows_content():
+    fresh = make_machine(name="X")
+    memo = make_machine(name="X")
+    digest = memo.fingerprint()
+    assert memo.fingerprint() is digest  # computed once, then kept
+    # The memo sits outside the fields: repr, == and hash never see it.
+    assert repr(memo) == repr(fresh)
+    assert memo == fresh and hash(memo) == hash(fresh)
+    # A replaced spec is a new instance with its own content digest.
+    faster = dataclasses.replace(memo, overlap_factor=0.9)
+    assert faster.fingerprint() != digest
+    assert dataclasses.replace(faster, overlap_factor=0.7).fingerprint() == digest
+    # A pickle round trip (study and fleet workers) keeps the digest.
+    copied = pickle.loads(pickle.dumps(memo))
+    assert copied.fingerprint() == digest == fresh.fingerprint()
 
 
 # ---------------------------------------------------------------------------
