@@ -16,7 +16,7 @@ the study's processor counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.memory.patterns import StrideHistogram
 from repro.network.model import CollectiveKind
@@ -212,6 +212,27 @@ class ApplicationModel:
             raise ValueError(f"duplicate block names in {self.name}: {names}")
         check_fraction("serial_fraction", self.serial_fraction)
         check_fraction("imbalance", self.imbalance)
+
+    def __hash__(self) -> int:
+        """The field-tuple hash of a frozen dataclass, computed once.
+
+        The executor's memos hash the application on every lookup, and
+        the fields nest every block's dataclasses.  The value is kept on
+        the instance outside the fields, so ``repr``, ``==`` and
+        :func:`dataclasses.replace` never see it.
+        """
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            # Frozen dataclass: the cache slot bypasses the field guard.
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process: an unpickled copy rehashes.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def label(self) -> str:

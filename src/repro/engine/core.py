@@ -21,11 +21,16 @@ clients that build plans.
 Byte-identity is a hard contract: :meth:`Engine.run_matrix` performs the
 exact operation sequence the pre-engine study runner did (same probe
 order, same shared :class:`~repro.core.convolver.RateTable` per row, same
-inlined signed-error expression), so studies, checkpoints and golden
-baselines written before the refactor replay bit-for-bit.
+signed-error operations), so studies, checkpoints and golden baselines
+written before the refactor replay bit-for-bit.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import repeat
+
+import numpy as np
 
 from repro.apps.execution import executor_for
 from repro.core.metrics import PredictionContext, predict_all, resolve_metrics
@@ -75,6 +80,53 @@ def _predict_all_cached(metrics, trace, probes_row, base_probes, base_time, mode
 def clear_row_cache() -> None:
     """Drop the row-level convolve memo (bench/test hook)."""
     _ROW_CACHE.clear()
+
+
+_new_record = partial(tuple.__new__, PredictionRecord)
+
+
+def _emit_label(records, observed, label, systems, runs, priced, numbers):
+    """Append one label's records in canonical (system, cpus, metric) order.
+
+    ``runs[k]`` holds the executor results of ``systems[k]``, one per
+    row eligible on it, in row order; ``priced[i]`` maps each system
+    eligible for row ``i`` to its predictions in ``numbers`` order.
+    Records are built column-wise: per cell only list operations run in
+    Python, the Equation 2 error column is one float64 expression (the
+    same IEEE operations in the same order as the scalar
+    ``(predicted - actual) / actual * 100.0``, so bit-identical; the
+    executors guarantee ``actual > 0``), and each record is a C-level
+    tuple construction over the zipped columns.
+    """
+    width = len(numbers)
+    cell_cpus: list[int] = []
+    cell_actuals: list[float] = []
+    system_col: list[str] = []
+    predicted: list[float] = []
+    for system, results in zip(systems, runs):
+        cells = [row[system] for row in priced if system in row]
+        for res, predictions in zip(results, cells):
+            observed[(label, system, res.cpus)] = res.total_seconds
+            cell_cpus.append(res.cpus)
+            cell_actuals.append(res.total_seconds)
+            predicted.extend(predictions)
+        system_col += [system] * (len(results) * width)
+    actual = np.array(cell_actuals).repeat(width)
+    error = (np.array(predicted) - actual) / actual * 100.0
+    records.extend(
+        map(
+            _new_record,
+            zip(
+                repeat(label),
+                np.array(cell_cpus).repeat(width).tolist(),
+                system_col,
+                numbers * len(cell_cpus),
+                actual.tolist(),
+                predicted,
+                error.tolist(),
+            ),
+        )
+    )
 
 #: Stages the study path books wall-clock for via middleware; the trace
 #: stage books itself (net of cache-model time) through the engine's
@@ -249,8 +301,9 @@ class Engine:
         Each (application, cpus) row is traced once and priced against
         all eligible systems for **all** metrics in one shot
         (:func:`~repro.core.metrics.predict_all` shares the row's rate
-        tensors across metrics); records are then emitted in the
-        canonical (application, system, cpus, metric) order.  Per-system
+        tensors across metrics); each label's records are emitted
+        column-wise right after its rows are priced, in the canonical
+        (application, system, cpus, metric) order.  Per-system
         results are independent, so any partition of the matrix produces
         the same records cell-for-cell — that partition-invariance is
         what makes the study runner's chunked fan-out and checkpoint
@@ -286,11 +339,10 @@ class Engine:
             for system, machine in machines.items()
         }
         metrics = resolve_metrics(plan.metrics)
+        numbers = [metric.number for metric in metrics]
 
-        actuals: dict[tuple[str, str, int], float] = {}
-        #: (label, system, cpus) -> predicted seconds per metric, in plan
-        #: metric order.
-        predictions: dict[tuple[str, str, int], list[float]] = {}
+        records: list[PredictionRecord] = []
+        observed: dict[tuple[str, str, int], float] = {}
         for label in labels:
             app = get_application(label)
             eligible_rows = [
@@ -304,21 +356,27 @@ class Engine:
             if not eligible_rows:
                 continue
 
-            def execute(d, app=app, eligible_rows=eligible_rows, label=label):
+            def execute(d, app=app, eligible_rows=eligible_rows):
                 # One batched executor pass per system covers the whole
                 # appendix-table column for this application.
-                for system in systems:
-                    counts = [c for c, eligible in eligible_rows if system in eligible]
-                    for res in executors[system].run_many(app, counts, detail=False):
-                        actuals[(label, system, res.cpus)] = res.total_seconds
-                return {
+                runs = [
+                    executors[system].run_many(
+                        app,
+                        [c for c, eligible in eligible_rows if system in eligible],
+                        detail=False,
+                    )
+                    for system in systems
+                ]
+                base_times = {
                     res.cpus: res.total_seconds
                     for res in base_executor.run_many(
                         app, [cpus for cpus, _ in eligible_rows], detail=False
                     )
                 }
+                return runs, base_times
 
-            base_times = stages.run("execute", deadline, execute)
+            runs, base_times = stages.run("execute", deadline, execute)
+            priced = []
             for cpus, eligible in eligible_rows:
                 base_time = base_times[cpus]
                 trace = stages.run(
@@ -336,39 +394,11 @@ class Engine:
                         )
                     ),
                 )
-                per_system: dict[str, list[float]] = {s: [] for s in eligible}
-                for metric in metrics:
-                    for system, predicted in zip(eligible, rows[metric.number]):
-                        per_system[system].append(predicted)
-                for system, values in per_system.items():
-                    predictions[(label, system, cpus)] = values
-
-        records: list[PredictionRecord] = []
-        observed: dict[tuple[str, str, int], float] = {}
-        metric_numbers = [metric.number for metric in metrics]
-        for label in labels:
-            app = get_application(label)
-            for system in systems:
-                machine = machines[system]
-                for cpus in plan.cpus_for(label, app.cpu_counts):
-                    if cpus > machine.cpus:
-                        continue
-                    key = (label, system, cpus)
-                    actual = actuals[key]
-                    observed[key] = actual
-                    # Inlined signed_error: executors guarantee actual > 0 and
-                    # the metrics non-negative predictions, so the guard-free
-                    # expression is exactly its value.
-                    records.extend(
-                        PredictionRecord(
-                            label,
-                            cpus,
-                            system,
-                            number,
-                            actual,
-                            predicted,
-                            (predicted - actual) / actual * 100.0,
-                        )
-                        for number, predicted in zip(metric_numbers, predictions[key])
-                    )
+                per_metric = [rows[number] for number in numbers]
+                # Each eligible system's predictions in plan metric order;
+                # a plan without metrics still keys every eligible system.
+                priced.append(
+                    dict(zip(eligible, zip(*per_metric) if per_metric else repeat(())))
+                )
+            _emit_label(records, observed, label, systems, runs, priced, numbers)
         return records, observed

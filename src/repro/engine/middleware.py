@@ -32,6 +32,7 @@ encodes two invariants the chaos tests pin:
 from __future__ import annotations
 
 import threading
+from time import perf_counter
 from typing import Callable
 
 __all__ = [
@@ -58,13 +59,38 @@ class StageRunner:
         self.middleware = tuple(middleware)
 
     def run(self, stage: str, deadline, fn: Callable):
-        def call(index: int, d):
-            if index == len(self.middleware):
-                return fn(d)
-            mw = self.middleware[index]
-            return mw(stage, d, lambda d2: call(index + 1, d2))
+        return _CallNext(self.middleware, stage, fn)(deadline)
 
-        return call(0, deadline)
+
+class _CallNext:
+    """The ``call_next`` of one stage invocation.
+
+    One object walks the whole chain instead of a closure per middleware
+    level: each call advances ``index`` past the middleware it invokes and
+    restores it on the way out, so a middleware that calls ``call_next``
+    again re-runs the same rest of the chain.  The innermost middleware
+    gets the stage function itself.
+    """
+
+    __slots__ = ("middleware", "stage", "fn", "index")
+
+    def __init__(self, middleware: tuple, stage: str, fn: Callable):
+        self.middleware = middleware
+        self.stage = stage
+        self.fn = fn
+        self.index = 0
+
+    def __call__(self, deadline):
+        index = self.index
+        middleware = self.middleware
+        if index == len(middleware):
+            return self.fn(deadline)
+        self.index = index + 1
+        call_next = self if index + 1 < len(middleware) else self.fn
+        try:
+            return middleware[index](self.stage, deadline, call_next)
+        finally:
+            self.index = index
 
 
 class TimingMiddleware:
@@ -88,8 +114,11 @@ class TimingMiddleware:
     def __call__(self, stage, deadline, call_next):
         if self.stages is not None and stage not in self.stages:
             return call_next(deadline)
-        with self.timer.time(stage):
+        start = perf_counter()
+        try:
             return call_next(deadline)
+        finally:
+            self.timer.add(stage, perf_counter() - start)
 
 
 class DeadlineGate:

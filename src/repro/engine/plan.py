@@ -86,10 +86,11 @@ class MatrixPlan:
     rows:
         Optional explicit ``(label, cpus)`` rows.  ``None`` (the study
         default) expands every label over its application's full
-        ``cpu_counts``; a tuple restricts the block to exactly those
-        rows, in the given per-label order — this is how the serve
-        layer's batch endpoint compiles a heterogeneous cell list into
-        per-shard sub-matrices without pricing rows nobody asked for.
+        ``cpu_counts``; a tuple of distinct rows restricts the block
+        to exactly those rows, in the given per-label order — this is
+        how the serve layer's batch endpoint compiles a heterogeneous
+        cell list into per-shard sub-matrices without pricing rows
+        nobody asked for.  A repeated row raises :class:`ValueError`.
         Per-system, per-row results are independent, so any ``rows``
         partition of a matrix produces cell-for-cell identical records.
     """
@@ -105,6 +106,12 @@ class MatrixPlan:
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if self.rows is not None:
             rows = tuple((str(label), int(cpus)) for label, cpus in self.rows)
+            seen: set[tuple[str, int]] = set()
+            for row in rows:
+                if row in seen:
+                    # A repeated row would emit its cells twice.
+                    raise ValueError(f"duplicate row {row!r} in MatrixPlan.rows")
+                seen.add(row)
             row_labels = {label for label, _ in rows}
             missing = row_labels - set(self.labels)
             if missing:

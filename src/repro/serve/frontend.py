@@ -415,9 +415,13 @@ class FleetFrontend:
 
         wanted = None  # explicit-cells form filters the merged records
         if "cells" in spec:
-            rows: list[tuple[str, int]] = []
-            systems: list[str] = []
-            metrics: list = []
+            # Insertion-ordered dicts: first appearance fixes the merge order.
+            row_keys: dict[tuple[str, int], None] = {}
+            system_keys: dict[str, None] = {}
+            metric_keys: dict[int, None] = {}
+            # Each distinct metric key is resolved once.  Its type is part
+            # of the memo key: JSON's true == 1 and 9.0 == 9 name no metric.
+            numbers: dict[tuple[type, object], int] = {}
             wanted = set()
             for cell in spec["cells"]:
                 if not isinstance(cell, (list, tuple)) or len(cell) != 4:
@@ -428,14 +432,20 @@ class FleetFrontend:
                 label, cpus, system, metric = cell
                 label, system = str(label), str(system)
                 cpus = int(cpus)
-                metric_num = REGISTRY.spec(metric).number
-                if (label, cpus) not in rows:
-                    rows.append((label, cpus))
-                if system not in systems:
-                    systems.append(system)
-                if metric_num not in metrics:
-                    metrics.append(metric_num)
+                try:
+                    metric_num = numbers[type(metric), metric]
+                except KeyError:
+                    metric_num = REGISTRY.spec(metric).number
+                    numbers[type(metric), metric] = metric_num
+                except TypeError:  # unhashable, so no metric: raises UnknownIdError
+                    metric_num = REGISTRY.spec(metric).number
+                row_keys[label, cpus] = None
+                system_keys[system] = None
+                metric_keys[metric_num] = None
                 wanted.add((label, cpus, system, metric_num))
+            rows = list(row_keys)
+            systems = list(system_keys)
+            metrics = list(metric_keys)
         else:
             applications = spec.get("applications")
             if applications is None:

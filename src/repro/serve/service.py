@@ -499,26 +499,26 @@ class PredictionService:
         (application, system, cpus, metric) order; identical rows and
         axes therefore reproduce study records bit-for-bit.
         """
-        seen_rows = []
-        labels: list[str] = []
+        # Insertion-ordered dicts: first appearance fixes emission order.
+        resolved: dict[str, str] = {}  # request label -> catalog label
+        seen_rows: dict[tuple[str, int], None] = {}
         for label, cpus in rows:
             label = str(label)
-            try:
-                app = get_application(label)
-            except UnknownIdError:  # unknown base label
-                raise
-            except KeyError as exc:  # bad @replica suffix on a known base
-                raise ValueError(exc.args[0] if exc.args else str(exc)) from None
+            if label not in resolved:
+                try:
+                    resolved[label] = get_application(label).label
+                except UnknownIdError:  # unknown base label
+                    raise
+                except KeyError as exc:  # bad @replica suffix on a known base
+                    raise ValueError(exc.args[0] if exc.args else str(exc)) from None
             cpus_num = int(cpus)
             if cpus_num <= 0:
                 raise ValueError(f"cpus must be > 0, got {cpus!r}")
             # cells whose cpus exceed a given system are skipped per
             # system inside the engine (the paper's blank cells), so no
             # machine-size check belongs here.
-            if (app.label, cpus_num) not in seen_rows:
-                seen_rows.append((app.label, cpus_num))
-            if app.label not in labels:
-                labels.append(app.label)
+            seen_rows[(resolved[label], cpus_num)] = None
+        labels = dict.fromkeys(label for label, _ in seen_rows)
         for system in systems:
             if not CATALOG.has_machine(system):
                 known = CATALOG.machine_ids()

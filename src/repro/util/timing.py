@@ -4,16 +4,11 @@ A :class:`StageTimer` is a named bag of accumulated seconds.  The study
 runner threads one through tracing, probing and convolution so a run can
 report *where* its time went (trace / probe / cache_model / execute /
 convolve) — the breakdown `scripts/bench_study.py` records in
-``BENCH_study.json``.  All methods tolerate a ``None`` timer at call sites
-via :func:`StageTimer.time` being cheap, but callers typically guard with
-``if timer is not None`` to keep the hot path free of context managers.
+``BENCH_study.json``.  Callers time a stage with ``time.perf_counter``
+in ``try``/``finally`` and book it with :meth:`StageTimer.add`.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 __all__ = ["StageTimer"]
 
@@ -23,15 +18,6 @@ class StageTimer:
 
     def __init__(self) -> None:
         self._seconds: dict[str, float] = {}
-
-    @contextmanager
-    def time(self, stage: str) -> Iterator[None]:
-        """Context manager adding the enclosed wall time to ``stage``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(stage, time.perf_counter() - start)
 
     def add(self, stage: str, seconds: float) -> None:
         """Add ``seconds`` to ``stage``'s accumulator."""

@@ -1,7 +1,15 @@
 """Tests for the application workload model."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps.model import MIN_WORKING_SET, ApplicationModel, BasicBlock, CommEvent
 from repro.memory.patterns import StrideHistogram
 from repro.network.model import CollectiveKind
@@ -120,3 +128,53 @@ def test_app_rejects_empty_counts_and_blocks():
         _app(blocks=())
     with pytest.raises(ValueError):
         _app(cpu_counts=(0,))
+
+
+def test_app_hash_memo_is_invisible():
+    fresh = _app()
+    memo = _app()
+    digest = hash(memo)
+    assert memo.__dict__["_hash"] == digest  # computed once, then kept
+    # The memo sits outside the fields: ==, repr and replace never see it.
+    assert memo == fresh and repr(memo) == repr(fresh)
+    assert hash(fresh) == digest
+    replaced = dataclasses.replace(memo, timesteps=11)
+    assert "_hash" not in replaced.__dict__
+    assert hash(replaced) != digest
+    assert hash(dataclasses.replace(replaced, timesteps=10)) == digest
+    # str hashes are salted per process, so pickled state leaves it out.
+    assert "_hash" not in memo.__getstate__()
+    copied = pickle.loads(pickle.dumps(memo))
+    assert "_hash" not in copied.__dict__ and copied == memo
+
+
+#: Unpickle an app from stdin under another hash seed and look it up in a
+#: dict keyed by an equal app resolved in that process.
+_LOOKUP_ELSEWHERE = """
+import pickle, sys
+from repro.scenarios import get_application
+app = pickle.loads(sys.stdin.buffer.read())
+table = {get_application(app.label): "hit"}
+print(hash("salt"), table.get(app, "miss"))
+"""
+
+
+def test_app_hashed_here_hits_an_equal_app_in_a_process_with_another_hash_seed():
+    from repro.scenarios import get_application
+
+    app = get_application("HYCOM-standard@5")
+    hash(app)  # memoised under this process's hash seed
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _LOOKUP_ELSEWHERE],
+        input=pickle.dumps(app),
+        capture_output=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    salt, outcome = out.stdout.decode().split()
+    assert int(salt) != hash("salt")  # the two processes hash strs differently
+    assert outcome == "hit"

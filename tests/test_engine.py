@@ -50,6 +50,30 @@ def test_stage_runner_composes_outermost_first():
     assert log == ["enter:a", "enter:b", "exit:b", "exit:a"]
 
 
+def test_stage_runner_call_next_reruns_the_rest_of_the_chain():
+    log = []
+
+    def retry_once(stage, deadline, call_next):
+        try:
+            return call_next(deadline)
+        except RuntimeError:
+            log.append("retry")
+            return call_next(deadline)
+
+    attempts = []
+
+    def flaky(d):
+        attempts.append(d)
+        if len(attempts) == 1:
+            raise RuntimeError("first attempt fails")
+        return "value"
+
+    runner = StageRunner((retry_once, Recorder("inner", log)))
+    assert runner.run("probe", None, flaky) == "value"
+    assert log == ["enter:inner", "retry", "enter:inner", "exit:inner"]
+    assert len(attempts) == 2
+
+
 def test_stage_runner_replacement_deadline_reaches_stage():
     marker = object()
 
@@ -215,6 +239,25 @@ def test_matrix_plan_coerces_sequences():
     plan = MatrixPlan(labels=[APP], systems=[TARGET], metrics=[1, 9])
     assert plan.labels == (APP,)
     assert plan.metrics == (1, 9)
+
+
+def test_matrix_plan_rejects_a_repeated_row():
+    # A repeated row would emit each of its cells twice.
+    with pytest.raises(ValueError, match=r"duplicate row \('AVUS-standard', 32\)"):
+        MatrixPlan(
+            labels=("AVUS-standard",),
+            systems=("ARL_Xeon", "NAVO_655"),
+            metrics=(1, 9),
+            rows=(("AVUS-standard", 32),) * 2,
+        )
+    # Equal after coercion counts too.
+    with pytest.raises(ValueError, match="duplicate row"):
+        MatrixPlan(
+            labels=("AVUS-standard",),
+            systems=("ARL_Xeon",),
+            metrics=(9,),
+            rows=(("AVUS-standard", 32), ("AVUS-standard", "32")),
+        )
 
 
 def test_engine_validates_knobs():

@@ -26,6 +26,7 @@ re-add), driven through the public HTTP surface.
 import asyncio
 import json
 import logging
+import random
 import signal
 import socket
 import threading
@@ -141,6 +142,35 @@ def test_batch_cells_form_filters_to_requested_cells(fleet_server, golden):
     golden_by_cell = {tuple(r[:4]): r for r in golden["records"]}
     for cell, record in by_cell.items():
         assert record == golden_by_cell[cell]
+
+
+def test_batch_cells_form_over_every_golden_cell_shuffled(server, golden):
+    cells = [record[:4] for record in golden["records"]]
+    random.Random(18).shuffle(cells)
+    status, body = post(server, "/predict/batch", {"cells": cells})
+    assert status == 200
+    # Canonical order over the request's axes, each in first-appearance
+    # order: (application, system, row, metric).
+    first: dict = {}
+    for label, cpus, system, metric in cells:
+        for axis in (
+            ("label", label),
+            ("system", system),
+            ("row", label, cpus),
+            ("metric", metric),
+        ):
+            first.setdefault(axis, len(first))
+    expected = sorted(
+        golden["records"],
+        key=lambda r: (
+            first["label", r[0]],
+            first["system", r[2]],
+            first["row", r[0], r[1]],
+            first["metric", r[3]],
+        ),
+    )
+    assert body["count"] == 1305
+    assert body["records"] == expected
 
 
 def test_batch_axes_form_matches_golden_subset(fleet_server, golden):
