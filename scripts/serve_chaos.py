@@ -271,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
                 "failure_threshold": 1,
                 "cooldown_seconds": COOLDOWN_SECONDS,
             },
-            "max_concurrent": 8,
-            "max_queue": max(64, args.requests),
         },
     )
     _, port = server.start()

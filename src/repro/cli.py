@@ -52,6 +52,7 @@ from repro.study.runner import StudyResult, run_study, shutdown_pool
 from repro.study import tables as T
 from repro.util.faults import FaultPlan
 from repro.util.options import CacheModel, Mode
+from repro.util.validation import check_distinct
 
 __all__ = ["main"]
 
@@ -898,6 +899,10 @@ def _run(argv: list[str] | None) -> int:
         )
         if not metrics:
             parser.error("--metrics: expected at least one metric")
+        try:
+            check_distinct("metric", "--metrics", metrics)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     universe = None
     if args.universe is not None:

@@ -132,13 +132,19 @@ class CircuitOpenError(ReproError):
 
 
 class OverloadedError(ReproError):
-    """The service's bounded admission queue is full (HTTP 429 semantics)."""
+    """A request was shed (HTTP 429 semantics).
+
+    Raised by the fleet's overload gate: a worker handle at its pending
+    bound, a request whose deadline ran out while it waited for a worker
+    thread, or a worker that died or is restarting.
+    """
 
     exit_code = 10
 
     def __init__(self, message: str, *, retry_after: float | None = None):
         super().__init__(message)
-        #: Suggested client back-off before retrying, seconds.
+        #: Suggested client back-off before retrying, seconds; ``None``
+        #: leaves it to the front end's worker handle to fill in.
         self.retry_after = retry_after
 
 

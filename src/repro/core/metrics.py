@@ -248,8 +248,9 @@ class CompositeMetric(Metric):
 
     Equation 1 with the composite 0-100 score as the rate.  The score
     normalises each category against the best system in the machine
-    registry, so the metric probes *every* registered machine (cached) —
-    not just the target/base pair — the first time it predicts.
+    catalog, so the metric probes *every* catalog machine (cached) — not
+    just the target/base pair — the first time it predicts, and again
+    whenever a universe mount or unmount changes the catalog.
 
     Parameters
     ----------
@@ -268,13 +269,17 @@ class CompositeMetric(Metric):
         self.name = name
         self.weights = weights
         self._rating = None
+        self._rating_version = None
 
     def rating(self):
         """The backing :class:`~repro.core.balanced.BalancedRating`, built
-        lazily over every registered machine's (cached) probe suite."""
-        if self._rating is None:
+        lazily over every catalog machine's (cached) probe suite and
+        rebuilt when ``CATALOG.version`` moves."""
+        from repro.scenarios import CATALOG
+
+        version = CATALOG.version
+        if self._rating is None or self._rating_version != version:
             from repro.core.balanced import BalancedRating
-            from repro.scenarios import CATALOG
             from repro.probes.suite import probe_machine
 
             probes = {
@@ -282,6 +287,7 @@ class CompositeMetric(Metric):
                 for name, spec in CATALOG.machine_map().items()
             }
             self._rating = BalancedRating(probes, self.weights)
+            self._rating_version = version
         return self._rating
 
     def predict(self, ctx: PredictionContext) -> float:

@@ -36,7 +36,7 @@ from repro.apps.execution import executor_for
 from repro.core.metrics import PredictionContext, predict_all, resolve_metrics
 from repro.engine.middleware import StageRunner, TimingMiddleware
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
-from repro.scenarios import BASE_SYSTEM, get_application, get_machine
+from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
 from repro.probes.suite import probe_machine
 from repro.tracing.metasim import _TRACE_CACHE, DEFAULT_SAMPLE_SIZE, trace_application
 from repro.tracing.store import TraceStore
@@ -54,7 +54,8 @@ __all__ = ["Engine", "clear_row_cache"]
 #: anchors strong references to the keyed objects, which keeps their ids
 #: live for exactly as long as the entry exists (an id can only be
 #: recycled after the object is garbage collected), so identity keys can
-#: never alias.
+#: never alias.  The catalog version is part of the key: metric #0 scores
+#: against every catalog machine, so a mount or unmount re-prices it.
 _ROW_CACHE = BoundedLRU(4096)
 
 
@@ -66,6 +67,7 @@ def _predict_all_cached(metrics, trace, probes_row, base_probes, base_time, mode
         id(base_probes),
         base_time,
         mode,
+        CATALOG.version,
     )
     hit = _ROW_CACHE.get(key)
     if hit is not None:

@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from repro.core.registry import REGISTRY
+from repro.util.validation import check_distinct
+
 __all__ = ["MatrixPlan", "PointPlan", "ProbeBundle", "PredictionRecord"]
 
 
@@ -73,6 +76,10 @@ class ProbeBundle(NamedTuple):
 class MatrixPlan:
     """A study block: every metric over (labels × systems).
 
+    Every axis holds distinct entries: a repeated label, system, metric
+    or row would emit its cells twice, so it raises :class:`ValueError`
+    naming it.
+
     Attributes
     ----------
     labels:
@@ -82,7 +89,8 @@ class MatrixPlan:
         Target system names; cells whose cpu count exceeds a system's
         size are skipped, as the paper's blank appendix cells are.
     metrics:
-        Registry metric keys (numbers or names), in output order.
+        Registry metric keys (numbers or names), in output order; stored
+        as registry numbers, so ``9`` and its name are one metric.
     rows:
         Optional explicit ``(label, cpus)`` rows.  ``None`` (the study
         default) expands every label over its application's full
@@ -90,9 +98,9 @@ class MatrixPlan:
         to exactly those rows, in the given per-label order — this is
         how the serve layer's batch endpoint compiles a heterogeneous
         cell list into per-shard sub-matrices without pricing rows
-        nobody asked for.  A repeated row raises :class:`ValueError`.
-        Per-system, per-row results are independent, so any ``rows``
-        partition of a matrix produces cell-for-cell identical records.
+        nobody asked for.  Per-system, per-row results are independent,
+        so any ``rows`` partition of a matrix produces cell-for-cell
+        identical records.
     """
 
     labels: tuple[str, ...]
@@ -103,15 +111,15 @@ class MatrixPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "systems", tuple(self.systems))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(
+            self, "metrics", tuple(REGISTRY.spec(key).number for key in self.metrics)
+        )
+        check_distinct("label", "MatrixPlan.labels", self.labels)
+        check_distinct("system", "MatrixPlan.systems", self.systems)
+        check_distinct("metric", "MatrixPlan.metrics", self.metrics)
         if self.rows is not None:
             rows = tuple((str(label), int(cpus)) for label, cpus in self.rows)
-            seen: set[tuple[str, int]] = set()
-            for row in rows:
-                if row in seen:
-                    # A repeated row would emit its cells twice.
-                    raise ValueError(f"duplicate row {row!r} in MatrixPlan.rows")
-                seen.add(row)
+            check_distinct("row", "MatrixPlan.rows", rows)
             row_labels = {label for label, _ in rows}
             missing = row_labels - set(self.labels)
             if missing:

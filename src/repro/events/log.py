@@ -20,8 +20,9 @@ pair ``(writer, seq)`` is the global event identity.
 Durability levers
 -----------------
 * ``fsync="always"`` — every append is fsynced (journal semantics).
-* ``fsync="commit"`` — appends are flushed to the OS (live followers see
-  them) but only :meth:`EventLog.commit`/:meth:`EventLog.close` fsync.
+* ``fsync="commit"`` — appends are flushed to the OS (readers of the
+  directory see them) but only
+  :meth:`EventLog.commit`/:meth:`EventLog.close` fsync.
 * ``fsync="never"`` — flush only; for ephemeral serving logs and tests.
 
 Crash recovery
@@ -48,7 +49,7 @@ import hashlib
 import json
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -235,7 +236,6 @@ class EventLog:
         self.segment_bytes = segment_bytes
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._subscribers: list[Callable[[Event, int], None]] = []
         self._handle = None
         self._active_path: Path | None = None
         self._size = 0
@@ -311,9 +311,6 @@ class EventLog:
                 os.fsync(handle.fileno())
             self._next_seq = seq + 1
             self._size += len(data)
-            subscribers = list(self._subscribers)
-        for fn in subscribers:
-            fn(event, seq)
         return seq
 
     def commit(self) -> None:
@@ -341,20 +338,8 @@ class EventLog:
         self.close()
 
     # ------------------------------------------------------------------
-    # subscriptions
-    # ------------------------------------------------------------------
-    def subscribe(self, fn: Callable[[Event, int], None]) -> None:
-        """Call ``fn(event, seq)`` after every durable append (live views)."""
-        with self._lock:
-            self._subscribers.append(fn)
-
-    # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[int, dict[str, Any]] | None:
-        """The stream's compaction snapshot ``(seq, state)``, if any."""
-        return _snapshot.load_snapshot(self.root, self.writer)
-
     def replay(self, start: int = 1) -> Iterator[tuple[int, Event]]:
         """Yield ``(seq, event)`` for this stream's valid prefix, seq >= start."""
         with self._lock:

@@ -4,11 +4,11 @@ A :class:`Projection` folds events into a small state dict; the
 :class:`ProjectionEngine` hosts a set of them and can be fed three ways,
 all producing identical views:
 
-* **live** — subscribed to an open :class:`~repro.events.log.EventLog`,
-  applying each event as it is appended;
+* **fold** — :meth:`ProjectionEngine.apply` one event at a time, as the
+  events are appended;
 * **rebuild** — replaying a log directory from scratch
   (:meth:`ProjectionEngine.rebuild`), the path ``repro-study events
-  rebuild`` exercises;
+  rebuild`` and ``GET /events/stats`` exercise;
 * **snapshot + tail** — restoring a compaction snapshot's state and
   applying only the events after it.
 
@@ -308,16 +308,6 @@ class ProjectionEngine:
     # ------------------------------------------------------------------
     # feeding
     # ------------------------------------------------------------------
-    def attach(self, log) -> "ProjectionEngine":
-        """Catch up on ``log``'s stream (snapshot first, if any) and follow live."""
-        snap = log.snapshot()
-        if snap is not None:
-            self.restore(snap[1])
-        for seq, event in log.replay():
-            self.apply(event, writer=log.writer, seq=seq)
-        log.subscribe(lambda event, seq: self.apply(event, writer=log.writer, seq=seq))
-        return self
-
     @classmethod
     def rebuild(
         cls,

@@ -3,9 +3,9 @@
 Every backend worker owns a full
 :class:`~repro.serve.service.PredictionService` — its own
 :class:`~repro.engine.Engine` over the process's trace, probe and row
-memos, circuit breakers, degradation ladder and admission queue — and
-serves requests on a small thread pool, so point queries overtake an
-in-flight batch.  The worker count picks the transport:
+memos, circuit breakers and degradation ladder — and serves requests on
+a small thread pool, so point queries overtake an in-flight batch.  The
+worker count picks the transport:
 
 * **one worker** (the default of ``repro-study serve``) runs the service
   inside the front end's process: :class:`LocalHandle` hands each request
@@ -21,7 +21,11 @@ in-flight batch.  The worker count picks the transport:
 Both transports sit under one :meth:`WorkerHandle.call`, so the pending
 bound, the EWMA ``Retry-After`` and the timeout mapping exist once.  A
 request is stamped when it reaches its worker, and its wait for a pool
-thread is charged to its deadline.
+thread is charged to its deadline.  Those are the only two overload
+gates a request passes, point and batch alike: the handle sheds beyond
+its pending bound, and a worker sheds a request whose deadline ran out
+while it waited for a thread.  Every 429 leaves through the handle,
+which stamps its one ``Retry-After`` estimate on any reply lacking one.
 
 Supervision of forked workers is kernel-grade, not protocol-grade: the
 front end watches each worker's ``Process.sentinel`` through
@@ -51,12 +55,18 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.errors import OverloadedError, ServiceUnavailableError, UnknownIdError
 from repro.events.types import Event, WorkerDied, WorkerRespawned
 from repro.scenarios import BASE_SYSTEM
-from repro.serve.admission import AdmissionQueue, ServiceTimeEwma
 from repro.serve.shard import DEFAULT_VNODES, ShardRing
 from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import trace_key
 
-__all__ = ["Fleet", "LocalHandle", "ProcessHandle", "WorkerHandle", "error_payload"]
+__all__ = [
+    "Fleet",
+    "LocalHandle",
+    "ProcessHandle",
+    "ServiceTimeEwma",
+    "WorkerHandle",
+    "error_payload",
+]
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +77,13 @@ DEFAULT_WORKER_THREADS = 4
 #: Per-worker pending-request bound at the front end; beyond it the
 #: worker is considered backlogged and new arrivals shed with 429.
 DEFAULT_MAX_PENDING = 64
+
+#: Keys a worker's service config may carry (see :func:`_build_service`).
+SERVICE_CONFIG_KEYS = frozenset(
+    "base_system breaker cache_model default_deadline events_dir fault_stages "
+    "faults mode noise sample_size stage_fraction stage_timeouts store threads "
+    "universe".split()
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +159,20 @@ def _build_service(config: dict, worker_id: str | None = None):
     ``events_dir``, each worker appends to its *own* writer stream in
     that directory (stream id = worker name; ``"serve"`` for the one
     in-process service) — per-writer streams are what lets N processes
-    share one log directory without sharing files.
+    share one log directory without sharing files.  A key outside
+    :data:`SERVICE_CONFIG_KEYS` raises :class:`ValueError` naming it.
     """
     from repro.events.log import EventLog
     from repro.serve.breaker import BreakerBoard
     from repro.serve.service import STAGES, PredictionService
     from repro.util.faults import FaultPlan
 
+    unknown = sorted(set(config) - SERVICE_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown service config key(s) {unknown}; "
+            f"known: {sorted(SERVICE_CONFIG_KEYS)}"
+        )
     if config.get("universe"):
         # Mount the front end's scenario universe before any id resolves:
         # the ref (generator spec or TOML path) rebuilds the same catalog
@@ -162,10 +186,6 @@ def _build_service(config: dict, worker_id: str | None = None):
     breakers = None
     if config.get("breaker") is not None:
         breakers = BreakerBoard(STAGES, **config["breaker"])
-    admission = AdmissionQueue(
-        max_concurrent=config.get("max_concurrent", 4),
-        max_queue=config.get("max_queue", 16),
-    )
     events = None
     if config.get("events_dir"):
         events = EventLog(
@@ -183,7 +203,6 @@ def _build_service(config: dict, worker_id: str | None = None):
         stage_fraction=config.get("stage_fraction", 0.5),
         stage_timeouts=config.get("stage_timeouts"),
         breakers=breakers,
-        admission=admission,
         faults=faults,
         fault_stages=tuple(config.get("fault_stages", STAGES)),
     )
@@ -202,7 +221,8 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
 
     Raises :class:`OverloadedError` (429) when the wait used up the whole
     budget: a request that can no longer meet its deadline is shed, never
-    served late.
+    served late.  The shed counts in the service's ``shed_total``; its
+    ``Retry-After`` is left to the front end's handle.
     """
     deadline_ms = msg.get("deadline_ms")
     budget = default if deadline_ms is None else float(deadline_ms) / 1000.0
@@ -210,10 +230,11 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
         return budget  # unbounded, or invalid: the service answers 400
     waited = service._clock() - msg["arrived"]
     if waited >= budget:
+        with service._state_lock:
+            service.shed_total += 1
         raise OverloadedError(
             f"waited {waited:.3f}s for a worker thread, past the request's "
-            f"{budget:g}s deadline",
-            retry_after=service.admission.retry_after_estimate(),
+            f"{budget:g}s deadline"
         )
     return budget - waited
 
@@ -348,6 +369,30 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 # the front-end side
 # ---------------------------------------------------------------------------
+class ServiceTimeEwma:
+    """EWMA of a worker's observed call times, scaled into a retry hint.
+
+    Clients back off in proportion to the congestion actually seen:
+    the backlog ahead of them times the recent per-call time.  Runs on
+    the front end's event loop only, so it needs no lock.
+    """
+
+    #: Smoothing factor (higher = more reactive).
+    alpha = 0.2
+
+    def __init__(self):
+        self.seconds = 0.05  # optimistic prior; converges fast
+
+    def observe(self, service_seconds: float) -> None:
+        """Fold one observed call time into the estimate."""
+        if service_seconds >= 0:
+            self.seconds += self.alpha * (service_seconds - self.seconds)
+
+    def retry_after(self, backlog: int) -> float:
+        """Suggested client back-off: backlog ahead x EWMA call time."""
+        return max(0.01, self.seconds * backlog)
+
+
 class WorkerHandle:
     """Front-end view of one worker: pending futures and the EWMA gate.
 
@@ -373,15 +418,25 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------
     def retry_after(self) -> float:
-        return self.ewma.retry_after(len(self.pending) + 1, 1)
+        """The one ``Retry-After`` estimate of every 429 this worker causes."""
+        return self.ewma.retry_after(len(self.pending) + 1)
+
+    @property
+    def shedding(self) -> bool:
+        """True while the pending bound sheds every new arrival."""
+        return len(self.pending) >= self.max_pending
 
     async def call(self, op: str, params: dict, *, timeout: float | None = None) -> dict:
-        """One request/response; sheds beyond the pending bound."""
+        """One request/response; sheds beyond the pending bound.
+
+        A 429 reply from the worker (its pool-wait shed) carries no
+        ``Retry-After``; this fills in the handle's estimate.
+        """
         if not self.alive:
             raise OverloadedError(
                 f"worker {self.name} is restarting", retry_after=self.retry_after()
             )
-        if len(self.pending) >= self.max_pending:
+        if self.shedding:
             self.shed_total += 1
             raise OverloadedError(
                 f"worker {self.name} backlog full "
@@ -412,6 +467,9 @@ class WorkerHandle:
         finally:
             self.pending.pop(rid, None)
         self.ewma.observe(loop.time() - start)
+        if response.get("status") == 429 and response.get("retry_after") is None:
+            hint = self.retry_after()
+            response["retry_after"] = response["body"]["retry_after_seconds"] = hint
         return response
 
     def _resolve(self, msg: dict) -> None:

@@ -18,18 +18,20 @@ Routes:
     followers stamped ``coalesced: true``.  Every error maps through
     :func:`~repro.serve.fleet.error_payload`: 400 structured validation
     errors (unknown ids name the nearest valid ones), 429 +
-    ``Retry-After`` on shed (including a request whose deadline ran out
-    while it waited for a worker thread, and a worker dying
-    mid-request), 503 when every ladder rung failed — never a traceback
-    page.  Degraded answers are 200s marked ``degraded: true`` with the
-    ``served_metric`` that actually answered.
+    ``Retry-After`` on shed (a worker's pending bound reached, a request
+    whose deadline ran out while it waited for a worker thread, a worker
+    dying mid-request; the hint is the worker handle's EWMA), 503 when
+    every ladder rung failed — never a traceback page.  Degraded answers
+    are 200s marked ``degraded: true`` with the ``served_metric`` that
+    actually answered.
 
 ``POST /predict/batch``
     A tensorized sub-matrix in one request.  The body names explicit
     ``cells`` ``[application, cpus, system, metric]`` or axes
     (``applications`` / ``systems`` / ``metrics`` / optional ``rows``);
-    an empty body means the paper's full study matrix.  The front end
-    compiles the cells into per-shard row lists, fans one
+    an empty body means the paper's full study matrix; a repeated cell,
+    row, system or metric counts once, at its first appearance.  The
+    front end compiles the cells into per-shard row lists, fans one
     :meth:`~repro.serve.service.PredictionService.predict_cells` call to
     each owning worker (the engine's ``run_matrix`` path — one rate
     table per row shared across every machine and metric), retries
@@ -40,16 +42,18 @@ Routes:
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
-    per-worker breaker boards, admission depths and trace/convolve memo counters
-    (gathered concurrently), ring membership and hash-space shares,
+    per-worker handle depth (pending, shed, EWMA), breaker boards,
+    pool-wait shed counts and trace/convolve memo counters (gathered
+    concurrently), ring membership and hash-space shares,
     coalescing counters, death/respawn totals; ``status`` reads
     ``degraded`` while a worker is down or any breaker is open.
 
 ``GET /readyz``
-    200 only when every worker is alive and itself ready; 503 while a
-    worker is dead, has a breaker open or sheds load — the body names
-    each not-ready worker with its own reason — so load balancers steer
-    around the instance during recovery.
+    200 only when every worker is alive, below its handle's pending
+    bound and has no breaker open; 503 otherwise — the body names each
+    not-ready worker with its own reason (``shedding``, read from the
+    handle without a round trip, or ``open_breakers``) — so load
+    balancers steer around the instance during recovery.
 
 ``GET /events/stats``
     Projection views rebuilt from the shared event-log directory — every
@@ -452,7 +456,7 @@ class FleetFrontend:
                 # Default axes stay the paper's own matrix even when a
                 # universe is mounted; generated ids must be named.
                 applications = list(builtin_applications())
-            systems = list(spec.get("systems", spec.get("machines", TARGET_SYSTEMS)))
+            systems = spec.get("systems", spec.get("machines", TARGET_SYSTEMS))
             metrics = [
                 REGISTRY.spec(key).number
                 for key in spec.get("metrics", _study_metrics())
@@ -464,6 +468,10 @@ class FleetFrontend:
                 for label in applications:
                     app = get_application(str(label))
                     rows.extend((app.label, cpus) for cpus in app.cpu_counts)
+            # Insertion-ordered, as above: a repeat counts once.
+            rows = list(dict.fromkeys(rows))
+            systems = list(dict.fromkeys(systems))
+            metrics = list(dict.fromkeys(metrics))
         # Axis validation (cheap, front-end side; workers re-validate too).
         for label, cpus in rows:
             if not CATALOG.has_application(label):
@@ -630,10 +638,17 @@ class FleetFrontend:
                 },
                 None,
             )
-        # Each not-ready worker with its own reason (open breakers,
-        # shedding) or the error that kept it from answering.
+        # Each not-ready worker with its own reason (shedding, open
+        # breakers) or the error that kept it from answering.
         not_ready: dict[str, dict] = {}
         for name, handle in self.fleet.workers.items():
+            if handle.shedding:
+                not_ready[name] = {
+                    "ready": False,
+                    "shedding": True,
+                    "pending": len(handle.pending),
+                }
+                continue
             try:
                 response = await handle.call("ready", {}, timeout=2.0)
             except Exception as exc:
@@ -655,9 +670,8 @@ class FleetFrontend:
         """Fold every writer stream in the shared log dir into one view.
 
         Rebuilt from the raw segments on each request (with forked
-        workers the streams live in N other processes, so there is
-        nothing to subscribe to here) in an executor thread so segment
-        reads never stall the event loop.
+        workers the streams live in N other processes) in an executor
+        thread so segment reads never stall the event loop.
         """
         events_dir = self.fleet.config.get("events_dir")
         if not events_dir:

@@ -5,8 +5,8 @@ application Y at N processors take on machine X, by metric K?" — through
 the same staged engine the offline study uses
 (:class:`~repro.engine.Engine`), but engineered to keep answering when
 parts of that pipeline misbehave.  The service itself owns only the
-*serving* concerns — validation, admission, the degradation ladder loop,
-health surfaces; each rung executes as an engine
+*serving* concerns — validation, the degradation ladder loop, health
+surfaces; each rung executes as an engine
 :class:`~repro.engine.PointPlan` under a middleware chain that implements
 the per-stage policy exactly once:
 
@@ -27,16 +27,17 @@ On an open breaker, a stage failure or deadline pressure, the request
 falls down the registry-derived degradation ladder
 (:mod:`repro.serve.degrade`) and the response is stamped
 ``served_metric``/``degraded=True`` — a marked coarser answer instead of
-an error.  A bounded :class:`~repro.serve.admission.AdmissionQueue` sheds
-load beyond its queue with a retry-after hint instead of queueing
-unboundedly.  Metrics resolve through the registry, so requests may name
+an error.  Overload is not the service's concern: the front end's
+worker handle bounds each worker's pending requests, and the worker
+sheds a request whose deadline ran out while it waited for a pool
+thread (:mod:`repro.serve.fleet`), so the service runs every request it
+is handed.  Metrics resolve through the registry, so requests may name
 them (``metric=balanced``) as well as number them.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from typing import Callable
 from repro.core.errors import (
     CircuitOpenError,
     DeadlineExceededError,
-    OverloadedError,
     ServiceUnavailableError,
     UnknownIdError,
 )
@@ -62,10 +62,8 @@ from repro.engine import (
     PointPlan,
 )
 from repro.events.log import EventLog
-from repro.events.projections import ProjectionEngine
 from repro.events.types import BreakerTripped, PredictionEmitted
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
-from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerBoard
 from repro.serve.degrade import RungAttempt, ladder_for, stages_for
 from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
@@ -223,15 +221,15 @@ class PredictionService:
     stage_timeouts:
         Optional absolute per-stage caps, e.g. ``{"convolve": 0.1}`` —
         the effective stage budget is the smaller of cap and fraction.
-    breakers, admission:
-        Injectable resilience components (built with defaults on the
-        service's clock when omitted).
+    breakers:
+        Injectable breaker board (built with defaults on the service's
+        clock when omitted).
     events:
         Optional :class:`~repro.events.log.EventLog` (or a log-directory
         path) the service appends its serving events to —
         ``prediction-emitted`` per answered query, ``breaker-tripped``
-        per breaker opening — and feeds the live projection views behind
-        ``GET /events/stats``.  A path builds a log with writer id
+        per breaker opening; ``GET /events/stats`` rebuilds its views
+        from the log directory.  A path builds a log with writer id
         ``"serve"``.  When a store is built here (from a path) it shares
         this log; an injected ``TraceStore`` keeps its own ``events``
         wiring.
@@ -242,8 +240,8 @@ class PredictionService:
         Stages the plan applies to (chaos tests target one stage).
     clock, sleep:
         Time source — a :class:`~repro.util.clock.Clock` (or legacy bare
-        monotonic callable) driving deadlines, breakers, admission and
-        fault stalls; ``sleep`` defaults to the clock's own sleeper, so
+        monotonic callable) driving deadlines, breakers and fault
+        stalls; ``sleep`` defaults to the clock's own sleeper, so
         a single :class:`~repro.util.clock.VirtualClock` puts the whole
         service on simulated time.
     """
@@ -261,7 +259,6 @@ class PredictionService:
         stage_fraction: float = DEFAULT_STAGE_FRACTION,
         stage_timeouts: dict[str, float] | None = None,
         breakers: BreakerBoard | None = None,
-        admission: AdmissionQueue | None = None,
         events: "EventLog | str | os.PathLike | None" = None,
         faults=None,
         fault_stages: tuple[str, ...] = STAGES,
@@ -308,13 +305,9 @@ class PredictionService:
         else:
             self.store = TraceStore(store, events=self.events)
         self.breakers = breakers if breakers is not None else BreakerBoard(STAGES, clock=clock)
-        # Live projections over this service's own event stream; also the
-        # sink for breaker trips (the board's single trip choke point).
-        self._projections: ProjectionEngine | None = None
         if self.events is not None:
-            self._projections = ProjectionEngine().attach(self.events)
+            # The board's single trip choke point appends each trip.
             self.breakers.set_listener(self._on_breaker_trip)
-        self.admission = admission if admission is not None else AdmissionQueue(clock=clock)
         self.faults = faults
         self.fault_stages = tuple(fault_stages)
 
@@ -344,6 +337,9 @@ class PredictionService:
         self.requests_total = 0
         self.degraded_total = 0
         self.unserved_total = 0
+        #: Requests the fleet worker shed because their deadline ran out
+        #: while they waited for a pool thread (``fleet._remaining_budget``).
+        self.shed_total = 0
         self._started_at = self._clock()
 
     # ------------------------------------------------------------------
@@ -373,15 +369,12 @@ class PredictionService:
         Raises
         ------
         UnknownIdError, ValueError
-            Invalid request (HTTP 400) — checked before admission, so
-            malformed traffic never occupies a slot.
-        OverloadedError
-            Shed by the admission queue (HTTP 429).
+            Invalid request (HTTP 400) — checked before any backend runs.
         ServiceUnavailableError
             Every ladder rung failed (HTTP 503) — only possible when even
             the probe-cache rungs are failing.
         """
-        app, target, cpus_num, metric_num = self.validate_request(
+        app, target, cpus, requested = self.validate_request(
             application, cpus, machine, metric
         )
         budget = self.default_deadline if deadline_seconds is None else deadline_seconds
@@ -391,15 +384,6 @@ class PredictionService:
         start = self._clock()
         with self._state_lock:
             self.requests_total += 1
-        timeout = deadline.remaining()
-        with self.admission.admit(None if math.isinf(timeout) else timeout):
-            return self._predict_admitted(
-                app, target, cpus_num, metric_num, deadline, start
-            )
-
-    def _predict_admitted(
-        self, app, target, cpus: int, requested: int, deadline: Deadline, start: float
-    ) -> ServedPrediction:
         attempts: list[RungAttempt] = []
         retry_hints: list[float] = []
         for rung in ladder_for(requested):
@@ -494,10 +478,11 @@ class PredictionService:
         same tensorized path the offline study uses, sharing one rate
         table per row across every metric and machine — under the
         service's own middleware chain (deadline gate, breakers, budget,
-        faults) and admission queue.  Returns
-        :class:`~repro.engine.PredictionRecord` rows in the canonical
-        (application, system, cpus, metric) order; identical rows and
-        axes therefore reproduce study records bit-for-bit.
+        faults).  Returns :class:`~repro.engine.PredictionRecord` rows in
+        the canonical (application, system, cpus, metric) order;
+        identical rows and axes therefore reproduce study records
+        bit-for-bit.  A repeated row, system or metric counts once, at
+        its first appearance.
         """
         # Insertion-ordered dicts: first appearance fixes emission order.
         resolved: dict[str, str] = {}  # request label -> catalog label
@@ -519,19 +504,20 @@ class PredictionService:
             # machine-size check belongs here.
             seen_rows[(resolved[label], cpus_num)] = None
         labels = dict.fromkeys(label for label, _ in seen_rows)
+        systems = dict.fromkeys(systems)
         for system in systems:
             if not CATALOG.has_machine(system):
                 known = CATALOG.machine_ids()
                 raise UnknownIdError(
                     "machine", system, known, nearest_ids(system, known)
                 )
-        metric_numbers = tuple(REGISTRY.spec(key).number for key in metrics)
+        metric_numbers = dict.fromkeys(REGISTRY.spec(key).number for key in metrics)
         if not seen_rows or not systems or not metric_numbers:
             return []
         plan = MatrixPlan(
             labels=tuple(labels),
             systems=tuple(systems),
-            metrics=metric_numbers,
+            metrics=tuple(metric_numbers),
             rows=tuple(seen_rows),
         )
         deadline = None
@@ -543,9 +529,7 @@ class PredictionService:
             deadline = Deadline(deadline_seconds, clock=self._clock, stage="batch")
         with self._state_lock:
             self.requests_total += 1
-        timeout = None if deadline is None else deadline.remaining()
-        with self.admission.admit(timeout):
-            records, _observed = self._engine.run_matrix(plan, deadline=deadline)
+        records, _observed = self._engine.run_matrix(plan, deadline=deadline)
         return records
 
     # ------------------------------------------------------------------
@@ -566,23 +550,6 @@ class PredictionService:
         self._emit_event(
             BreakerTripped(stage=stage, failures=failures, cooldown_seconds=cooldown)
         )
-
-    def events_stats(self) -> dict:
-        """The ``GET /events/stats`` body: live projection views.
-
-        Views are materialized incrementally from the service's event
-        stream (never by re-reading the log on request), so this surface
-        stays cheap under load; ``repro-study events rebuild`` produces
-        the identical views from the raw log alone.
-        """
-        if self.events is None or self._projections is None:
-            return {"enabled": False}
-        return {
-            "enabled": True,
-            "writer": self.events.writer,
-            "last_seq": self.events.last_seq,
-            "views": self._projections.views(),
-        }
 
     def drain(self) -> None:
         """Flush the store's backlog, then commit and close the event log.
@@ -607,11 +574,12 @@ class PredictionService:
                 "degraded": self.degraded_total,
                 "unserved": self.unserved_total,
             }
+            shed_total = self.shed_total
         return {
             "status": "degraded" if self.breakers.any_open() else "ok",
             "uptime_seconds": round(self._clock() - self._started_at, 6),
             "breakers": self.breakers.snapshot(),
-            "admission": self.admission.depth(),
+            "admission": {"shed_total": shed_total},
             "store": {
                 "enabled": self.store is not None,
                 "invalidated": self.store.invalidated if self.store is not None else 0,
@@ -626,19 +594,14 @@ class PredictionService:
         }
 
     def ready(self) -> tuple[bool, dict]:
-        """Readiness: False while any breaker is open or the queue is full.
+        """Readiness: False while any breaker is open.
 
-        Load balancers drain a not-ready instance; the body explains why.
+        Load balancers drain a not-ready instance; the body names the
+        open breakers.  Shedding is the front end's to report: its
+        worker handle holds the pending bound.
         """
-        depth = self.admission.depth()
         open_stages = [
             stage for stage, b in self.breakers.breakers.items() if b.state == "open"
         ]
-        shedding = depth["waiting"] >= depth["max_queue"]
-        ok = not open_stages and not shedding
-        return ok, {
-            "ready": ok,
-            "open_breakers": open_stages,
-            "shedding": shedding,
-            "admission": depth,
-        }
+        ok = not open_stages
+        return ok, {"ready": ok, "open_breakers": open_stages}

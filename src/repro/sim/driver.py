@@ -2,7 +2,7 @@
 
 FoundationDB-style deterministic simulation, scaled to this codebase: an
 episode builds *real* objects — :class:`~repro.serve.service.PredictionService`
-with its breakers and admission queue, :class:`~repro.study.runner.run_study`
+with its breakers and event log, :class:`~repro.study.runner.run_study`
 with its checkpoint and trace store, :class:`~repro.serve.coalesce.SingleFlight`
 — wires them all to one :class:`~repro.util.clock.VirtualClock`, executes a
 :class:`~repro.sim.schedule.Schedule`'s fault timeline against them, and
@@ -202,7 +202,6 @@ def _run_serve_recovery(
     on the episode clock; after the schedule is exhausted, advances past
     every cooldown and asserts full-fidelity recovery.
     """
-    from repro.serve.admission import AdmissionQueue
     from repro.serve.breaker import BreakerBoard
     from repro.serve.service import STAGES, PredictionService
 
@@ -222,7 +221,6 @@ def _run_serve_recovery(
             default_deadline=5.0,
             stage_timeouts={"probe": 0.05, "trace": 0.05, "convolve": 0.05},
             breakers=board,
-            admission=AdmissionQueue(clock=clock),
             events=Path(tmp) / "events",
             clock=clock,
         )

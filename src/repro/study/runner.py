@@ -67,6 +67,7 @@ from repro.tracing.store import TraceStore
 from repro.util.clock import Clock, as_clock
 from repro.util.deadline import Deadline
 from repro.util.timing import StageTimer
+from repro.util.validation import check_distinct
 
 __all__ = [
     "StudyConfig",
@@ -113,7 +114,9 @@ class StudyConfig:
     construct variants (``noise=False``, ``mode="absolute"``, coarser
     tracer sampling, ...).  Every identifier is validated on construction:
     an unknown application label, system name, metric number, mode or
-    cache model raises :class:`ValueError` naming the offending key.
+    cache model raises :class:`ValueError` naming the offending key, and
+    so does an application, system or metric named twice (metrics are
+    compared as registry numbers, so ``9`` and its name are one metric).
     """
 
     applications: tuple[str, ...] = tuple(builtin_applications())
@@ -160,6 +163,9 @@ class StudyConfig:
                 raise ValueError(
                     f"unknown metric {key!r} in StudyConfig.metrics; known: {known}"
                 ) from None
+        check_distinct("application", "StudyConfig.applications", self.applications)
+        check_distinct("system", "StudyConfig.systems", self.systems)
+        check_distinct("metric", "StudyConfig.metrics", resolved)
         # Normalised to registry numbers so records, checkpoints and the
         # config digest are name/number agnostic.
         object.__setattr__(self, "metrics", tuple(resolved))

@@ -14,6 +14,7 @@ __all__ = [
     "check_positive",
     "check_fraction",
     "check_in",
+    "check_distinct",
     "nearest_ids",
     "check_known",
 ]
@@ -45,6 +46,16 @@ def check_in(name: str, value: object, allowed: Container) -> object:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value
+
+
+def check_distinct(kind: str, where: str, values: Iterable[object]) -> None:
+    """Validate that no entry of ``values`` repeats; the error names the
+    first repeated ``kind`` entry and ``where`` it was found."""
+    seen: set = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"duplicate {kind} {value!r} in {where}")
+        seen.add(value)
 
 
 def nearest_ids(value: object, known: Iterable[object], n: int = 3) -> tuple[str, ...]:

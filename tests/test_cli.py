@@ -156,8 +156,15 @@ def test_bad_fault_spec_rejected(capsys):
         (["serve", "--workers", "-3"], "--workers"),
         (["table4", "--cache-dir", "{file}"], "{file}"),
         (["store", "info", "--cache-dir", "{file}/below"], "{file}"),
+        (["table4", "--metrics", "9,conv+maps+net+dep"], "duplicate metric 9 in --metrics"),
     ],
-    ids=["workers-0", "serve-workers-negative", "cache-dir-is-file", "cache-dir-below-file"],
+    ids=[
+        "workers-0",
+        "serve-workers-negative",
+        "cache-dir-is-file",
+        "cache-dir-below-file",
+        "metrics-repeated",
+    ],
 )
 def test_bad_arguments_exit_2_at_parse_time(tmp_path, capsys, argv, named):
     blocker = tmp_path / "blocker"

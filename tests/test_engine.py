@@ -260,6 +260,22 @@ def test_matrix_plan_rejects_a_repeated_row():
         )
 
 
+@pytest.mark.parametrize(
+    "axis, fields",
+    [
+        ("label", dict(labels=("AVUS-standard",) * 2)),
+        ("system", dict(systems=("ARL_Xeon", "NAVO_655", "ARL_Xeon"))),
+        ("metric", dict(metrics=(9, 9))),
+        ("metric", dict(metrics=(9, "9"))),  # one metric, by number and key
+    ],
+)
+def test_matrix_plan_rejects_a_repeated_axis_entry(axis, fields):
+    # A repeated label, system or metric would emit its cells twice.
+    plan = dict(labels=("AVUS-standard",), systems=("ARL_Xeon",), metrics=(9,))
+    with pytest.raises(ValueError, match=f"duplicate {axis} .* in MatrixPlan.{axis}s"):
+        MatrixPlan(**{**plan, **fields})
+
+
 def test_engine_validates_knobs():
     with pytest.raises(ValueError, match="mode"):
         Engine(mode="sideways")

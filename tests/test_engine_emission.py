@@ -157,12 +157,7 @@ def plans(draw, applications, systems, numbers):
 
 @pytest.fixture(params=["paper", "mixed:3:60", "mixed:11:100"])
 def catalog(request):
-    """(application labels, system names, metric numbers) to draw from.
-
-    Metric #0 stays out of the generated universes: its balanced rating
-    is built once, over the machines registered at its first use, so it
-    cannot score a machine mounted later.
-    """
+    """(application labels, system names, metric numbers) to draw from."""
     if request.param == "paper":
         yield tuple(builtin_applications()), tuple(TARGET_SYSTEMS), REGISTRY.numbers()
         return
@@ -171,7 +166,7 @@ def catalog(request):
         yield (
             tuple(app.label for app in universe.applications),
             tuple(machine.name for machine in universe.machines),
-            tuple(n for n in REGISTRY.numbers() if n != 0),
+            REGISTRY.numbers(),
         )
     finally:
         unmount_universe()

@@ -196,29 +196,36 @@ def test_crash_shapes_keep_only_a_valid_prefix(
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-def _sample_stream(log: EventLog) -> None:
-    log.append(TraceCaptured(application="app", cpus=4, base_machine="b", key="t1"))
-    log.append(ProbeCompleted(machine="m1", key="p1"))
-    log.append(
-        PredictionEmitted(
-            application="app",
-            cpus=4,
-            machine="m1",
-            metric="conv_mem",
-            predicted_seconds=2.5,
-            degraded=False,
-        )
-    )
-    log.append(CellFailed(application="app", error="Boom", message="x", attempts=2))
-    log.append(StoreInvalidated(entry_kind="trace", entry="t1.bin", reason="bad"))
-    log.append(BreakerTripped(stage="probe", failures=5, cooldown_seconds=1.5))
-    log.append(WorkerDied(worker="w0", pid=123))
+_SAMPLE_EVENTS = (
+    TraceCaptured(application="app", cpus=4, base_machine="b", key="t1"),
+    ProbeCompleted(machine="m1", key="p1"),
+    PredictionEmitted(
+        application="app",
+        cpus=4,
+        machine="m1",
+        metric="conv_mem",
+        predicted_seconds=2.5,
+        degraded=False,
+    ),
+    CellFailed(application="app", error="Boom", message="x", attempts=2),
+    StoreInvalidated(entry_kind="trace", entry="t1.bin", reason="bad"),
+    BreakerTripped(stage="probe", failures=5, cooldown_seconds=1.5),
+    WorkerDied(worker="w0", pid=123),
+)
+
+
+def _append_and_fold(log: EventLog, engine: ProjectionEngine, events) -> None:
+    """Append each event and fold it into ``engine`` as it is written."""
+    for event in events:
+        seq = log.append(event)
+        engine.apply(event, writer=log.writer, seq=seq)
 
 
 def test_projection_rebuild_matches_live_views(tmp_path):
+    # Live: each event folded by a direct apply as it is appended.
     log = EventLog(tmp_path, writer="serve", fsync="never")
-    engine = ProjectionEngine().attach(log)
-    _sample_stream(log)
+    engine = ProjectionEngine()
+    _append_and_fold(log, engine, _SAMPLE_EVENTS)
     log.close()
     rebuilt = ProjectionEngine.rebuild(tmp_path)
     assert rebuilt.views() == engine.views()
@@ -232,19 +239,21 @@ def test_projection_rebuild_matches_live_views(tmp_path):
 
 def test_projection_rebuild_from_snapshot_and_tail(tmp_path):
     log = EventLog(tmp_path, writer="serve", fsync="never")
-    engine = ProjectionEngine().attach(log)
-    _sample_stream(log)
-    log.compact(engine.state())
+    engine = ProjectionEngine()
+    _append_and_fold(log, engine, _SAMPLE_EVENTS)
+    upto = log.compact(engine.state())
     log.append(ProbeCompleted(machine="m2", key="p2"))
+    # The tail past the snapshot: compact's own marker, then the probe.
+    for seq, event in log.replay(upto + 1):
+        engine.apply(event, writer=log.writer, seq=seq)
     log.close()
     rebuilt = ProjectionEngine.rebuild(tmp_path)
-    live = engine.views()
-    assert rebuilt.views() == live
+    assert rebuilt.views() == engine.views()
     assert rebuilt.view("stats")["by_kind"]["probe-completed"] == 2
 
 
 # ---------------------------------------------------------------------------
-# service integration: /events/stats, breaker trips
+# service integration: prediction and breaker-trip events
 # ---------------------------------------------------------------------------
 def test_service_emits_predictions_and_breaker_trips(tmp_path):
     from repro.serve.service import PredictionService
@@ -263,21 +272,20 @@ def test_service_emits_predictions_and_breaker_trips(tmp_path):
             service.predict("AVUS-standard", 32, "ARL_Xeon", 9)
         except CircuitOpenError:  # pragma: no cover - breaker may refuse
             pass
-    stats = service.events_stats()
-    assert stats["enabled"]
-    by_kind = stats["views"]["stats"]["by_kind"]
-    assert by_kind.get("prediction-emitted", 0) >= 1
-    assert by_kind.get("breaker-tripped", 0) >= 1
     service.drain()
     report = verify_dir(tmp_path / "events")
     assert report["ok"] and report["frames"] >= 2
+    by_kind = ProjectionEngine.rebuild(tmp_path / "events").view("stats")["by_kind"]
+    assert by_kind.get("prediction-emitted", 0) >= 1
+    assert by_kind.get("breaker-tripped", 0) >= 1
+    kinds = [event.to_doc()["kind"] for _w, _s, event in replay_dir(tmp_path / "events")]
+    assert kinds.count("prediction-emitted") == by_kind["prediction-emitted"]
 
 
 def test_service_without_events_reports_disabled():
     from repro.serve.service import PredictionService
 
     service = PredictionService(noise=False)
-    assert service.events_stats() == {"enabled": False}
     assert service.health()["events"] == {"enabled": False, "last_seq": 0}
 
 

@@ -13,6 +13,7 @@ Four contracts carry the refactor and are pinned here:
   unknown ids suggest mounted names, and unmount restores the built-ins.
 """
 
+import json
 import subprocess
 import sys
 import warnings
@@ -369,6 +370,42 @@ def test_mount_rejects_builtin_collisions():
         CATALOG.mount(clash)
     # The failed mount must not have left partial state behind.
     assert CATALOG.universe is None
+
+
+_PRICE_METRIC_0 = """
+from repro.engine import Engine, MatrixPlan
+
+def price_metric_0(label, system):
+    plan = MatrixPlan(labels=(label,), systems=(system,), metrics=(0,))
+    return [r.predicted_seconds.hex() for r in Engine().run_matrix(plan)[0]]
+"""
+
+
+def test_balanced_rating_follows_the_mounted_catalog():
+    # Metric #0 scores against every catalog machine, so a mount must
+    # rebuild its rating and re-price rows the row memo already holds.
+    scope: dict = {}
+    exec(_PRICE_METRIC_0, scope)
+    price = scope["price_metric_0"]
+    unmounted = price("AVUS-standard", "ARL_Xeon")
+    universe = mount_universe("mixed:3:60")
+    generated = (universe.applications[0].label, universe.machines[0].name)
+    mounted = [price("AVUS-standard", "ARL_Xeon"), price(*generated)]
+    assert mounted[0] != unmounted  # the best machine per category moved
+    # A fresh interpreter that mounts before #0 ever runs.
+    script = _PRICE_METRIC_0 + (
+        "import json\n"
+        "from repro.scenarios import mount_universe\n"
+        "mount_universe('mixed:3:60')\n"
+        "print(json.dumps([price_metric_0('AVUS-standard', 'ARL_Xeon'),"
+        f" price_metric_0{generated!r}]))\n"
+    )
+    mounted_first = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert mounted == json.loads(mounted_first)
+    unmount_universe()
+    assert price("AVUS-standard", "ARL_Xeon") == unmounted
 
 
 def test_unknown_id_suggests_mounted_names():

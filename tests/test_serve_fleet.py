@@ -13,9 +13,10 @@ sockets — on a loopback port.  The load-bearing pins:
   ``coalesced: true`` followers, and the worker's own request counter
   reads 1;
 * **the status mapping** — structured 400s with nearest ids, 429 +
-  ``Retry-After`` on shed load (including a deadline spent waiting for
-  a worker thread), 503 while every rung fails, ``/readyz`` 503 naming
-  the open breaker — on one worker and on two;
+  ``Retry-After`` from the worker handle's EWMA on shed load (including
+  a deadline spent waiting for a worker thread), 503 while every rung
+  fails, ``/readyz`` 503 naming the open breaker or the shedding handle
+  — on one worker and on two;
 * **HTTP framing** — malformed requests get a JSON 400, never a dropped
   connection.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve.fleet import Fleet, _submit
+from repro.serve.fleet import Fleet, WorkerHandle, _build_service, _submit
 from repro.serve.frontend import FleetFrontend, FleetServer
 from tests.test_serve_service import FakeClock, make_service
 
@@ -188,6 +189,26 @@ def test_batch_axes_form_matches_golden_subset(fleet_server, golden):
     assert body["records"] == expected
 
 
+def test_batch_axes_form_counts_a_repeat_once(server, golden):
+    status, body = post(
+        server,
+        "/predict/batch",
+        {
+            "applications": ["RFCTH-standard", "RFCTH-standard"],
+            "systems": ["NAVO_655", "ARL_Xeon", "NAVO_655"],
+            "metrics": [9, 1, 9],
+        },
+    )
+    assert status == 200
+    order = {("NAVO_655", 9): 0, ("NAVO_655", 1): 1, ("ARL_Xeon", 9): 2, ("ARL_Xeon", 1): 3}
+    expected = sorted(
+        (r for r in golden["records"] if r[0] == "RFCTH-standard" and (r[2], r[3]) in order),
+        key=lambda r: (r[2] != "NAVO_655", r[1], order[r[2], r[3]]),
+    )
+    assert body["records"] == expected
+    assert body["count"] == len(expected) == len({tuple(r[:4]) for r in expected})
+
+
 def test_batch_ineligible_rows_are_skipped_like_the_paper(fleet_server):
     # AVUS-large at 384 cpus exceeds the 128-way ARL_690_1.7 (the
     # paper's blank cell); the row must be skipped, not erred.
@@ -334,7 +355,9 @@ def test_healthz_shape(server):
         health = row["health"]
         # A served batch adds its lazily created "execute" breaker.
         assert {"probe", "trace", "convolve"} <= set(health["breakers"])
-        assert health["admission"]["active"] == 0
+        # The worker's own pool-wait sheds; depth lives on the handle.
+        assert health["admission"] == {"shed_total": 0}
+        assert {"pending", "shed_total", "ewma_seconds"} <= set(row)
         assert health["store"] == {"enabled": False, "invalidated": 0}
         assert health["requests"]["total"] >= 0
         for memo in ("trace_cache", "convolve_cache"):
@@ -362,18 +385,9 @@ def test_readyz_tracks_breaker_state():
         assert body["status"] == "degraded"
 
 
-def test_shed_load_is_429_with_retry_after():
-    config = {"noise": False, "max_concurrent": 1, "max_queue": 0}
-    with FleetServer(1, service_config=config) as server:
-        admission = server.fleet.workers["w0"].service.admission
-        admission.acquire()  # hold the only slot
-        status, body, headers = get(server, PREDICT)
-        assert status == 429
-        assert body["error"] == "Overloaded"
-        assert int(headers["Retry-After"]) >= 1
-        admission.release(0.01)
-        status, _, _ = get(server, PREDICT)
-        assert status == 200
+def test_removed_service_config_keys_fail_loudly():
+    with pytest.raises(ValueError, match=r"\['max_concurrent', 'max_queue'\]"):
+        _build_service({"noise": False, "max_concurrent": 1, "max_queue": 0})
 
 
 def test_open_probe_breaker_maps_to_503():
@@ -404,19 +418,24 @@ def _distinct_cells(n):
     return cells[:n]
 
 
+#: Every convolve call stalls 0.3 s past its 0.05 s cap and the breaker
+#: never trips, so a metric-9 request holds a pool thread about 0.9 s
+#: (rungs 9, 7, 5) before rung 3 answers.
+STALLED_CONVOLVE = {
+    "noise": False,
+    "faults": "stall=1.0,stall_seconds=0.3,seed=7",
+    "fault_stages": ["convolve"],
+    "stage_timeouts": {"convolve": 0.05},
+    "breaker": {"failure_threshold": 1000},
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_burst_deadline_covers_the_wait_for_a_worker_thread(workers):
     # Every convolve call stalls 0.3 s and the breaker never trips, so 32
     # distinct requests queue for the 4 pool threads of a worker: a
     # request must be charged that wait, and one whose budget ran out
     # while it waited is shed (429), never served late.
-    config = {
-        "noise": False,
-        "faults": "stall=1.0,stall_seconds=0.3,seed=7",
-        "fault_stages": ["convolve"],
-        "stage_timeouts": {"convolve": 0.05},
-        "breaker": {"failure_threshold": 1000},
-    }
     results = []
     lock = threading.Lock()
 
@@ -430,7 +449,7 @@ def test_burst_deadline_covers_the_wait_for_a_worker_thread(workers):
         with lock:
             results.append((status, time.perf_counter() - start, headers))
 
-    with FleetServer(workers, service_config=config) as server:
+    with FleetServer(workers, service_config=STALLED_CONVOLVE) as server:
         threads = [
             threading.Thread(target=fire, args=cell) for cell in _distinct_cells(32)
         ]
@@ -485,11 +504,87 @@ def test_pool_wait_is_charged_on_the_service_clock():
 
     late, early = sorted(replies, key=lambda reply: reply["id"])
     # Request 1 waited its whole 0.5 s budget: shed before the service.
+    # The worker's frame carries no retry hint; the handle fills one in.
     assert late["ok"] is False and late["status"] == 429
-    assert late["retry_after"] > 0
+    assert late["retry_after"] is None
+    assert service.health()["admission"] == {"shed_total": 1}
     # Request 2 waited 0.25 s and is served under the remaining 0.25 s.
     assert early["ok"] is True
     assert deadlines == [0.25]
+
+
+def test_handle_retry_after_scales_with_backlog_and_service_time():
+    handle = WorkerHandle("w0", None, max_pending=8)
+    base = handle.retry_after()
+    # Fold in slow observed call times: the estimate must grow.
+    for _ in range(20):
+        handle.ewma.observe(1.0)
+    slow = handle.retry_after()
+    assert slow > base
+    # A deeper backlog ahead of the newcomer scales it further.
+    handle.pending.update({1: None, 2: None, 3: None})
+    assert handle.retry_after() == pytest.approx(4 * slow)
+    assert not handle.shedding
+    handle.pending.update({i: None for i in range(4, 9)})
+    assert handle.shedding
+
+
+def _same_owner_cells(server):
+    """Two point queries on one worker's shard that do not coalesce."""
+    owner = server.fleet.owner_of("AVUS-standard", 64).name
+    return owner, [
+        f"{PREDICT}&metric={metric}&deadline_ms={deadline_ms}"
+        for metric, deadline_ms in ((9, 10000), (8, 200))
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_wait_shed_carries_the_handles_retry_after(workers):
+    # One pool thread per worker: the first request holds it, so the
+    # second, on the same worker with a 0.2 s deadline, is shed by the
+    # pool wait.
+    server = FleetServer(workers, service_config=STALLED_CONVOLVE, worker_threads=1)
+    with server:
+        owner, (holder, late) = _same_owner_cells(server)
+        handle = server.fleet.workers[owner]
+        first = {}
+        thread = threading.Thread(target=lambda: first.update(r=get(server, holder)))
+        thread.start()
+        deadline = time.time() + 5.0
+        while not handle.pending and time.time() < deadline:
+            time.sleep(0.005)
+        status, body, headers = get(server, late)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        _, health, _ = get(server, "/healthz")
+    assert first["r"][0] == 200
+    assert status == 429
+    assert "worker thread" in body["message"]
+    assert body["retry_after_seconds"] > 0
+    assert int(headers["Retry-After"]) >= 1
+    assert health["workers"][owner]["health"]["admission"] == {"shed_total": 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_readyz_reports_a_handle_at_its_pending_bound(workers):
+    # A bound of 1: while the held request is pending, the owner's
+    # handle sheds, and /readyz says so without asking the worker.
+    with FleetServer(workers, service_config=STALLED_CONVOLVE, max_pending=1) as server:
+        owner, (holder, _) = _same_owner_cells(server)
+        handle = server.fleet.workers[owner]
+        assert get(server, "/readyz")[0] == 200
+        thread = threading.Thread(target=get, args=(server, holder))
+        thread.start()
+        deadline = time.time() + 5.0
+        while not handle.pending and time.time() < deadline:
+            time.sleep(0.005)
+        status, body, _ = get(server, "/readyz")
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert status == 503
+        assert body["not_ready"][owner]["shedding"] is True
+        assert len(body["not_ready"]) == 1
+        assert get(server, "/readyz")[0] == 200
 
 
 # ---------------------------------------------------------------------------

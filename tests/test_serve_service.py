@@ -6,15 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import (
-    OverloadedError,
-    ServiceUnavailableError,
-    UnknownIdError,
-)
+from repro.core.errors import ServiceUnavailableError, UnknownIdError
 from repro.core.metrics import ALL_METRICS
 from repro.core.registry import REGISTRY
 from repro.core.predictor import PerformancePredictor
-from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerBoard
 from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService
@@ -50,7 +45,6 @@ def make_service(clock=None, **kw):
             "breakers",
             BreakerBoard(clock=clock, failure_threshold=1, cooldown_seconds=5.0),
         )
-        defaults.setdefault("admission", AdmissionQueue(clock=clock))
     defaults.update(kw)
     return PredictionService(**defaults)
 
@@ -287,37 +281,15 @@ def test_spent_budget_rejects_without_poisoning_breakers():
 
 
 # ----------------------------------------------------------------------
-# backpressure
-# ----------------------------------------------------------------------
-def test_sheds_when_admission_full():
-    svc = make_service(admission=AdmissionQueue(max_concurrent=1, max_queue=0))
-    svc.admission.acquire()  # occupy the only slot
-    try:
-        with pytest.raises(OverloadedError) as exc_info:
-            svc.predict("AVUS-standard", 64, "ARL_Xeon", 1)
-        assert exc_info.value.retry_after > 0
-    finally:
-        svc.admission.release(0.01)
-    # Validation rejects before admission: bad requests don't count as shed.
-    shed_before = svc.admission.depth()["shed_total"]
-    svc.admission.acquire()
-    try:
-        with pytest.raises(UnknownIdError):
-            svc.predict("nope", 64, "ARL_Xeon", 1)
-    finally:
-        svc.admission.release(0.01)
-    assert svc.admission.depth()["shed_total"] == shed_before
-
-
-# ----------------------------------------------------------------------
 # health surfaces
 # ----------------------------------------------------------------------
 def test_health_and_ready_reflect_breakers():
     clock = FakeClock()
     svc = make_service(clock)
-    ok, body = svc.ready()
-    assert ok and body["ready"] and body["open_breakers"] == []
+    # Readiness is the breakers alone: shedding is the front end's gate.
+    assert svc.ready() == (True, {"ready": True, "open_breakers": []})
     assert svc.health()["status"] == "ok"
+    assert svc.health()["admission"] == {"shed_total": 0}
     svc.breakers["trace"].record_failure()
     ok, body = svc.ready()
     assert not ok
@@ -395,6 +367,25 @@ def test_trace_lru_bounded_with_evictions(tmp_path, small_trace_memo):
         counters = svc.health()["trace_cache"]
         assert counters["size"] <= counters["max_size"] == 1
     assert trace_counter_deltas(svc, before) == {"hits": 0, "misses": 3, "evictions": 2}
+
+
+def test_predict_cells_counts_a_repeated_axis_entry_once():
+    svc = make_service()
+    (once,) = svc.predict_cells([("AVUS-standard", 32)], ["ARL_Xeon"], [9])
+    for rows, systems, metrics in [
+        ([("AVUS-standard", 32)], ["ARL_Xeon", "ARL_Xeon"], [9]),
+        ([("AVUS-standard", 32)], ["ARL_Xeon"], [9, 9]),
+        ([("AVUS-standard", 32)], ["ARL_Xeon"], [9, "9"]),
+        ([("AVUS-standard", 32), ("AVUS-standard", "32")], ["ARL_Xeon"], [9]),
+    ]:
+        assert svc.predict_cells(rows, systems, metrics) == [once]
+    # First appearance fixes the order of what remains.
+    records = svc.predict_cells(
+        [("AVUS-standard", 32)], ["ARL_Opteron", "ARL_Xeon", "ARL_Opteron"], [9, 1, 9]
+    )
+    assert [(r.system, r.metric) for r in records] == [
+        ("ARL_Opteron", 9), ("ARL_Opteron", 1), ("ARL_Xeon", 9), ("ARL_Xeon", 1)
+    ]
 
 
 def test_service_constructor_validation():

@@ -220,6 +220,23 @@ def test_config_accepts_replica_labels():
     assert cfg.applications[1].endswith("@1")
 
 
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("applications", ("AVUS-standard", "HYCOM-standard", "AVUS-standard"),
+         "duplicate application 'AVUS-standard' in StudyConfig.applications"),
+        ("systems", ("ARL_Xeon", "ARL_Xeon"),
+         "duplicate system 'ARL_Xeon' in StudyConfig.systems"),
+        ("metrics", (9, 9), "duplicate metric 9 in StudyConfig.metrics"),
+        # compared after name-to-number resolution
+        ("metrics", (0, "balanced"), "duplicate metric 0 in StudyConfig.metrics"),
+    ],
+)
+def test_config_rejects_a_repeated_id_by_name(field, value, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        StudyConfig(**{field: value})
+
+
 def test_config_variant_revalidates():
     with pytest.raises(ValueError, match="psychic"):
         StudyConfig().variant(cache_model="psychic")
