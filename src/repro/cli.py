@@ -122,8 +122,8 @@ def _serve(args) -> int:
     One asyncio front end serves every ``--workers`` value: 1 (the
     default) runs the service inside this process, N >= 2 forks N engine
     workers behind it.  SIGTERM drains: the listener stops accepting,
-    in-flight requests finish, then every store and event log is flushed
-    before the exit 0.
+    in-flight requests finish, then every event log is committed before
+    the exit 0.
     """
     from repro.serve.frontend import FleetServer
     from repro.serve.service import DEFAULT_DEADLINE_SECONDS

@@ -2,9 +2,8 @@
 
 One append-only, checksummed event log (:mod:`repro.events.log`) under
 the study journal, the trace store's accounting, and the serve fleet's
-audit trail; typed domain events (:mod:`repro.events.types`); compaction
-snapshots (:mod:`repro.events.snapshot`); and live materialized views
-(:mod:`repro.events.projections`).
+audit trail; typed domain events (:mod:`repro.events.types`); and live
+materialized views (:mod:`repro.events.projections`).
 """
 
 from repro.events.log import EventLog, replay_dir, verify_dir, writers_in
@@ -17,7 +16,6 @@ from repro.events.types import (
     Event,
     PredictionEmitted,
     ProbeCompleted,
-    SnapshotTaken,
     StoreInvalidated,
     StudyStarted,
     TraceCaptured,
@@ -47,5 +45,4 @@ __all__ = [
     "WorkerDied",
     "WorkerRespawned",
     "StoreInvalidated",
-    "SnapshotTaken",
 ]

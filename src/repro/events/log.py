@@ -35,12 +35,6 @@ deduplicated when the duplicate is byte-identical; a *conflicting*
 reuse of a sequence number is damage.  Replay of a sealed chain stops
 at the first damaged frame or gap, so every reader sees the same valid
 prefix — deterministic replay is the contract projections build on.
-
-Compaction
-----------
-:meth:`EventLog.compact` snapshots caller state at the current sequence
-number (see :mod:`repro.events.snapshot`) and deletes segments wholly
-covered by it; replay then starts from ``snapshot seq + 1``.
 """
 
 from __future__ import annotations
@@ -53,8 +47,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
-from repro.events import snapshot as _snapshot
-from repro.events.types import Event, SnapshotTaken, from_doc
+from repro.events.types import Event, from_doc
 
 __all__ = [
     "EventLog",
@@ -192,30 +185,25 @@ def _segments_for(root: Path, writer: str) -> list[tuple[int, Path]]:
 
 
 def writers_in(root: str | os.PathLike) -> list[str]:
-    """All writer streams present in a log directory (segments or snapshots)."""
-    rootp = Path(root)
+    """All writer streams present in a log directory."""
     found: set[str] = set()
     try:
-        names = os.listdir(rootp)
+        names = os.listdir(root)
     except FileNotFoundError:
         return []
     for name in names:
         parsed = _parse_segment_name(name)
         if parsed:
             found.add(parsed[0])
-        else:
-            writer = _snapshot.writer_of(name)
-            if writer is not None:
-                found.add(writer)
     return sorted(found)
 
 
 class EventLog:
     """One writer stream of a log directory, open for append.
 
-    Thread-safe: study workers' writer threads and serving threads may
-    append concurrently through one instance.  Multi-*process* writers
-    must use distinct ``writer`` ids — streams never share files.
+    Thread-safe: the serving threads of one process may append
+    concurrently through one instance.  Multi-*process* writers must use
+    distinct ``writer`` ids — streams never share files.
     """
 
     def __init__(
@@ -247,10 +235,8 @@ class EventLog:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         segments = _segments_for(self.root, self.writer)
-        snap = _snapshot.load_snapshot(self.root, self.writer)
-        base = snap[0] if snap else 0
         if not segments:
-            self._next_seq = base + 1
+            self._next_seq = 1
             return
         first_seq, last_path = segments[-1]
         scan = _scan_segment(last_path, first_seq)
@@ -340,12 +326,12 @@ class EventLog:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def replay(self, start: int = 1) -> Iterator[tuple[int, Event]]:
-        """Yield ``(seq, event)`` for this stream's valid prefix, seq >= start."""
+    def replay(self) -> Iterator[tuple[int, Event]]:
+        """Yield ``(seq, event)`` for this stream's valid prefix."""
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-        yield from _replay_stream(self.root, self.writer, start)
+        yield from _replay_stream(self.root, self.writer)
 
     def verify(self) -> dict[str, Any]:
         """Fsck this stream; see :func:`verify_dir` for the report shape."""
@@ -354,73 +340,34 @@ class EventLog:
                 self._handle.flush()
         return _verify_stream(self.root, self.writer)
 
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def compact(self, state: dict[str, Any]) -> int:
-        """Snapshot ``state`` at the current seq and drop covered segments.
-
-        ``state`` must let the caller reconstruct its view of every event
-        up to (and including) ``last_seq`` — typically a
-        :meth:`~repro.events.projections.ProjectionEngine.state` dump.
-        Returns the snapshot sequence number.
-        """
-        with self._lock:
-            upto = self.last_seq
-            self.commit()
-            _snapshot.save_snapshot(self.root, self.writer, upto, state)
-            for first_seq, path in _segments_for(self.root, self.writer):
-                last_in_segment = self._segment_last_seq(first_seq, path)
-                if last_in_segment is None or last_in_segment > upto:
-                    continue
-                if path == self._active_path:
-                    if self._handle is not None:
-                        self._handle.close()
-                        self._handle = None
-                    self._active_path = None
-                    self._size = 0
-                path.unlink()
-            self.append(SnapshotTaken(upto_seq=upto))
-            return upto
-
-    def _segment_last_seq(self, first_seq: int, path: Path) -> int | None:
-        scan = _scan_segment(path, first_seq)
-        if not scan.frames:
-            return None
-        return scan.frames[-1][0]
-
 
 # ----------------------------------------------------------------------
 # directory-level (multi-writer) reading
 # ----------------------------------------------------------------------
 
 
-def _replay_stream(root: Path, writer: str, start: int) -> Iterator[tuple[int, Event]]:
-    snap = _snapshot.load_snapshot(root, writer)
-    expected = (snap[0] if snap else 0) + 1
+def _replay_stream(root: Path, writer: str) -> Iterator[tuple[int, Event]]:
+    expected = 1
     for first_seq, path in _segments_for(root, writer):
         if first_seq != expected:
             return  # gap (lost or damaged segment): the prefix ends here
         scan = _scan_segment(path, first_seq)
         for seq, doc in scan.frames:
-            if seq >= start:
-                yield seq, from_doc(doc)
+            yield seq, from_doc(doc)
             expected = seq + 1
         if scan.damaged:
             return
 
 
 def _verify_stream(root: Path, writer: str) -> dict[str, Any]:
-    snap = _snapshot.load_snapshot(root, writer)
     report: dict[str, Any] = {
         "writer": writer,
-        "snapshot_seq": snap[0] if snap else None,
         "segments": [],
         "frames": 0,
         "duplicates": 0,
         "errors": [],
     }
-    expected = (snap[0] if snap else 0) + 1
+    expected = 1
     segments = _segments_for(root, writer)
     for index, (first_seq, path) in enumerate(segments):
         if first_seq != expected:
@@ -450,23 +397,16 @@ def _verify_stream(root: Path, writer: str) -> dict[str, Any]:
     return report
 
 
-def replay_dir(
-    root: str | os.PathLike,
-    *,
-    after: dict[str, int] | None = None,
-) -> Iterator[tuple[str, int, Event]]:
+def replay_dir(root: str | os.PathLike) -> Iterator[tuple[str, int, Event]]:
     """Replay every writer stream in a log directory, merged deterministically.
 
     Streams are yielded writer-by-writer in sorted order (sequence
     numbers are only ordered *within* a writer; there is no global
     clock).  Projections are therefore built commutative — keyed
     aggregates and counters — so the merge order cannot change a view.
-    ``after`` maps writer → last seen seq, for incremental tailing.
     """
-    after = after or {}
     for writer in writers_in(root):
-        start = after.get(writer, 0) + 1
-        for seq, event in _replay_stream(Path(root), writer, start):
+        for seq, event in _replay_stream(Path(root), writer):
             yield writer, seq, event
 
 

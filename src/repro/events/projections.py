@@ -1,23 +1,20 @@
 """Projections: materialized views computed incrementally from the log.
 
 A :class:`Projection` folds events into a small state dict; the
-:class:`ProjectionEngine` hosts a set of them and can be fed three ways,
-all producing identical views:
+:class:`ProjectionEngine` hosts a set of them and can be fed two ways,
+both producing identical views:
 
 * **fold** — :meth:`ProjectionEngine.apply` one event at a time, as the
   events are appended;
 * **rebuild** — replaying a log directory from scratch
   (:meth:`ProjectionEngine.rebuild`), the path ``repro-study events
-  rebuild`` and ``GET /events/stats`` exercise;
-* **snapshot + tail** — restoring a compaction snapshot's state and
-  applying only the events after it.
+  rebuild`` and ``GET /events/stats`` exercise.
 
-That three-way equivalence is the consistency guarantee: projection
-state is a pure fold over the event prefix, and every state is
-JSON-serializable so it can ride inside a snapshot.  Views are built
-from *commutative* aggregates (keyed sums and counters) across writer
-streams, because a multi-writer directory has no global event order —
-only per-writer order is real.
+That equivalence is the consistency guarantee: projection state is a
+pure fold over the event prefix.  Views are built from *commutative*
+aggregates (keyed sums and counters) across writer streams, because a
+multi-writer directory has no global event order — only per-writer
+order is real.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.events.log import replay_dir, writers_in
-from repro.events.snapshot import load_snapshot
+from repro.events.log import replay_dir
 from repro.events.types import (
     BreakerTripped,
     CellFailed,
@@ -60,7 +56,7 @@ FAILURE_HISTORY_LIMIT = 256
 
 
 class Projection:
-    """Base: a named, restorable fold over the event stream."""
+    """Base: a named fold over the event stream."""
 
     name = "projection"
 
@@ -68,12 +64,6 @@ class Projection:
         raise NotImplementedError
 
     def view(self) -> Any:
-        raise NotImplementedError
-
-    def state(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def restore(self, state: dict[str, Any]) -> None:
         raise NotImplementedError
 
 
@@ -103,13 +93,6 @@ class EventStats(Projection):
             "writers": dict(sorted(self._writers.items())),
         }
 
-    def state(self) -> dict[str, Any]:
-        return {"kinds": self._kinds, "writers": self._writers, "total": self._total}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._kinds = dict(state["kinds"])
-        self._writers = dict(state["writers"])
-        self._total = int(state["total"])
 
 
 class MachineLeaderboard(Projection):
@@ -168,11 +151,6 @@ class MachineLeaderboard(Projection):
         )
         return rows
 
-    def state(self) -> dict[str, Any]:
-        return {"machines": self._machines}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._machines = {k: dict(v) for k, v in state["machines"].items()}
 
 
 class ErrorVsObserved(Projection):
@@ -220,14 +198,6 @@ class ErrorVsObserved(Projection):
                 }
         return table
 
-    def state(self) -> dict[str, Any]:
-        return {"cells": self._cells}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._cells = {
-            metric: {machine: dict(cell) for machine, cell in machines.items()}
-            for metric, machines in state["cells"].items()
-        }
 
 
 class FailureHistory(Projection):
@@ -268,12 +238,6 @@ class FailureHistory(Projection):
     def view(self) -> dict[str, Any]:
         return {"counts": dict(sorted(self._counts.items())), "recent": list(self._recent)}
 
-    def state(self) -> dict[str, Any]:
-        return {"counts": self._counts, "recent": self._recent}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._counts = dict(state["counts"])
-        self._recent = list(state["recent"])
 
 
 def default_projections() -> list[Projection]:
@@ -297,14 +261,6 @@ class ProjectionEngine:
     def view(self, name: str) -> Any:
         return self._by_name[name].view()
 
-    def state(self) -> dict[str, Any]:
-        return {proj.name: proj.state() for proj in self._projections}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        for proj in self._projections:
-            if proj.name in state:
-                proj.restore(state[proj.name])
-
     # ------------------------------------------------------------------
     # feeding
     # ------------------------------------------------------------------
@@ -314,25 +270,8 @@ class ProjectionEngine:
         root: str | os.PathLike,
         projections: list[Projection] | None = None,
     ) -> "ProjectionEngine":
-        """Reconstruct views from a log directory alone.
-
-        Single-writer directories may be compacted: the snapshot state is
-        restored first, then the surviving tail replayed.  Multi-writer
-        directories must be snapshot-free (only single-writer streams are
-        ever compacted) — their segments are replayed in full.
-        """
+        """Reconstruct views from a log directory alone."""
         engine = cls(projections)
-        writers = writers_in(root)
-        snapped = [w for w in writers if load_snapshot(root, w) is not None]
-        if snapped:
-            if len(writers) != 1:
-                raise ValueError(
-                    f"cannot rebuild {os.fspath(root)}: snapshots present for "
-                    f"{snapped} in a multi-writer directory"
-                )
-            snap = load_snapshot(root, writers[0])
-            assert snap is not None
-            engine.restore(snap[1])
         for writer, seq, event in replay_dir(root):
             engine.apply(event, writer=writer, seq=seq)
         return engine

@@ -31,7 +31,6 @@ __all__ = [
     "WorkerDied",
     "WorkerRespawned",
     "StoreInvalidated",
-    "SnapshotTaken",
     "EVENT_KINDS",
     "from_doc",
 ]
@@ -174,20 +173,6 @@ class WorkerRespawned(Event):
     pid: int = 0
 
 
-# ----------------------------------------------------------------------
-# log-infrastructure events
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnapshotTaken(Event):
-    """Marks a compaction point; events at or below ``upto_seq`` for this
-    writer are summarized by the snapshot file."""
-
-    kind: ClassVar[str] = "snapshot-taken"
-    upto_seq: int = 0
-
-
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (
@@ -201,7 +186,6 @@ EVENT_KINDS: dict[str, type[Event]] = {
         BreakerTripped,
         WorkerDied,
         WorkerRespawned,
-        SnapshotTaken,
     )
 }
 

@@ -41,23 +41,21 @@ _BENCHMARKS = (
 def probe_machine(
     machine: MachineSpec,
     *,
-    use_cache: bool = True,
     store: "TraceStore | None" = None,
     deadline: "Deadline | None" = None,
 ) -> MachineProbes:
     """Run HPL, STREAM, GUPS, MAPS and NETBENCH on ``machine``.
 
     Results are cached by the spec's content fingerprint, so two different
-    specs sharing a name get independent entries.  ``use_cache=False``
-    bypasses the in-memory cache entirely; ``store`` additionally consults
-    and fills a persistent on-disk cache.  ``deadline`` (a
+    specs sharing a name get independent entries; ``store`` additionally
+    consults and fills a persistent on-disk cache.  ``deadline`` (a
     :class:`~repro.util.deadline.Deadline`) is checked before each of the
     five benchmarks, so a caller under time pressure abandons an
     uncached probe pass part-way instead of finishing it late — cache hits
     cost nothing and are never blocked by an expired budget.
     """
     key = (machine.name, machine.fingerprint())
-    if use_cache and key in _CACHE:
+    if key in _CACHE:
         probes = _CACHE[key]
         # Write-through: a warm in-memory cache must still populate the
         # persistent store, or fresh processes would find it empty.
@@ -74,8 +72,7 @@ def probe_machine(
         probes = MachineProbes(machine=machine.name, **results)
         if store is not None:
             store.save_probes(machine, probes)
-    if use_cache:
-        _CACHE[key] = probes
+    _CACHE[key] = probes
     return probes
 
 

@@ -26,6 +26,8 @@ gates a request passes, point and batch alike: the handle sheds beyond
 its pending bound, and a worker sheds a request whose deadline ran out
 while it waited for a thread.  Every 429 leaves through the handle,
 which stamps its one ``Retry-After`` estimate on any reply lacking one.
+The ``health`` probe passes no pending bound, so ``/healthz`` still
+reports a worker's breakers and shed counts while its backlog is full.
 
 Supervision of forked workers is kernel-grade, not protocol-grade: the
 front end watches each worker's ``Process.sentinel`` through
@@ -316,7 +318,7 @@ def _worker_main(
 
     def _sigterm(signum, frame):  # noqa: ARG001 - signal handler signature
         # Interrupts the blocking frame read below; the finally block
-        # then drains in-flight work and flushes durable state, so a
+        # then drains in-flight work and closes the event log, so a
         # TERM'd worker loses nothing it already accepted.
         raise SystemExit(0)
 
@@ -353,8 +355,8 @@ def _worker_main(
             _submit(pool, service, worker_id, msg, reply)
     finally:
         # Graceful drain: stop accepting (the read loop is done), finish
-        # every admitted frame, then flush the store's write-behind queue
-        # and fsync the event log before the socket closes.
+        # every admitted frame, then fsync the event log before the
+        # socket closes.
         pool.shutdown(wait=True)
         try:
             service.drain()
@@ -429,14 +431,16 @@ class WorkerHandle:
     async def call(self, op: str, params: dict, *, timeout: float | None = None) -> dict:
         """One request/response; sheds beyond the pending bound.
 
-        A 429 reply from the worker (its pool-wait shed) carries no
-        ``Retry-After``; this fills in the handle's estimate.
+        The ``health`` op is exempt from the bound: a full backlog is when
+        the health report matters most.  A 429 reply from the worker (its
+        pool-wait shed) carries no ``Retry-After``; this fills in the
+        handle's estimate.
         """
         if not self.alive:
             raise OverloadedError(
                 f"worker {self.name} is restarting", retry_after=self.retry_after()
             )
-        if self.shedding:
+        if self.shedding and op != "health":
             self.shed_total += 1
             raise OverloadedError(
                 f"worker {self.name} backlog full "
@@ -521,7 +525,7 @@ class LocalHandle(WorkerHandle):
 
     async def wait_closed(self) -> None:
         # Finish every accepted request (the loop keeps delivering their
-        # answers meanwhile), then flush the store and the event log.
+        # answers meanwhile), then close the event log.
         await asyncio.get_running_loop().run_in_executor(None, self._pool.shutdown)
         self.service.drain()
 
@@ -782,7 +786,11 @@ class Fleet:
     # observability
     # ------------------------------------------------------------------
     async def worker_health(self, timeout: float = 2.0) -> dict:
-        """Per-worker health replies, gathered concurrently."""
+        """Per-worker health replies, gathered concurrently.
+
+        A probe that raises or gets an error reply leaves ``health_error``
+        (the error's name) in the worker's row instead of ``health``.
+        """
 
         async def one(handle: WorkerHandle) -> tuple[str, dict]:
             base = {
@@ -797,9 +805,13 @@ class Fleet:
                 return handle.name, base
             try:
                 response = await handle.call("health", {}, timeout=timeout)
-                base["health"] = response.get("result", {})
             except Exception as exc:
                 base["health_error"] = type(exc).__name__
+                return handle.name, base
+            if response.get("ok"):
+                base["health"] = response["result"]
+            else:
+                base["health_error"] = response["body"]["error"]
             return handle.name, base
 
         rows = await asyncio.gather(

@@ -46,7 +46,8 @@ Routes:
     pool-wait shed counts and trace/convolve memo counters (gathered
     concurrently), ring membership and hash-space shares,
     coalescing counters, death/respawn totals; ``status`` reads
-    ``degraded`` while a worker is down or any breaker is open.
+    ``degraded`` while a worker is down, any breaker is open or a
+    worker's health probe fails.
 
 ``GET /readyz``
     200 only when every worker is alive, below its handle's pending
@@ -146,7 +147,7 @@ class FleetFrontend:
     async def stop(self) -> None:
         """The graceful drain: stop accepting, close idle keep-alive
         connections, answer in-flight requests with ``Connection: close``,
-        then let the workers finish and flush their stores and event logs."""
+        then let the workers finish and close their event logs."""
         if self._server is not None:
             self._server.close()
             self._stopping = True
@@ -596,7 +597,8 @@ class FleetFrontend:
         workers = await self.fleet.worker_health()
         alive = self.fleet.alive_count()
         degraded = alive < self.fleet.n_workers or any(
-            row.get("health", {}).get("status") == "degraded"
+            "health_error" in row
+            or row.get("health", {}).get("status") == "degraded"
             for row in workers.values()
         )
         return {

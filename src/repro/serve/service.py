@@ -552,14 +552,13 @@ class PredictionService:
         )
 
     def drain(self) -> None:
-        """Flush the store's backlog, then commit and close the event log.
+        """Commit and close the event log.
 
         The SIGTERM graceful-drain path and the last call a service gets:
         made after the HTTP server has stopped accepting and finished
-        in-flight requests.
+        in-flight requests.  Store entries need nothing here: each save
+        wrote its entry before it returned.
         """
-        if self.store is not None:
-            self.store.close()
         if self.events is not None:
             self.events.close()
 

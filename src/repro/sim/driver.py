@@ -331,27 +331,6 @@ def _golden_records(cfg):
     return _GOLDEN_CACHE[key].records
 
 
-def _settle_stores(root: Path) -> None:
-    """Drain every live trace-store writer rooted under ``root``.
-
-    The runner constructs its own :class:`~repro.tracing.store.TraceStore`
-    objects from the path we pass it, and an aborted run leaves theirs
-    with a write-behind backlog.  Settling before applying at-rest damage
-    (and before the episode tempdir is deleted) makes the on-disk entry
-    set a deterministic function of the schedule and keeps the background
-    writer from racing tempdir teardown.
-    """
-    from repro.tracing.store import _LIVE_STORES
-
-    root = root.resolve()
-    for store in list(_LIVE_STORES):
-        try:
-            if Path(store.root).resolve() == root:
-                store.close()
-        except OSError:
-            pass  # the directory is already gone; nothing left to settle
-
-
 def _records_digest(records) -> str:
     h = hashlib.blake2b(digest_size=16)
     for record in records:
@@ -400,7 +379,6 @@ def _run_study_resume(
             else:
                 # abort_after >= remaining chunks: the run just finished.
                 break
-        _settle_stores(store_dir)
         applied: list[dict] = []
         for event in damage:
             applied.append(event.to_doc())
@@ -420,7 +398,6 @@ def _run_study_resume(
                     with tail.open("rb+") as handle:
                         handle.truncate(max(0, size - event.drop_bytes))
         result = run_study(cfg, store=store_dir, checkpoint=ckpt_dir, clock=clock)
-        _settle_stores(store_dir)
         if canary == "silent-degrade" and result.records:
             # The canary targets the serve scenario; in a study schedule it
             # has nothing to falsify, so it is a no-op here by design.

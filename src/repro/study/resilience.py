@@ -292,5 +292,3 @@ class StudyCheckpoint:
             name = child.name
             if name.startswith("events-") and name.endswith(".jsonl"):
                 child.unlink()
-            elif name.startswith("snapshot-") and name.endswith(".json"):
-                child.unlink()

@@ -418,8 +418,6 @@ def _run_chunk(
     store = TraceStore(store_root, faults=faults) if store_root else None
     timer = StageTimer()
     records, observed = _run_submatrix(cfg, labels, cfg.systems, store, timer)
-    if store is not None:
-        store.flush()  # a checkpointed chunk implies its entries are on disk
     return records, observed, timer.breakdown()
 
 
@@ -619,8 +617,6 @@ def run_study(
         records, observed = _run_submatrix(
             cfg, cfg.applications, cfg.systems, store_obj, timer
         )
-        if store_obj is not None:
-            store_obj.flush()  # deferred entry writes land before we return
         return StudyResult(
             config=cfg,
             records=records,
@@ -764,8 +760,6 @@ def _run_chunks(
         timer.merge(stages)
     order = {label: i for i, label in enumerate(cfg.applications)}
     failures.sort(key=lambda f: order[f.application])
-    if store_obj is not None:
-        store_obj.flush()
     return StudyResult(
         config=cfg,
         records=records,

@@ -264,7 +264,6 @@ def trace_application(
     *,
     cache_sim: bool = False,
     cache_model: str = "analytic",
-    use_cache: bool = True,
     store=None,
     timer=None,
     deadline=None,
@@ -282,7 +281,7 @@ def trace_application(
     # cache_model only affects output when cache accounting runs at all.
     model = cache_model if cache_sim else None
     key = (app.label, cpus, base_machine.name, sample_size, cache_sim, model)
-    trace = _TRACE_CACHE.get(key) if use_cache else None
+    trace = _TRACE_CACHE.get(key)
     if trace is not None:
         # Write-through: a warm in-memory cache must still populate the
         # persistent store, or fresh processes would find it empty.
@@ -322,8 +321,7 @@ def trace_application(
             store.save_trace(trace, cache_sim=cache_sim, cache_model=cache_model)
     elif timer is not None:
         timer.add("trace", 0.0)  # loaded from the store; no tracing cost
-    if use_cache:
-        _TRACE_CACHE.put(key, trace)
+    _TRACE_CACHE.put(key, trace)
     return trace
 
 

@@ -4,7 +4,7 @@ These are the lowest-level building blocks of :mod:`repro`; every other
 subpackage may depend on them, and they depend on nothing but NumPy.
 """
 
-from repro.util.io import append_line_durable, write_atomic
+from repro.util.io import write_atomic
 from repro.util.rng import stable_rng, stable_seed
 from repro.util.units import (
     KIB,
@@ -22,7 +22,6 @@ from repro.util.validation import check_positive, check_fraction, check_in
 
 __all__ = [
     "write_atomic",
-    "append_line_durable",
     "stable_rng",
     "stable_seed",
     "KIB",

@@ -3,14 +3,12 @@
 Cornebize & Legrand (PAPERS.md) show how small timing perturbations
 silently distort simulation-based prediction; our chaos suites therefore
 cannot afford to *measure* time — they must *control* it.  A
-:class:`Clock` bundles the three operations the codebase performs against
-time — read a monotonic instant, sleep, and wait on an event with a
-timeout — behind one seam:
+:class:`Clock` bundles the two operations the codebase performs against
+time — read a monotonic instant and sleep — behind one seam:
 
 * :class:`SystemClock` is the production implementation (thin veneer over
-  :mod:`time` / :meth:`threading.Event.wait`); the module-level
-  :data:`SYSTEM_CLOCK` singleton is the default everywhere, so production
-  behaviour is unchanged.
+  :mod:`time`); the module-level :data:`SYSTEM_CLOCK` singleton is the
+  default everywhere, so production behaviour is unchanged.
 * :class:`VirtualClock` is the simulation implementation: ``sleep``
   *advances* virtual time instead of blocking, so a chaos episode that
   used to spend ~60 s wall-waiting on stalls, breaker cooldowns and retry
@@ -45,7 +43,7 @@ __all__ = [
 
 
 class Clock:
-    """Interface: the three time operations a component may perform."""
+    """Interface: the two time operations a component may perform."""
 
     def monotonic(self) -> float:
         """Current monotonic time in seconds."""
@@ -53,10 +51,6 @@ class Clock:
 
     def sleep(self, seconds: float) -> None:
         """Let ``seconds`` pass (block, or advance virtual time)."""
-        raise NotImplementedError
-
-    def wait(self, event: "threading.Event", timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for ``event``; True when set."""
         raise NotImplementedError
 
 
@@ -69,9 +63,6 @@ class SystemClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
-
-    def wait(self, event: "threading.Event", timeout: float) -> bool:
-        return event.wait(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<SystemClock>"
@@ -97,16 +88,11 @@ class VirtualClock(Clock):
 
     ``sleep(s)`` advances the clock by ``s`` immediately instead of
     blocking, and ``advance(s)`` jumps it explicitly (the schedule DSL's
-    clock-skew event).  Reads and advances are lock-protected so the
-    write-behind store's drain thread may *read* the clock concurrently,
-    but only the episode's driving thread should ever advance it — a
-    background thread advancing virtual time would make the timeline
-    racy, which is exactly what the harness exists to prevent.
-
-    ``wait`` does **not** consume virtual time: a background thread
-    polling an event (the store writer's drain cadence) gets a tiny real
-    wait instead, so it keeps draining promptly without perturbing the
-    simulated timeline.
+    clock-skew event).  Reads and advances are lock-protected so other
+    threads may *read* the clock concurrently, but only the episode's
+    driving thread should ever advance it — a background thread
+    advancing virtual time would make the timeline racy, which is
+    exactly what the harness exists to prevent.
 
     Parameters
     ----------
@@ -116,9 +102,6 @@ class VirtualClock(Clock):
         Hard horizon; advancing past it raises
         :class:`VirtualTimeLimitError`.  ``None`` disables the guard.
     """
-
-    #: Real seconds a background thread blocks per :meth:`wait` poll.
-    WAIT_SLICE_SECONDS = 0.0005
 
     def __init__(self, start: float = 0.0, *, limit: float | None = None):
         if limit is not None and limit <= start:
@@ -162,10 +145,6 @@ class VirtualClock(Clock):
             self.slept_total += seconds
             self._advance_locked(seconds)
 
-    def wait(self, event: "threading.Event", timeout: float) -> bool:
-        # Real micro-wait, zero virtual cost: see the class docstring.
-        return event.wait(min(timeout, self.WAIT_SLICE_SECONDS))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<VirtualClock now={self.monotonic():g}s limit={self._limit!r}>"
 
@@ -174,8 +153,8 @@ class _CallableClock(Clock):
     """Adapter for the legacy ``clock=`` zero-argument monotonic callable.
 
     Tests that drive a component with a bare fake-monotonic lambda keep
-    working; ``sleep``/``wait`` fall back to the system implementations
-    (such tests never sleep through the component under test).
+    working; ``sleep`` falls back to the system implementation (such
+    tests never sleep through the component under test).
     """
 
     def __init__(self, monotonic: Callable[[], float]):
@@ -186,9 +165,6 @@ class _CallableClock(Clock):
 
     def sleep(self, seconds: float) -> None:
         SYSTEM_CLOCK.sleep(seconds)
-
-    def wait(self, event: "threading.Event", timeout: float) -> bool:
-        return SYSTEM_CLOCK.wait(event, timeout)
 
 
 def as_clock(clock: "Clock | Callable[[], float] | None") -> Clock:

@@ -1,96 +1,59 @@
 """Crash-safe file I/O primitives.
 
-Everything the project persists — trace/probe archives, study checkpoints,
-bench reports — goes through :func:`write_atomic`: readers either see the
-previous complete file or the new complete file, never a torn write, even
-when the writer is killed mid-write or several processes race on the same
-path.
+Every whole-file artifact the project persists — trace/probe store
+entries and bench reports — goes through :func:`write_atomic_bytes`:
+readers either see the previous complete file or the new complete file,
+never a torn write, even when the writer is killed mid-write or several
+processes race on the same path.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import tempfile
-from pathlib import Path
 
-__all__ = ["write_atomic", "write_atomic_bytes", "append_line_durable"]
+__all__ = ["write_atomic", "write_atomic_bytes"]
 
-#: Per-process sequence for fast-path temp names; combined with the pid
-#: it never collides between live writers racing on one entry.
+#: Per-process sequence for temp names; combined with the pid it never
+#: collides between live writers racing on one entry.
 _tmp_counter = itertools.count()
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The temp file lives in ``path``'s directory so the final rename stays
-    on one filesystem and is atomic; a crash at any point leaves either
-    the old content or the new, and the temp file is removed on failure.
-    """
+    """Write ``text`` to ``path`` atomically (see :func:`write_atomic_bytes`)."""
     write_atomic_bytes(path, text.encode("utf-8"))
 
 
 def write_atomic_bytes(
     path: str | os.PathLike, data: bytes, *, durable: bool = True
 ) -> None:
-    """Binary twin of :func:`write_atomic` (same temp + rename discipline).
+    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
-    The binary trace store writes its memory-mappable entries through
-    this, so concurrent study workers racing on one entry see either the
-    old complete file or the new one, never a torn write.
+    The temp file lives in ``path``'s directory so the final rename stays
+    on one filesystem and is atomic; a crash at any point leaves either
+    the old content or the new, and the temp file is removed on failure.
 
-    ``durable=False`` skips the pre-rename ``fsync`` and uses a minimal
-    open/write/close/rename sequence (``tempfile.mkstemp`` plus buffered
-    ``fdopen`` cost more than the four syscalls themselves for a small
-    cache entry).  That keeps the rename atomic for every *live* reader
-    but allows a machine crash to leave a renamed entry with missing tail
-    pages.  Only callers whose readers detect and recover from torn
-    content (the checksummed, self-healing trace store) may opt out;
-    anything that must survive power loss intact (checkpoint journals)
-    keeps the default.
+    ``durable=True`` fsyncs the temp file before the rename, so the new
+    content also survives power loss.  ``durable=False`` skips that fsync:
+    the rename stays atomic for every *live* reader, but a machine crash
+    can leave a renamed file with missing tail pages.  Only callers whose
+    readers detect and recover from torn content (the checksummed,
+    self-healing trace store) may opt out.
     """
-    if not durable:
-        target = os.fspath(path)
-        tmp = f"{target}.{os.getpid()}.{next(_tmp_counter)}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    target = os.fspath(path)
+    tmp = f"{target}.{os.getpid()}.{next(_tmp_counter)}.tmp"
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if durable:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def append_line_durable(path: str | os.PathLike, line: str) -> None:
-    """Append one ``\\n``-terminated line to ``path`` and fsync it.
-
-    Used by append-only journals (the study checkpoint): each entry is a
-    single self-validating line, so a crash mid-append at worst leaves one
-    torn tail line that the reader detects and drops.
-    """
-    if not line.endswith("\n"):
-        line += "\n"
-    with open(path, "a") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())

@@ -186,17 +186,16 @@ def test_bad_arguments_exit_2_at_parse_time(tmp_path, capsys, argv, named):
 def test_store_info_reports_format_and_counts(tmp_path, capsys):
     from repro.apps.suite import get_application
     from repro.machines import get_machine
-    from repro.probes.suite import probe_machine
-    from repro.tracing.metasim import trace_application
+    from repro.probes.suite import clear_probe_cache, probe_machine
+    from repro.tracing.metasim import clear_trace_cache, trace_application
     from repro.tracing.store import TraceStore
 
     store = TraceStore(tmp_path)
     base = get_machine("NAVO_P3")
-    trace_application(
-        get_application("AVUS-standard"), 64, base, use_cache=False, store=store
-    )
-    probe_machine(base, use_cache=False, store=store)
-    store.flush()
+    clear_trace_cache()
+    clear_probe_cache()
+    trace_application(get_application("AVUS-standard"), 64, base, store=store)
+    probe_machine(base, store=store)
     (store.traces_dir / "deadbeef.json").write_text("{}")  # earlier builds' format
 
     assert main(["store", "info", "--cache-dir", str(tmp_path)]) == 0

@@ -1,4 +1,4 @@
-"""The event-sourced durability core: log, snapshots, projections.
+"""The event-sourced durability core: log and projections.
 
 The contract under test is the one every consumer (study checkpoint,
 trace store, serve fleet) builds on: an append-only checksummed log
@@ -31,7 +31,6 @@ from repro.events import (
     writers_in,
 )
 from repro.events.log import _encode_frame
-from repro.events.snapshot import load_snapshot
 
 
 def _probe(i: int) -> ProbeCompleted:
@@ -77,6 +76,10 @@ def test_event_docs_roundtrip_and_unknown_kinds_survive():
     alien = from_doc({"kind": "from-the-future", "payload": 7})
     assert isinstance(alien, UnknownEvent)
     assert alien.original_kind == "from-the-future"
+    # Compaction markers of earlier builds are just another unknown kind.
+    marker = from_doc({"kind": "snapshot-taken", "upto_seq": 8})
+    assert isinstance(marker, UnknownEvent)
+    assert marker.original_kind == "snapshot-taken"
 
 
 def test_torn_tail_is_truncated_on_reopen(tmp_path):
@@ -117,21 +120,6 @@ def test_conflicting_seq_reuse_is_damage(tmp_path):
         fh.write(_encode_frame(2, _probe(77)) + "\n")  # same seq, new payload
     assert EventLog(tmp_path, writer="w").last_seq == 2
     assert [seq for seq, _e in EventLog(tmp_path, writer="w").replay()] == [1, 2]
-
-
-def test_compaction_snapshots_and_replay_resumes_after(tmp_path):
-    log = EventLog(tmp_path, writer="w", fsync="never", segment_bytes=150)
-    _fill(log, 8)
-    upto = log.compact({"note": "state-at-8"})
-    assert upto == 8
-    assert load_snapshot(tmp_path, "w") == (8, {"note": "state-at-8"})
-    log.append(_probe(8))
-    log.close()
-    replayed = list(EventLog(tmp_path, writer="w").replay())
-    # Pre-snapshot history is gone from disk; replay starts after it.
-    assert [seq for seq, _e in replayed] == [9, 10]
-    assert replayed[-1][1] == _probe(8)
-    assert verify_dir(tmp_path)["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +225,6 @@ def test_projection_rebuild_matches_live_views(tmp_path):
     assert any(row["machine"] == "m1" for row in rebuilt.view("leaderboard"))
 
 
-def test_projection_rebuild_from_snapshot_and_tail(tmp_path):
-    log = EventLog(tmp_path, writer="serve", fsync="never")
-    engine = ProjectionEngine()
-    _append_and_fold(log, engine, _SAMPLE_EVENTS)
-    upto = log.compact(engine.state())
-    log.append(ProbeCompleted(machine="m2", key="p2"))
-    # The tail past the snapshot: compact's own marker, then the probe.
-    for seq, event in log.replay(upto + 1):
-        engine.apply(event, writer=log.writer, seq=seq)
-    log.close()
-    rebuilt = ProjectionEngine.rebuild(tmp_path)
-    assert rebuilt.views() == engine.views()
-    assert rebuilt.view("stats")["by_kind"]["probe-completed"] == 2
-
-
 # ---------------------------------------------------------------------------
 # service integration: prediction and breaker-trip events
 # ---------------------------------------------------------------------------
@@ -290,13 +263,13 @@ def test_service_without_events_reports_disabled():
 
 
 def test_store_accounting_is_event_derived(tmp_path, base_machine, avus):
-    from repro.tracing.metasim import trace_application
+    from repro.tracing.metasim import clear_trace_cache, trace_application
     from repro.tracing.store import TraceStore
 
     events = EventLog(tmp_path / "events", writer="store", fsync="never")
     store = TraceStore(tmp_path / "cache", events=events)
-    trace = trace_application(avus, 64, base_machine, use_cache=False, store=store)
-    store.flush()
+    clear_trace_cache()
+    trace = trace_application(avus, 64, base_machine, store=store)
     kinds = [e.to_doc()["kind"] for _w, _s, e in replay_dir(tmp_path / "events")]
     assert "trace-captured" in kinds
     (entry,) = list(store.traces_dir.iterdir())
@@ -316,5 +289,4 @@ def test_store_accounting_is_event_derived(tmp_path, base_machine, avus):
     assert store.invalidated == 1
     kinds = [e.to_doc()["kind"] for _w, _s, e in replay_dir(tmp_path / "events")]
     assert kinds.count("store-invalidated") == store.invalidated
-    store.close()
     events.close()  # the store does not own the log it was handed

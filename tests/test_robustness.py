@@ -26,7 +26,7 @@ from repro.machines.spec import (
     ProcessorSpec,
 )
 from repro.memory.patterns import StrideHistogram
-from repro.probes.suite import probe_machine
+from repro.probes.suite import clear_probe_cache, probe_machine
 from repro.probes.hpl import run_hpl
 from repro.probes.stream import run_stream
 from repro.probes.gups import run_gups
@@ -139,16 +139,17 @@ def test_relative_prediction_invariant_to_uniform_speedup(speedup):
     app = get_application("AVUS-standard")
     trace = trace_application(app, 32, base)
 
+    clear_probe_cache()
     ctx_plain = PredictionContext(
         trace=trace,
-        target_probes=probe_machine(target, use_cache=False),
-        base_probes=probe_machine(base, use_cache=False),
+        target_probes=probe_machine(target),
+        base_probes=probe_machine(base),
         base_time=1000.0,
     )
     ctx_scaled = PredictionContext(
         trace=trace,
-        target_probes=probe_machine(scaled(target, speedup, "T2"), use_cache=False),
-        base_probes=probe_machine(scaled(base, speedup, "B2"), use_cache=False),
+        target_probes=probe_machine(scaled(target, speedup, "T2")),
+        base_probes=probe_machine(scaled(base, speedup, "B2")),
         base_time=1000.0,
     )
     for metric_number in (1, 2, 3, 6, 9):

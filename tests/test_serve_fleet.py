@@ -587,6 +587,37 @@ def test_readyz_reports_a_handle_at_its_pending_bound(workers):
         assert get(server, "/readyz")[0] == 200
 
 
+def test_healthz_probes_a_worker_at_its_pending_bound():
+    # The health probe passes no pending bound: while the held request
+    # fills the one slot, /healthz still carries the worker's own
+    # report, and a probe that fails marks the fleet degraded.
+    with FleetServer(1, service_config=STALLED_CONVOLVE, max_pending=1) as server:
+        owner, (holder, _) = _same_owner_cells(server)
+        handle = server.fleet.workers[owner]
+        thread = threading.Thread(target=get, args=(server, holder))
+        thread.start()
+        deadline = time.time() + 5.0
+        while not handle.pending and time.time() < deadline:
+            time.sleep(0.005)
+        assert handle.shedding
+        status, body, _ = get(server, "/healthz")
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert status == 200
+        health = body["workers"][owner]["health"]
+        assert "breakers" in health
+        assert "shed_total" in health["admission"]
+
+        def failing_health():
+            raise RuntimeError("probe failed")
+
+        handle.service.health = failing_health
+        status, body, _ = get(server, "/healthz")
+    assert status == 200
+    assert body["workers"][owner]["health_error"] == "RuntimeError"
+    assert body["status"] == "degraded"
+
+
 # ---------------------------------------------------------------------------
 # HTTP framing: malformed requests are answered, and the server keeps going
 # ---------------------------------------------------------------------------

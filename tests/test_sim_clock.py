@@ -1,11 +1,10 @@
 """The Clock seam: VirtualClock semantics and as_clock normalisation.
 
 The simulation harness's determinism rests entirely on these properties
-— sleep advances instead of blocking, waits consume zero virtual time,
-and the horizon guard turns would-be hangs into a typed error.
+— sleep advances instead of blocking, and the horizon guard turns
+would-be hangs into a typed error.
 """
 
-import threading
 import time
 
 import pytest
@@ -66,25 +65,6 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock(start=5.0, limit=5.0)
 
-    def test_wait_consumes_no_virtual_time(self):
-        clock = VirtualClock()
-        event = threading.Event()
-        assert clock.wait(event, timeout=60.0) is False
-        assert clock.monotonic() == 0.0  # a background poll cannot skew time
-
-    def test_wait_returns_true_when_set(self):
-        clock = VirtualClock()
-        event = threading.Event()
-        event.set()
-        assert clock.wait(event, timeout=60.0) is True
-
-    def test_wait_blocks_a_real_micro_slice_only(self):
-        clock = VirtualClock()
-        wall = time.perf_counter()
-        clock.wait(threading.Event(), timeout=3600.0)
-        wall = time.perf_counter() - wall
-        assert wall < 0.5  # clamped to WAIT_SLICE_SECONDS, not the timeout
-
 
 class TestAsClock:
     def test_none_is_the_system_singleton(self):
@@ -102,7 +82,7 @@ class TestAsClock:
         assert isinstance(wrapped, Clock)
         assert wrapped.monotonic() == 1.0
         assert wrapped.monotonic() == 2.0
-        # sleep/wait fall back to real implementations without touching
+        # sleep falls back to the real implementation without touching
         # the fake monotonic stream.
         wrapped.sleep(0.0)
         assert wrapped.monotonic() == 3.0

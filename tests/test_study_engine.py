@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.apps.suite import APPLICATIONS
-from repro.probes.suite import probe_machine
+from repro.probes.suite import clear_probe_cache, probe_machine
 from repro.study.runner import StudyConfig, run_study
-from repro.tracing.metasim import trace_application
+from repro.tracing.metasim import clear_trace_cache, trace_application
 from repro.tracing.store import TraceStore
 
 from tests.conftest import make_machine
@@ -82,14 +82,16 @@ def test_store_round_trip_preserves_study_output(tmp_path):
 
 def test_store_trace_round_trip_is_exact(tmp_path, base_machine, avus):
     store = TraceStore(tmp_path)
-    computed = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    clear_trace_cache()
+    computed = trace_application(avus, 64, base_machine, store=store)
     loaded = store.load_trace(avus.label, 64, base_machine.name, computed.sample_size, False)
     assert loaded == computed
 
 
 def test_store_probes_round_trip_is_exact(tmp_path, base_machine):
     store = TraceStore(tmp_path)
-    computed = probe_machine(base_machine, use_cache=False, store=store)
+    clear_probe_cache()
+    computed = probe_machine(base_machine, store=store)
     loaded = store.load_probes(base_machine)
     assert loaded is not None
     assert loaded.machine == computed.machine
@@ -99,8 +101,8 @@ def test_store_probes_round_trip_is_exact(tmp_path, base_machine):
 
 def test_store_tolerates_corrupt_files(tmp_path, base_machine, avus):
     store = TraceStore(tmp_path)
-    trace_application(avus, 64, base_machine, use_cache=False, store=store)
-    store.flush()  # writes are deferred; land them before damaging the files
+    clear_trace_cache()
+    trace_application(avus, 64, base_machine, store=store)
     for f in tmp_path.joinpath("traces").iterdir():
         f.write_text("{not json")
     assert store.load_trace(avus.label, 64, base_machine.name, 4096, False) is None

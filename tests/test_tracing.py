@@ -86,7 +86,8 @@ def test_trace_cache(base, avus):
     a = trace_application(avus, 64, base)
     b = trace_application(avus, 64, base)
     assert a is b
-    c = trace_application(avus, 64, base, use_cache=False)
+    clear_trace_cache()
+    c = trace_application(avus, 64, base)
     assert c is not a
 
 

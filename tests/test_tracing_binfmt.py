@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.memory.patterns import StrideHistogram
 from repro.network.model import CollectiveKind
-from repro.probes.suite import probe_machine
+from repro.probes.suite import clear_probe_cache, probe_machine
 from repro.tracing import binfmt
-from repro.tracing.metasim import trace_application
+from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_application
 from repro.tracing.store import TraceStore
 from repro.tracing.trace import ApplicationTrace, BlockTrace, CommRecord, ReuseHistogram
 
@@ -185,14 +185,14 @@ def test_trace_roundtrip_is_exact(trace):
 
 
 def test_comm_kind_roundtrips_collectives(avus, base_machine):
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = MetaSimTracer(base_machine).trace(avus, 64)
     decoded = binfmt.trace_from_bytes(binfmt.trace_to_bytes(trace))
     assert decoded == trace  # dataclass equality incl. CollectiveKind enums
     assert [r.kind for r in decoded.comm] == [r.kind for r in trace.comm]
 
 
 def test_mapped_trace_is_zero_copy_and_lazy(tmp_path, avus, base_machine):
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = MetaSimTracer(base_machine).trace(avus, 64)
     path = tmp_path / "t.rpb"
     path.write_bytes(binfmt.trace_to_bytes(trace))
     mapped = binfmt.load_trace(path)
@@ -216,7 +216,8 @@ def test_mapped_trace_is_zero_copy_and_lazy(tmp_path, avus, base_machine):
 
 
 def test_probes_roundtrip_is_exact(base_machine):
-    probes = probe_machine(base_machine, use_cache=False)
+    clear_probe_cache()
+    probes = probe_machine(base_machine)
     decoded = binfmt.probes_from_bytes(binfmt.probes_to_bytes(probes))
     assert decoded.machine == probes.machine
     assert decoded.hpl == probes.hpl
@@ -241,7 +242,7 @@ def test_probes_roundtrip_is_exact(base_machine):
 
 @pytest.fixture()
 def trace_bytes(avus, base_machine):
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = MetaSimTracer(base_machine).trace(avus, 64)
     return binfmt.trace_to_bytes(trace)
 
 
@@ -269,7 +270,8 @@ def test_damaged_entry_raises_trace_corrupt(trace_bytes, mangle, message):
 
 
 def test_kind_mismatch_raises(base_machine, trace_bytes):
-    probes = probe_machine(base_machine, use_cache=False)
+    clear_probe_cache()
+    probes = probe_machine(base_machine)
     with pytest.raises(TraceCorruptError, match="not a application_trace"):
         binfmt.trace_from_bytes(binfmt.probes_to_bytes(probes))
     with pytest.raises(TraceCorruptError, match="not a machine_probes"):
@@ -289,8 +291,8 @@ def _with_stale_schema(data: bytes) -> bytes:
 
 def test_stale_payload_schema_raises_and_store_retraces(tmp_path, avus, base_machine):
     store = TraceStore(tmp_path)
-    trace = trace_application(avus, 64, base_machine, use_cache=False, store=store)
-    store.flush()
+    clear_trace_cache()
+    trace = trace_application(avus, 64, base_machine, store=store)
     (path,) = store.traces_dir.iterdir()
     path.write_bytes(_with_stale_schema(path.read_bytes()))
     with pytest.raises(TraceCorruptError, match="unsupported payload schema version 1"):
@@ -300,6 +302,7 @@ def test_stale_payload_schema_raises_and_store_retraces(tmp_path, avus, base_mac
     assert store.load_trace(*identity) is None
     assert store.invalidated == 1
     assert not path.exists()
-    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    clear_trace_cache()
+    retraced = trace_application(avus, 64, base_machine, store=store)
     assert retraced == trace
     assert store.load_trace(*identity) == trace

@@ -10,24 +10,35 @@ entries of earlier builds are never read at all.
 
 import json
 import struct
-import time
+import threading
 
 import pytest
 
-from repro.probes.suite import probe_machine
+from repro.probes.suite import clear_probe_cache, probe_machine
 from repro.tracing import binfmt
-from repro.tracing.metasim import trace_application
+from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_application
 from repro.tracing.store import TraceStore
 from repro.util.faults import FaultPlan
+
+
+def _fresh_trace(avus, base_machine):
+    """A freshly computed trace that touches no cache."""
+    return MetaSimTracer(base_machine).trace(avus, 64)
+
+
+def _retrace(avus, base_machine, store):
+    """``trace_application`` past the in-memory cache, so ``store`` decides."""
+    clear_trace_cache()
+    return trace_application(avus, 64, base_machine, store=store)
 
 
 @pytest.fixture()
 def stored(tmp_path, base_machine, avus):
     """A store holding one trace + the base machine's probes."""
     store = TraceStore(tmp_path)
-    trace = trace_application(avus, 64, base_machine, use_cache=False, store=store)
-    probe_machine(base_machine, use_cache=False, store=store)
-    store.flush()  # the tests damage files directly, so writes must land
+    trace = _retrace(avus, base_machine, store)
+    clear_probe_cache()
+    probe_machine(base_machine, store=store)
     return store, trace
 
 
@@ -124,7 +135,7 @@ def test_json_era_entry_is_ignored_and_retraced(stored, base_machine, avus):
     )
     assert store.invalidated == 0
     assert legacy.exists()  # never read, so never judged or deleted
-    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    retraced = _retrace(avus, base_machine, store)
     assert retraced == trace
     assert _load(store, trace) == trace
     assert store.stats()["traces"]["binary"] == 1
@@ -138,7 +149,7 @@ def test_json_era_entry_is_ignored_and_retraced(stored, base_machine, avus):
 def test_invalidation_falls_through_to_retrace(stored, base_machine, avus):
     store, trace = stored
     _trace_file(store).write_bytes(b"garbage" * 64)
-    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    retraced = _retrace(avus, base_machine, store)
     assert retraced == trace  # recomputed, not loaded — and byte-equal
     assert store.invalidated == 1
     # the healed entry is valid again
@@ -149,13 +160,12 @@ def test_fault_injected_store_corruption_heals(tmp_path, base_machine, avus):
     """A FaultPlan-corrupted save is caught by the next load and re-traced."""
     plan = FaultPlan(seed=11, corrupt_rate=1.0)
     dirty = TraceStore(tmp_path, faults=plan)
-    trace = trace_application(avus, 64, base_machine, use_cache=False, store=dirty)
-    dirty.flush()  # a second instance has no view of this one's write queue
+    trace = _retrace(avus, base_machine, dirty)
 
     clean = TraceStore(tmp_path)
     assert _load(clean, trace) is None  # corrupted on disk -> invalidated
     assert clean.invalidated == 1
-    healed = trace_application(avus, 64, base_machine, use_cache=False, store=clean)
+    healed = _retrace(avus, base_machine, clean)
     assert healed == trace
     assert _load(clean, trace) == trace
 
@@ -169,16 +179,15 @@ def test_healing_logs_a_warning(stored, caplog):
 
 
 # ---------------------------------------------------------------------------
-# write-behind: deferred writes are invisible to readers
+# writes: a save is on disk when it returns
 # ---------------------------------------------------------------------------
 
 
 def test_read_after_write_synchronises(tmp_path, base_machine, avus):
-    """A load issued right after a save sees the entry, queue or not."""
+    """A load issued right after a save sees the entry."""
     store = TraceStore(tmp_path)
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = _fresh_trace(avus, base_machine)
     store.save_trace(trace)
-    # no explicit flush: load_trace must complete the in-flight write itself
     assert _load(store, trace) == trace
     assert store.has_trace(
         trace.application, trace.cpus, trace.base_machine, trace.sample_size
@@ -186,50 +195,47 @@ def test_read_after_write_synchronises(tmp_path, base_machine, avus):
     assert _trace_file(store).suffix == ".rpb"
 
 
-def test_flush_drains_the_writer_queue(tmp_path, base_machine, avus):
+def test_saved_entries_are_visible_to_a_fresh_store(tmp_path, base_machine, avus):
     store = TraceStore(tmp_path)
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = _fresh_trace(avus, base_machine)
     store.save_trace(trace)
-    probe_machine(base_machine, use_cache=False, store=store)
-    store.flush()
-    assert not store._pending
+    clear_probe_cache()
+    probes = probe_machine(base_machine, store=store)
+    fresh = TraceStore(tmp_path)
+    assert _load(fresh, trace) == trace
+    loaded = fresh.load_probes(base_machine)
+    assert loaded is not None and loaded.hpl == probes.hpl
     assert len(list(store.traces_dir.iterdir())) == 1
     assert len(list(store.probes_dir.iterdir())) == 1
 
 
-def test_rapid_resaves_of_one_path_never_wedge_flush(tmp_path, base_machine, avus):
-    """Many saves of one identity racing the writer must drain cleanly.
-
-    Regression: a drain round whose pending bytes a *previous* round
-    already wrote (and cleared) used to KeyError the writer thread
-    mid-drain, deadlocking every later flush().
-    """
-    import threading
-
+def test_rapid_resaves_of_one_path_leave_one_valid_entry(tmp_path, base_machine, avus):
     store = TraceStore(tmp_path)
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
+    trace = _fresh_trace(avus, base_machine)
     for _ in range(500):
         store.save_trace(trace)
-    flusher = threading.Thread(target=store.flush, daemon=True)
-    flusher.start()
-    flusher.join(timeout=30.0)
-    assert not flusher.is_alive(), "flush() wedged: writer thread died mid-drain"
-    assert not store._pending
+    assert [p.suffix for p in store.traces_dir.iterdir()] == [".rpb"]
+    assert not list(tmp_path.rglob("*.tmp"))
     assert _load(store, trace) == trace
 
 
-def test_writer_thread_exits_when_idle(tmp_path, base_machine, avus):
-    """Short-lived stores (one per worker chunk) must not leak threads."""
-    store = TraceStore(tmp_path)
-    store.WRITER_IDLE_SECONDS = 0.05
-    trace = trace_application(avus, 64, base_machine, use_cache=False)
-    store.save_trace(trace)
-    store.flush()
-    deadline = time.monotonic() + 5.0
-    while store._writer is not None and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert store._writer is None
-    # and a later save restarts it transparently
-    store.save_trace(trace)
-    store.flush()
-    assert _load(store, trace) == trace
+def test_store_writes_start_no_thread(tmp_path):
+    """A study and a service writing through a store stay on their own
+    threads: each entry is written before the save returns."""
+    from repro.serve.service import PredictionService
+    from repro.study.runner import StudyConfig, run_study
+
+    before = set(threading.enumerate())
+    clear_trace_cache()
+    clear_probe_cache()
+    cfg = StudyConfig(
+        applications=("AVUS-standard",), systems=("ARL_Xeon",), noise=False
+    )
+    run_study(cfg, store=tmp_path / "study")
+    service = PredictionService(noise=False, store=tmp_path / "serve")
+    clear_trace_cache()
+    service.predict_cells([("RFCTH-standard", 64)], ["ARL_Xeon"], [9])
+    started = set(threading.enumerate()) - before
+    assert not started, sorted(t.name for t in started)
+    assert list((tmp_path / "study" / "traces").iterdir())
+    assert list((tmp_path / "serve" / "traces").iterdir())
