@@ -20,7 +20,11 @@ contract end to end:
 
 Everything is seeded and the stall durations are real but small, so the
 gate is deterministic in behaviour and fast in wall-clock.  Any violated
-assertion exits 1.
+assertion exits 1.  A point request waits for the worker's thread pool
+while a stalling plan is live or its inputs are not yet in memory, as
+at every first request to a distinct cell; a crash-only plan
+(``--inject-faults crash=1.0,seed=7``) never sleeps, so its requests
+fail fast instead of stalling.
 
 This script is deliberately a *thin* live-HTTP smoke: it proves the real
 server wiring (sockets, worker threads, JSON mapping) under faults.  The full

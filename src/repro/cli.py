@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import threading
@@ -559,6 +560,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
 def _directory_path(text: str) -> str:
     """A directory that exists or can be created: no file on its path."""
     path = Path(text)
@@ -739,7 +752,7 @@ def _run(argv: list[str] | None) -> int:
     )
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="serve: default per-request deadline when the request does "

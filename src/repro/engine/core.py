@@ -37,8 +37,13 @@ from repro.core.metrics import PredictionContext, predict_all, resolve_metrics
 from repro.engine.middleware import StageRunner, TimingMiddleware
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
-from repro.probes.suite import probe_machine
-from repro.tracing.metasim import _TRACE_CACHE, DEFAULT_SAMPLE_SIZE, trace_application
+from repro.probes.suite import probe_machine, probes_memoized
+from repro.tracing.metasim import (
+    _TRACE_CACHE,
+    DEFAULT_SAMPLE_SIZE,
+    trace_application,
+    trace_memoized,
+)
 from repro.tracing.store import TraceStore
 from repro.util.lru import BoundedLRU
 from repro.util.options import CacheModel, Mode
@@ -257,6 +262,23 @@ class Engine:
             )[metric.number][0]
 
         return self._stages.run("convolve", deadline, convolve)
+
+    def point_memoized(self, app, cpus: int, target, metric) -> bool:
+        """Whether :meth:`run_point` for this query finds its inputs in
+        memory: the base time, both machines' probes and, for a metric
+        that needs one, the trace.  At most the convolve is left (a
+        fraction of a millisecond); a miss may probe, trace or read the
+        store.  Only ``metric.needs`` is read, so its registry spec
+        serves as well as the metric."""
+        return (
+            (app.label, cpus) in self._base_times
+            and probes_memoized(target)
+            and probes_memoized(self.base_machine)
+            and (
+                "trace" not in metric.needs
+                or trace_memoized(app, cpus, self.base_machine, self.sample_size)
+            )
+        )
 
     def run_row(self, plan: PointPlan, metrics, deadline=None) -> dict[int, float]:
         """All given metrics for one query, sharing probe/trace/rate work.

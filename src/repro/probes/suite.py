@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.tracing.store import TraceStore
     from repro.util.deadline import Deadline
 
-__all__ = ["probe_machine", "clear_probe_cache"]
+__all__ = ["probe_machine", "probes_memoized", "clear_probe_cache"]
 
 # Keyed by (name, content fingerprint): mutating a spec — even one reusing a
 # production system's name — can never alias another spec's cached results.
@@ -74,6 +74,11 @@ def probe_machine(
             store.save_probes(machine, probes)
     _CACHE[key] = probes
     return probes
+
+
+def probes_memoized(machine: MachineSpec) -> bool:
+    """Whether :func:`probe_machine` answers ``machine`` from memory."""
+    return (machine.name, machine.fingerprint()) in _CACHE
 
 
 def clear_probe_cache() -> None:

@@ -14,8 +14,9 @@ the front end's own process (the default), or N forked worker processes
 each owning a full service, with trace identities consistent-hashed
 across them (:mod:`~repro.serve.shard`).  Load is shed at one gate per
 worker: the front end's worker handle bounds the pending requests, and
-a request whose deadline runs out while it waits for a pool thread is
-shed too; both answer 429 with the handle's ``Retry-After`` estimate.
+a request queued for a pool thread (a batch, or a point request not
+answerable from memory) whose deadline runs out while it waits is shed
+too; both answer 429 with the handle's ``Retry-After`` estimate.
 Duplicate in-flight requests collapse to one engine call on either
 backend (:mod:`~repro.serve.coalesce`).  The front end and fleet modules
 are imported lazily — ``import repro.serve`` stays cheap for callers

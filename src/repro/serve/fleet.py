@@ -3,28 +3,34 @@
 Every backend worker owns a full
 :class:`~repro.serve.service.PredictionService` — its own
 :class:`~repro.engine.Engine` over the process's trace, probe and row
-memos, circuit breakers and degradation ladder — and serves requests on
-a small thread pool, so point queries overtake an in-flight batch.  The
-worker count picks the transport:
+memos, circuit breakers and degradation ladder.  A worker answers a
+point request whose inputs are all in memory on the thread that read
+it: such a prediction costs less than the hop to another thread and
+back.  A request that may hold its thread for long — a batch, a point
+request that may probe, trace or read the store, or any point request
+while the live fault plan can stall a stage — goes to the worker's
+small thread pool, so point queries overtake an in-flight batch and a
+cold one.  The worker count picks the transport:
 
 * **one worker** (the default of ``repro-study serve``) runs the service
   inside the front end's process: :class:`LocalHandle` hands each request
-  to :func:`_handle_frame` on the pool, and the answer comes back through
-  the event loop — no fork and no frames;
+  to :func:`_submit` on the event loop, which answers it there or queues
+  it on the pool — no fork and no frames;
 * **N >= 2 workers** are forked processes, since CPU-bound engine work in
   one process serializes on the GIL.  Each talks to the front end over
   one pre-opened ``socketpair`` carrying length-prefixed JSON frames
-  (4-byte little-endian length + UTF-8 body).  Requests carry an ``id``;
+  (4-byte little-endian length + UTF-8 body), and its frame-reader
+  thread answers or queues each request.  Requests carry an ``id``;
   workers answer out of order, and the front end matches responses to
   futures by id.
 
 Both transports sit under one :meth:`WorkerHandle.call`, so the pending
 bound, the EWMA ``Retry-After`` and the timeout mapping exist once.  A
-request is stamped when it reaches its worker, and its wait for a pool
-thread is charged to its deadline.  Those are the only two overload
-gates a request passes, point and batch alike: the handle sheds beyond
-its pending bound, and a worker sheds a request whose deadline ran out
-while it waited for a thread.  Every 429 leaves through the handle,
+request queued on the pool is stamped when it reaches its worker, and
+its wait for a pool thread is charged to its deadline.  Those are the
+only two overload gates a request passes: the handle sheds beyond its
+pending bound, and a worker sheds a queued request whose deadline ran
+out while it waited for a thread.  Every 429 leaves through the handle,
 which stamps its one ``Retry-After`` estimate on any reply lacking one.
 The ``health`` probe passes no pending bound, so ``/healthz`` still
 reports a worker's breakers and shed counts while its backlog is full.
@@ -72,8 +78,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Per-worker request threads: enough that point queries overtake an
-#: in-flight batch, small enough that the GIL stays the real limit.
+#: Per-worker pool threads for the requests that may hold one for long
+#: (batches, point requests not answerable from memory): enough that
+#: slow requests wait side by side, small enough that the GIL stays the
+#: real limit.
 DEFAULT_WORKER_THREADS = 4
 
 #: Per-worker pending-request bound at the front end; beyond it the
@@ -211,10 +219,30 @@ def _build_service(config: dict, worker_id: str | None = None):
 
 
 def _submit(pool: ThreadPoolExecutor, service, worker_id: str, msg: dict, reply) -> None:
-    """Queue one request on a worker's pool, stamped with its arrival on
-    the service's clock (the clock its deadline runs on)."""
-    msg["arrived"] = service._clock()
-    pool.submit(_handle_frame, service, worker_id, msg, reply)
+    """Answer one request on the calling thread, or queue it on the pool.
+
+    A batch, and a point request the service does not call quick (see
+    :meth:`~repro.serve.service.PredictionService.is_quick`), may hold a
+    thread for long: those queue on ``pool``, stamped with their arrival
+    on the service's clock (the clock their deadline runs on).  Every
+    other request is answered before this returns: a prediction from
+    memory costs less than the hop to a pool thread and back, and
+    ``health`` and ``ready`` never enter a stage.
+    """
+    op = msg.get("op")
+    if op == "batch" or (
+        op == "predict"
+        and not service.is_quick(
+            msg.get("application"),
+            msg.get("cpus"),
+            msg.get("machine"),
+            msg.get("metric", 9),
+        )
+    ):
+        msg["arrived"] = service._clock()
+        pool.submit(_handle_frame, service, worker_id, msg, reply)
+    else:
+        _handle_frame(service, worker_id, msg, reply)
 
 
 def _remaining_budget(service, msg: dict, default: float | None) -> float | None:
@@ -224,13 +252,15 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
     Raises :class:`OverloadedError` (429) when the wait used up the whole
     budget: a request that can no longer meet its deadline is shed, never
     served late.  The shed counts in the service's ``shed_total``; its
-    ``Retry-After`` is left to the front end's handle.
+    ``Retry-After`` is left to the front end's handle.  A request
+    answered inline carries no arrival stamp: it waited for no thread.
     """
     deadline_ms = msg.get("deadline_ms")
     budget = default if deadline_ms is None else float(deadline_ms) / 1000.0
-    if budget is None or budget <= 0:
-        return budget  # unbounded, or invalid: the service answers 400
-    waited = service._clock() - msg["arrived"]
+    arrived = msg.get("arrived")
+    if arrived is None or budget is None or not budget > 0:
+        return budget  # no wait to charge, unbounded, or invalid (the service 400s)
+    waited = service._clock() - arrived
     if waited >= budget:
         with service._state_lock:
             service.shed_total += 1
@@ -242,7 +272,7 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
 
 
 def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
-    """Serve one request inside a worker pool thread."""
+    """Serve one request and hand its reply frame to ``reply``."""
     rid = msg.get("id")
     op = msg.get("op")
     try:
@@ -316,11 +346,19 @@ def _worker_main(
     # supervisor restart).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
+    # SIGTERM ends the read loop below: at once while it waits for the
+    # next frame, otherwise once the request in hand, which this thread
+    # may be answering, is answered or queued.  The finally block then
+    # drains in-flight work and closes the event log, and the socket
+    # stays open for their replies, so a TERM'd worker loses nothing it
+    # already accepted.
+    reading = stopping = False
+
     def _sigterm(signum, frame):  # noqa: ARG001 - signal handler signature
-        # Interrupts the blocking frame read below; the finally block
-        # then drains in-flight work and closes the event log, so a
-        # TERM'd worker loses nothing it already accepted.
-        raise SystemExit(0)
+        nonlocal stopping
+        stopping = True
+        if reading:
+            raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _sigterm)
     service = _build_service(config, worker_id)
@@ -340,8 +378,10 @@ def _worker_main(
 
     rfile = sock.makefile("rb")
     try:
-        while True:
+        while not stopping:
+            reading = True
             header = _recv_exact(rfile, 4)
+            reading = False
             if header is None:
                 break  # front end closed our pipe: orderly shutdown
             length = int.from_bytes(header, "little")
@@ -493,9 +533,9 @@ class WorkerHandle:
 class LocalHandle(WorkerHandle):
     """The one-worker backend: the service runs in the front end's process.
 
-    No fork and no frames: :meth:`_send` queues the request dict on the
-    handle's thread pool, and the reply returns to the event loop through
-    ``call_soon_threadsafe``.
+    No fork and no frames: :meth:`_send` hands the request dict to
+    :func:`_submit` on the event loop, and the reply, made there or on a
+    pool thread, returns to the loop through ``call_soon_threadsafe``.
     """
 
     def __init__(self, name: str, config: dict, *, max_pending: int):

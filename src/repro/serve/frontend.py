@@ -5,8 +5,10 @@ framework, zero new dependencies — plain ``asyncio.start_server`` and
 hand-rolled HTTP/1.1 framing with keep-alive) and does only cheap work:
 parse, validate, route, coalesce, merge.  Everything CPU-bound happens in
 the :class:`~repro.serve.fleet.Fleet`'s workers — with one worker (the
-default) a service running in this process, with N >= 2 forked worker
-processes.  Every route below behaves the same on both backends.
+default) a service running in this process, which answers point requests
+from memory on this event loop and queues batches and slower point
+requests on its thread pool, with N >= 2 forked worker processes.
+Every route below behaves the same on both backends.
 
 Routes:
 
@@ -18,12 +20,13 @@ Routes:
     followers stamped ``coalesced: true``.  Every error maps through
     :func:`~repro.serve.fleet.error_payload`: 400 structured validation
     errors (unknown ids name the nearest valid ones), 429 +
-    ``Retry-After`` on shed (a worker's pending bound reached, a request
-    whose deadline ran out while it waited for a worker thread, a worker
-    dying mid-request; the hint is the worker handle's EWMA), 503 when
-    every ladder rung failed — never a traceback page.  Degraded answers
-    are 200s marked ``degraded: true`` with the ``served_metric`` that
-    actually answered.
+    ``Retry-After`` on shed (a worker's pending bound reached, a queued
+    request whose deadline ran out while it waited for a worker thread,
+    a worker dying mid-request; the hint is the worker handle's EWMA),
+    503 when every ladder rung failed — never a traceback page.  A
+    ``deadline_ms`` that is not a finite number is a 400.  Degraded
+    answers are 200s marked ``degraded: true`` with the
+    ``served_metric`` that actually answered.
 
 ``POST /predict/batch``
     A tensorized sub-matrix in one request.  The body names explicit
@@ -68,14 +71,17 @@ Routes:
     front end itself, which mounts the same universe as its workers.
 
 A request the HTTP framing cannot parse (a malformed request line, a
-bad ``Content-Length``, an over-long header line) gets a JSON 400 and
-the connection is closed.
+bad ``Content-Length``, an over-long header line) gets a JSON 400, and
+one declaring a body over :data:`MAX_BODY_BYTES` a JSON 413 before any
+of the body is read; either way the connection is then closed, after a
+short lingering read.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from urllib.parse import parse_qsl, urlsplit
 
@@ -96,6 +102,7 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -109,6 +116,32 @@ _FRAME_TIMEOUT_MARGIN = 10.0
 #: Worker-frame timeout for batches that set no deadline.
 _BATCH_FRAME_TIMEOUT = 300.0
 
+#: Largest request body the front end reads; a bigger declaration is
+#: refused before any of it is buffered.  The cells form of the full
+#: batch over the 32 x 32 generated universe ``mixed:0:3000`` (27,648
+#: cells) is 1.39 MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Longest a refused connection keeps reading after its answer (see
+#: :meth:`FleetFrontend._linger`).
+_LINGER_SECONDS = 1.0
+
+
+class _ContentTooLarge(ValueError):
+    """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+
+def _deadline_ms(value) -> float:
+    """A request's ``deadline_ms`` as a float; :class:`ValueError` (400)
+    unless it is a finite number."""
+    try:
+        deadline_ms = float(value)
+    except (TypeError, ValueError):
+        deadline_ms = math.nan
+    if not math.isfinite(deadline_ms):
+        raise ValueError(f"deadline_ms must be a finite number, got {value!r}")
+    return deadline_ms
+
 
 def _study_metrics() -> tuple[int, ...]:
     return tuple(spec.number for spec in REGISTRY.table3())
@@ -118,6 +151,11 @@ class FleetFrontend:
     """Route, coalesce and merge requests over one :class:`Fleet`."""
 
     def __init__(self, fleet: Fleet, *, default_deadline: float = DEFAULT_DEADLINE_SECONDS):
+        if not 0 < default_deadline < math.inf:
+            raise ValueError(
+                f"default_deadline must be a finite number of seconds > 0, "
+                f"got {default_deadline!r}"
+            )
         self.fleet = fleet
         self.default_deadline = default_deadline
         self.coalescer = SingleFlight()
@@ -172,13 +210,17 @@ class FleetFrontend:
                 try:
                     request = await self._read_request(reader, writer)
                 except ValueError as exc:
-                    # Unparseable framing: the stream position is lost,
-                    # so answer once and hang up.
-                    mapped = error_payload(exc)
-                    self._write_response(
-                        writer, mapped["status"], mapped["body"], close=True
-                    )
+                    # Unparseable framing or an unread body: the stream
+                    # position is lost, so answer once and hang up.
+                    if isinstance(exc, _ContentTooLarge):
+                        status = 413
+                        payload = {"error": "ContentTooLarge", "message": str(exc)}
+                    else:
+                        mapped = error_payload(exc)
+                        status, payload = mapped["status"], mapped["body"]
+                    self._write_response(writer, status, payload, close=True)
                     await writer.drain()
+                    await self._linger(reader, writer)
                     break
                 if request is None:
                     break
@@ -210,13 +252,30 @@ class FleetFrontend:
             except OSError:
                 pass
 
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Half-close after a refusal, then discard what the client still
+        sends for up to :data:`_LINGER_SECONDS`: closing a socket with
+        unread input resets the connection, which can destroy the answer
+        before the client reads it."""
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        end = loop.time() + _LINGER_SECONDS
+        try:
+            while await asyncio.wait_for(reader.read(65536), end - loop.time()):
+                pass
+        except asyncio.TimeoutError:
+            pass  # the client kept sending: close anyway
+
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ):
         """One request as ``(method, target, headers, body)``; ``None`` at
         EOF or once the server is stopping.  Raises :class:`ValueError` on
         framing it cannot parse (``readline`` itself raises it for a line
-        over the stream limit)."""
+        over the stream limit), and :class:`_ContentTooLarge` for a
+        declared body over :data:`MAX_BODY_BYTES`."""
         if self._stopping:
             return None
         self._idle.add(writer)
@@ -241,6 +300,10 @@ class FleetFrontend:
         if not length.isdecimal():
             raise ValueError(
                 f"Content-Length must be a non-negative integer, got {length!r}"
+            )
+        if int(length) > MAX_BODY_BYTES:
+            raise _ContentTooLarge(
+                f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit"
             )
         body = await reader.readexactly(int(length))
         return method.upper(), target, headers, body
@@ -335,23 +398,10 @@ class FleetFrontend:
                 },
                 None,
             )
-        deadline_ms = None
-        if "deadline_ms" in query:
-            try:
-                deadline_ms = float(query["deadline_ms"])
-            except ValueError:
-                return (
-                    400,
-                    {
-                        "error": "BadParameter",
-                        "message": (
-                            f"deadline_ms must be a number, got "
-                            f"{query['deadline_ms']!r}"
-                        ),
-                    },
-                    None,
-                )
         try:
+            deadline_ms = None
+            if "deadline_ms" in query:
+                deadline_ms = _deadline_ms(query["deadline_ms"])
             # Reject malformed traffic here, before any worker round-trip,
             # with exactly the in-process service's errors.
             app, _target, cpus, metric_num = validate_query(
@@ -416,7 +466,7 @@ class FleetFrontend:
 
         deadline_ms = spec.get("deadline_ms")
         if deadline_ms is not None:
-            deadline_ms = float(deadline_ms)
+            deadline_ms = _deadline_ms(deadline_ms)
 
         wanted = None  # explicit-cells form filters the merged records
         if "cells" in spec:

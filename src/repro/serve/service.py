@@ -29,10 +29,10 @@ falls down the registry-derived degradation ladder
 ``served_metric``/``degraded=True`` — a marked coarser answer instead of
 an error.  Overload is not the service's concern: the front end's
 worker handle bounds each worker's pending requests, and the worker
-sheds a request whose deadline ran out while it waited for a pool
-thread (:mod:`repro.serve.fleet`), so the service runs every request it
-is handed.  Metrics resolve through the registry, so requests may name
-them (``metric=balanced``) as well as number them.
+sheds a queued request whose deadline ran out while it waited for a
+pool thread (:mod:`repro.serve.fleet`), so the service runs every
+request it is handed.  Metrics resolve through the registry, so
+requests may name them (``metric=balanced``) as well as number them.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ class PredictionService:
             raise UnknownIdError(
                 "system", base_system, known, nearest_ids(base_system, known)
             )
-        if default_deadline <= 0:
+        if not default_deadline > 0:  # NaN fails too
             raise ValueError(
                 f"default_deadline must be > 0 seconds, got {default_deadline!r}"
             )
@@ -352,6 +352,28 @@ class PredictionService:
         :func:`validate_query`)."""
         return validate_query(application, cpus, machine, metric)
 
+    def is_quick(
+        self, application: str, cpus: int, machine: str, metric: "int | str" = 9
+    ) -> bool:
+        """Whether :meth:`predict` of this query cannot take long.
+
+        True when every input it reads is in memory (see
+        :meth:`~repro.engine.Engine.point_memoized`) and no fault plan can
+        stall a stage, and for an invalid query, whose error is raised
+        at once.  A fleet worker answers a quick query on the thread that
+        read it and queues any other on its pool.
+        """
+        faults = self.faults
+        if faults is not None and faults.stall_rate > 0:
+            return False
+        try:
+            app, target, cpus, requested = validate_query(
+                application, cpus, machine, metric
+            )
+        except (KeyError, TypeError, ValueError):  # predict raises it at once
+            return True
+        return self._engine.point_memoized(app, cpus, target, REGISTRY.spec(requested))
+
     # ------------------------------------------------------------------
     # the request path
     # ------------------------------------------------------------------
@@ -378,7 +400,7 @@ class PredictionService:
             application, cpus, machine, metric
         )
         budget = self.default_deadline if deadline_seconds is None else deadline_seconds
-        if budget <= 0:
+        if not budget > 0:  # NaN fails too
             raise ValueError(f"deadline must be > 0 seconds, got {budget!r}")
         deadline = Deadline(budget, clock=self._clock, stage="request")
         start = self._clock()
@@ -522,7 +544,7 @@ class PredictionService:
         )
         deadline = None
         if deadline_seconds is not None:
-            if deadline_seconds <= 0:
+            if not deadline_seconds > 0:  # NaN fails too
                 raise ValueError(
                     f"deadline must be > 0 seconds, got {deadline_seconds!r}"
                 )

@@ -173,7 +173,7 @@ class StudyConfig:
         object.__setattr__(self, "cache_model", CacheModel.coerce(self.cache_model))
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+        if self.chunk_timeout is not None and not self.chunk_timeout > 0:
             raise ValueError(
                 f"chunk_timeout must be > 0 seconds, got {self.chunk_timeout!r}"
             )
@@ -603,7 +603,7 @@ def run_study(
     deadline = cfg.chunk_timeout if chunk_timeout is None else chunk_timeout
     if retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {retries!r}")
-    if deadline is not None and deadline <= 0:
+    if deadline is not None and not deadline > 0:
         raise ValueError(f"chunk_timeout must be > 0 seconds, got {deadline!r}")
     if min_parallel_cells is None:
         floor = PARALLEL_MIN_CELLS

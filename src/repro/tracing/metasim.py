@@ -42,7 +42,7 @@ from repro.tracing.mpidtrace import trace_communication
 from repro.util.lru import BoundedLRU
 from repro.util.options import CacheModel
 
-__all__ = ["MetaSimTracer", "trace_application", "clear_trace_cache"]
+__all__ = ["MetaSimTracer", "trace_application", "trace_memoized", "clear_trace_cache"]
 
 #: Default references sampled per basic block.
 DEFAULT_SAMPLE_SIZE = 4096
@@ -256,6 +256,24 @@ def _trace_seed(*keys: object) -> int:
     return stable_seed("metasim", *keys)
 
 
+def _trace_key(app, cpus, base_machine, sample_size, cache_sim, cache_model) -> tuple:
+    # cache_model only affects output when cache accounting runs at all.
+    model = cache_model if cache_sim else None
+    return (app.label, cpus, base_machine.name, sample_size, cache_sim, model)
+
+
+def trace_memoized(
+    app: ApplicationModel,
+    cpus: int,
+    base_machine: MachineSpec,
+    sample_size: int = DEFAULT_SAMPLE_SIZE,
+) -> bool:
+    """Whether :func:`trace_application` (without ``cache_sim``) answers
+    from its in-memory memo."""
+    key = _trace_key(app, cpus, base_machine, sample_size, False, None)
+    return key in _TRACE_CACHE
+
+
 def trace_application(
     app: ApplicationModel,
     cpus: int,
@@ -278,9 +296,7 @@ def trace_application(
     when the budget is spent; hits in either cache layer are returned even
     under an expired budget (they cost nothing).
     """
-    # cache_model only affects output when cache accounting runs at all.
-    model = cache_model if cache_sim else None
-    key = (app.label, cpus, base_machine.name, sample_size, cache_sim, model)
+    key = _trace_key(app, cpus, base_machine, sample_size, cache_sim, cache_model)
     trace = _TRACE_CACHE.get(key)
     if trace is not None:
         # Write-through: a warm in-memory cache must still populate the

@@ -57,7 +57,7 @@ class Deadline:
         stage: str | None = None,
         _parent: "Deadline | None" = None,
     ):
-        if budget_seconds < 0:
+        if not budget_seconds >= 0:  # NaN fails too
             raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds!r}")
         self.budget = float(budget_seconds)
         self.stage = stage

@@ -44,6 +44,11 @@ class BoundedLRU:
             self.hits += 1
             return value
 
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` is stored; recency and counters are untouched."""
+        with self._lock:
+            return key in self._data
+
     def put(self, key, value) -> None:
         """Store ``value`` as most recently used, evicting the oldest."""
         with self._lock:

@@ -17,8 +17,13 @@ sockets — on a loopback port.  The load-bearing pins:
   a deadline spent waiting for a worker thread), 503 while every rung
   fails, ``/readyz`` 503 naming the open breaker or the shedding handle
   — on one worker and on two;
-* **HTTP framing** — malformed requests get a JSON 400, never a dropped
-  connection.
+* **HTTP framing** — malformed requests get a JSON 400 and oversized
+  bodies a JSON 413, never a dropped connection;
+* **dispatch** — a worker answers health and ready requests, and point
+  requests whose inputs are in memory, on the thread that read them;
+  batches, cold point requests and point requests under a stalling
+  fault plan wait for a pool thread, so point queries overtake a batch
+  or a cold point in flight.
 
 Plus the supervision contract (kill → 429-not-500 → respawn → ring
 re-add), driven through the public HTTP surface.
@@ -27,6 +32,8 @@ re-add), driven through the public HTTP surface.
 import asyncio
 import json
 import logging
+import multiprocessing
+import os
 import random
 import signal
 import socket
@@ -38,8 +45,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve.fleet import Fleet, WorkerHandle, _build_service, _submit
+from repro.cli import main
+from repro.serve.fleet import Fleet, WorkerHandle, _build_service, _submit, _worker_main
 from repro.serve.frontend import FleetFrontend, FleetServer
+from repro.serve.service import PredictionService
+from repro.util.faults import FaultPlan
 from tests.test_serve_service import FakeClock, make_service
 
 GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
@@ -80,10 +90,10 @@ def server(request):
     return request.getfixturevalue("local_server" if request.param == 1 else "fleet_server")
 
 
-def get(server, path):
+def get(server, path, timeout=None):
     host, port = server.address
     try:
-        with urllib.request.urlopen(f"http://{host}:{port}{path}") as resp:
+        with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=timeout) as resp:
             return resp.status, json.load(resp), dict(resp.headers)
     except urllib.error.HTTPError as err:
         return err.code, json.load(err), dict(err.headers)
@@ -341,6 +351,24 @@ def test_bad_parameters_are_400(server):
         assert fragment in body["message"], path
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_deadline_is_a_400_naming_it(server, value):
+    status, body, _ = get(server, f"{PREDICT}&deadline_ms={value}")
+    assert status == 400
+    assert body["error"] == "BadParameter"
+    assert "deadline_ms" in body["message"]
+    status, body = post(server, "/predict/batch", {"deadline_ms": float(value)})
+    assert status == 400
+    assert body["error"] == "BadParameter"
+    assert "deadline_ms" in body["message"]
+    # The server-wide default is refused where it is set.
+    with pytest.raises(ValueError, match="default_deadline"):
+        FleetFrontend(Fleet(server.fleet.n_workers), default_deadline=float(value))
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", f"--deadline={value}"])
+    assert exited.value.code == 2
+
+
 def test_unknown_route_is_404(server):
     status, body, _ = get(server, "/nope")
     assert status == 404
@@ -483,19 +511,21 @@ class _HeldPool:
 def test_pool_wait_is_charged_on_the_service_clock():
     # The wait for a pool thread runs on the service's clock, the clock
     # its deadline runs on: a fake clock decides who is shed, exactly.
+    # Batches always queue on the pool; a fault-free point request would
+    # be answered inline, waiting for no thread.
     clock = FakeClock()
     service = make_service(clock)
     deadlines = []
-    real_predict = service.predict
+    real_predict_cells = service.predict_cells
 
-    def recording_predict(*args, deadline_seconds=None, **kwargs):
+    def recording_predict_cells(*args, deadline_seconds=None, **kwargs):
         deadlines.append(deadline_seconds)
-        return real_predict(*args, deadline_seconds=deadline_seconds, **kwargs)
+        return real_predict_cells(*args, deadline_seconds=deadline_seconds, **kwargs)
 
-    service.predict = recording_predict
+    service.predict_cells = recording_predict_cells
     pool, replies = _HeldPool(), []
-    query = {"op": "predict", "application": "AVUS-standard", "cpus": 64,
-             "machine": "ARL_Xeon", "metric": 9, "deadline_ms": 500}
+    query = {"op": "batch", "rows": [["AVUS-standard", 64]], "systems": ["ARL_Xeon"],
+             "metrics": [9], "deadline_ms": 500}
     _submit(pool, service, "w0", {"id": 1, **query}, replies.append)
     clock.advance(0.25)
     _submit(pool, service, "w0", {"id": 2, **query}, replies.append)
@@ -511,6 +541,208 @@ def test_pool_wait_is_charged_on_the_service_clock():
     # Request 2 waited 0.25 s and is served under the remaining 0.25 s.
     assert early["ok"] is True
     assert deadlines == [0.25]
+
+
+_OP_PARAMS = {
+    "predict": {"application": "AVUS-standard", "cpus": 64, "machine": "ARL_Xeon",
+                "metric": 9},
+    "batch": {"rows": [["AVUS-standard", 64]], "systems": ["ARL_Xeon"], "metrics": [9]},
+    "health": {},
+    "ready": {},
+}
+
+
+@pytest.mark.parametrize(
+    "faults, warm, pooled",
+    [
+        (None, False, {"batch", "predict"}),
+        (None, True, {"batch"}),
+        ("crash=1.0,seed=7", True, {"batch"}),
+        ("stall=0.5,stall_seconds=0.1,seed=7", True, {"batch", "predict"}),
+    ],
+    ids=["cold", "warm", "warm-crash-only", "warm-stalling"],
+)
+def test_only_batches_and_slow_points_reach_the_pool(faults, warm, pooled):
+    # A request that cannot hold its thread for long is answered before
+    # _submit returns.  A batch queues on the pool, and so does a point
+    # request whose inputs are not all in memory (a fresh service has
+    # not yet priced its row's base time) or that a plan can stall.
+    plan = None if faults is None else FaultPlan.parse(faults)
+    service = make_service(FakeClock(), faults=plan, fault_stages=("convolve",))
+    if warm:
+        service.predict(**_OP_PARAMS["predict"])
+    for op, params in _OP_PARAMS.items():
+        pool, replies = _HeldPool(), []
+        _submit(pool, service, "w0", {"id": 1, "op": op, **params}, replies.append)
+        if op in pooled:
+            assert replies == [] and len(pool.jobs) == 1, op
+            pool.run_all()
+        else:
+            assert pool.jobs == [], op
+        assert [reply["id"] for reply in replies] == [1], op
+
+
+def test_point_queries_overtake_a_batch_held_in_the_pool():
+    # The one-worker pool holds a batch until the test releases it; a
+    # warm point request and /healthz are answered meanwhile.
+    with FleetServer(1, service_config={"noise": False}) as server:
+        assert get(server, PREDICT, timeout=30)[0] == 200  # its row is now warm
+        handle = server.fleet.workers["w0"]
+        real_pool, held = handle._pool, _HeldPool()
+        handle._pool = held
+        batch = {}
+        thread = threading.Thread(
+            target=lambda: batch.update(
+                r=post(server, "/predict/batch", {"rows": [["AVUS-standard", 64]]}, 30)
+            )
+        )
+        try:
+            thread.start()
+            deadline = time.time() + 5.0
+            while not held.jobs and time.time() < deadline:
+                time.sleep(0.005)
+            assert len(held.jobs) == 1
+            assert get(server, PREDICT, timeout=10)[0] == 200
+            assert get(server, "/healthz", timeout=10)[0] == 200
+            assert thread.is_alive() and not batch
+        finally:
+            handle._pool = real_pool
+            held.run_all()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert batch["r"][0] == 200 and batch["r"][1]["count"] > 0
+
+
+def test_cold_point_request_leaves_the_event_loop_free(tmp_path, monkeypatch):
+    # No fault plan: a point request whose trace must come from a slow
+    # store waits on the one-worker pool, so /healthz and a warm point
+    # request are answered on the event loop while it loads.
+    from repro.tracing.metasim import clear_trace_cache
+    from repro.tracing.store import TraceStore
+
+    loading = threading.Event()
+    real_load = TraceStore.load_trace
+
+    def slow_load(self, *args, **kwargs):
+        loading.set()
+        time.sleep(1.0)
+        return real_load(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceStore, "load_trace", slow_load)
+    clear_trace_cache()
+    config = {"noise": False, "store": str(tmp_path / "store")}
+    with FleetServer(1, service_config=config) as server:
+        assert get(server, f"{PREDICT}&deadline_ms=30000", timeout=30)[0] == 200
+        loading.clear()
+        cold = {}
+        thread = threading.Thread(
+            target=lambda: cold.update(
+                r=get(
+                    server,
+                    "/predict?application=HYCOM-standard&cpus=96&machine=NAVO_690"
+                    "&deadline_ms=30000",
+                    timeout=30,
+                )
+            )
+        )
+        thread.start()
+        try:
+            assert loading.wait(10)
+            started = time.perf_counter()
+            assert get(server, "/healthz", timeout=10)[0] == 200
+            assert get(server, PREDICT, timeout=10)[0] == 200
+            answered = time.perf_counter() - started
+            assert thread.is_alive()  # the cold request is still loading
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert answered < 0.5
+    assert cold["r"][0] == 200
+
+
+def test_sigterm_during_an_inline_request_replies_then_exits_0(monkeypatch):
+    # SIGTERM reaches a forked worker while its frame-reader thread is
+    # answering a request inline: the request is still answered, and the
+    # worker drains and exits 0 without waiting for the socket's EOF.
+    ctx = multiprocessing.get_context("fork")
+    started = ctx.Event()
+    real_predict = PredictionService.predict
+
+    def slow_predict(self, *args, **kwargs):
+        started.set()
+        time.sleep(0.5)
+        return real_predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredictionService, "predict", slow_predict)
+    # Answered inline whatever the forked process has in memory.
+    monkeypatch.setattr(PredictionService, "is_quick", lambda self, *args: True)
+    front, back = socket.socketpair()
+    proc = ctx.Process(target=_worker_main, args=(back, "w0", {"noise": False}, (front,)))
+    proc.start()
+    back.close()
+    try:
+        frame = json.dumps(
+            {"id": 1, "op": "predict", "deadline_ms": 30000, **_OP_PARAMS["predict"]}
+        ).encode()
+        front.sendall(len(frame).to_bytes(4, "little") + frame)
+        assert started.wait(30)
+        time.sleep(0.15)
+        os.kill(proc.pid, signal.SIGTERM)
+        front.settimeout(30)
+        with front.makefile("rb") as rfile:
+            length = int.from_bytes(rfile.read(4), "little")
+            reply = json.loads(rfile.read(length))
+        assert reply["id"] == 1 and reply["ok"] is True, reply
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10)
+        front.close()
+
+
+def test_sigterm_drains_a_batch_while_the_front_end_still_routes_to_the_worker(
+    monkeypatch,
+):
+    # SIGTERM reaches a worker holding a batch in its pool, and the front
+    # end, which has not yet seen it exit, routes one more point request
+    # to it.  The worker keeps its socket open while it drains, so the
+    # batch gets its 200; the point request it never read is shed as a
+    # 429 when it exits.
+    ctx = multiprocessing.get_context("fork")
+    started = ctx.Event()
+    real_predict_cells = PredictionService.predict_cells
+
+    def slow_predict_cells(self, *args, **kwargs):
+        started.set()
+        time.sleep(1.0)
+        return real_predict_cells(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredictionService, "predict_cells", slow_predict_cells)
+    with FleetServer(2, service_config={"noise": False}) as server:
+        owner = server.fleet.owner_of("AVUS-standard", 64)
+        batch = {}
+        thread = threading.Thread(
+            target=lambda: batch.update(
+                r=post(server, "/predict/batch", {"rows": [["AVUS-standard", 64]]}, 30)
+            )
+        )
+        thread.start()
+        try:
+            assert started.wait(30)
+            os.kill(owner.pid, signal.SIGTERM)
+            time.sleep(0.2)  # the handler ends the worker's frame read
+            assert server.fleet.owner_of("AVUS-standard", 64) is owner
+            status, body, _ = get(server, f"{PREDICT}&deadline_ms=30000", timeout=30)
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        owner.proc.join(timeout=10)
+    assert batch["r"][0] == 200 and batch["r"][1]["count"] > 0
+    assert status == 429 and "died mid-request" in body["message"]
+    assert owner.proc.exitcode == 0
 
 
 def test_handle_retry_after_scales_with_backlog_and_service_time():
@@ -649,6 +881,51 @@ def test_malformed_framing_is_a_json_400(local_server, request_bytes):
     assert b"Connection: close" in head
     assert json.loads(body)["error"] == "BadParameter"
     assert get(local_server, "/healthz")[0] == 200  # still serving
+
+
+def test_oversized_body_is_refused_before_it_is_read(local_server):
+    # Nothing of the declared terabyte is sent: the 413 must not wait for it.
+    started = time.perf_counter()
+    raw = _raw_exchange(
+        local_server,
+        b"POST /predict/batch HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
+    )
+    assert time.perf_counter() - started < 5.0
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"] == "ContentTooLarge"
+    assert get(local_server, "/healthz")[0] == 200  # still serving
+
+
+def test_oversized_body_sent_eagerly_still_gets_its_413(local_server):
+    # The client streams 4 MiB of body without waiting for an answer.
+    # The server half-closes after the 413 and reads on, so the client
+    # reads the answer and a clean EOF, and none of its sends is reset:
+    # closing with bytes unread resets the connection, and a reset can
+    # destroy an answer the client has not read yet.
+    head = b"POST /predict/batch HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n"
+    send_errors = []
+    with socket.create_connection(local_server.address, timeout=10) as sock:
+
+        def send_body():
+            try:
+                sock.sendall(head + b"x" * (1 << 20))
+                for _ in range(48):
+                    sock.sendall(b"x" * 65536)
+            except OSError as exc:
+                send_errors.append(exc)
+
+        sender = threading.Thread(target=send_body)
+        sender.start()
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+        sender.join(timeout=10)
+    assert send_errors == []
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert json.loads(body)["error"] == "ContentTooLarge"
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,12 @@ def test_structural_errors_are_value_errors():
         svc.predict("AVUS-standard@x", 64, "ARL_Xeon")
     with pytest.raises(ValueError, match="deadline"):
         svc.predict("AVUS-standard", 64, "ARL_Xeon", deadline_seconds=0.0)
+    with pytest.raises(ValueError, match="deadline"):
+        svc.predict("AVUS-standard", 64, "ARL_Xeon", deadline_seconds=float("nan"))
+    with pytest.raises(ValueError, match="deadline"):
+        svc.predict_cells(
+            [("AVUS-standard", 64)], ["ARL_Xeon"], [9], deadline_seconds=float("nan")
+        )
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +401,32 @@ def test_service_constructor_validation():
         PredictionService(base_system="NAVO_999")
     with pytest.raises(ValueError):
         PredictionService(default_deadline=0.0)
+    with pytest.raises(ValueError, match="default_deadline"):
+        PredictionService(default_deadline=float("nan"))
     with pytest.raises(ValueError):
         PredictionService(stage_fraction=0.0)
     with pytest.raises(ValueError, match="stage_timeouts"):
         PredictionService(stage_timeouts={"cook": 1.0})
+
+
+def test_is_quick_tracks_the_memos_a_point_reads():
+    # Quick means every input predict reads is in memory: the row's base
+    # time, both machines' probes and, for a trace metric, the trace.
+    from repro.probes.suite import clear_probe_cache
+
+    service = make_service()
+    cell = ("AVUS-standard", 64, "ARL_Xeon")
+    assert not service.is_quick(*cell, 9)  # this service never priced the row
+    service.predict(*cell, 9)
+    assert service.is_quick(*cell, 9) and service.is_quick(*cell, 1)
+    clear_trace_cache()
+    assert not service.is_quick(*cell, 9)
+    assert service.is_quick(*cell, 1)  # a probe-only metric needs no trace
+    clear_probe_cache()
+    assert not service.is_quick(*cell, 1)
+    service.predict(*cell, 9)
+    assert service.is_quick(*cell, 9)
+    assert service.is_quick("NOPE", 64, "ARL_Xeon", 9)  # its 400 is at once
+    stalling = make_service(FakeClock(), faults=FaultPlan.parse("stall=0.5,seed=7"))
+    stalling.predict(*cell, 9)  # warm, but a stage may still stall
+    assert not stalling.is_quick(*cell, 9)

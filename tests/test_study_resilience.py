@@ -191,6 +191,14 @@ def test_chunk_timeout_quarantines_as_timeout():
     assert result.n_predictions == 0
 
 
+@pytest.mark.parametrize("seconds", [0.0, float("nan")])
+def test_chunk_timeout_must_be_positive(seconds):
+    with pytest.raises(ValueError, match="chunk_timeout"):
+        StudyConfig(chunk_timeout=seconds)
+    with pytest.raises(ValueError, match="chunk_timeout"):
+        run_study(REDUCED, chunk_timeout=seconds)
+
+
 def test_timeout_generous_enough_passes(clean):
     result = run_study(REDUCED, chunk_timeout=120.0)
     assert result.failures == []

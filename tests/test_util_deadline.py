@@ -65,6 +65,8 @@ def test_deadline_checkpoint_raises_with_stage_label():
 def test_deadline_rejects_negative_budget():
     with pytest.raises(ValueError, match="budget_seconds"):
         Deadline(-0.1)
+    with pytest.raises(ValueError, match="budget_seconds"):
+        Deadline(math.nan)
 
 
 def test_sub_deadline_capped_by_parent_remainder():
