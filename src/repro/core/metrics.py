@@ -328,9 +328,11 @@ def build_metric(spec: MetricSpec) -> Metric:
     return CompositeMetric(spec.number, spec.label, weights)
 
 
-#: Built metrics, cached per spec (specs are frozen and hashable; a
-#: re-registered number yields a distinct spec, hence a fresh build).
-_BUILT: dict[MetricSpec, Metric] = {}
+#: Built metrics by registry number, each beside the spec it was built
+#: from.  Checking that spec by identity (equality only on a mismatch)
+#: spares each call hashing the whole frozen spec; a re-registered number
+#: yields a distinct spec, hence a fresh build.
+_BUILT: dict[int, tuple[MetricSpec, Metric]] = {}
 
 
 def get_metric(key: "int | str") -> Metric:
@@ -342,10 +344,10 @@ def get_metric(key: "int | str") -> Metric:
     with nearest-match suggestions for anything else.
     """
     spec = REGISTRY.spec(key)
-    metric = _BUILT.get(spec)
-    if metric is None:
-        metric = _BUILT[spec] = build_metric(spec)
-    return metric
+    built = _BUILT.get(spec.number)
+    if built is None or (built[0] is not spec and built[0] != spec):
+        built = _BUILT[spec.number] = (spec, build_metric(spec))
+    return built[1]
 
 
 def resolve_metrics(keys) -> list[Metric]:

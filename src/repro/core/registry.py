@@ -419,8 +419,6 @@ class MetricRegistry:
         :class:`KeyError`) carrying the known identifiers and the nearest
         matches, so service boundaries can render an actionable 400.
         """
-        from repro.core.errors import UnknownIdError
-
         if isinstance(key, bool):
             pass  # fall through to the error path: True is not metric 1
         elif isinstance(key, int):
@@ -432,6 +430,8 @@ class MetricRegistry:
                 return self._by_number[int(text)]
             if text.lower() in self._by_name:
                 return self._by_name[text.lower()]
+        from repro.core.errors import UnknownIdError
+
         numbers = tuple(sorted(self._by_number))
         names = tuple(self._by_number[n].name for n in numbers)
         known = tuple(str(n) for n in numbers) + names

@@ -400,6 +400,10 @@ class Engine:
                 return runs, base_times
 
             runs, base_times = stages.run("execute", deadline, execute)
+            # The batched totals are bit-identical to base_time's scalar
+            # run, so a later point request on these rows reads them.
+            for cpus, time in base_times.items():
+                self._base_times.setdefault((app.label, cpus), time)
             priced = []
             for cpus, eligible in eligible_rows:
                 base_time = base_times[cpus]

@@ -66,16 +66,25 @@ SEGMENT_SUFFIX = ".jsonl"
 _SEQ_WIDTH = 20
 
 
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def frame_checksum(doc: dict[str, Any]) -> str:
     """BLAKE2b-16 of the canonical JSON of a frame (minus its ``check``)."""
-    canon = json.dumps(doc, sort_keys=True)
+    canon = _canonical_json(doc)
     return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _encode_frame(seq: int, event: Event) -> str:
-    body = {"seq": seq, "event": event.to_doc()}
-    body["check"] = frame_checksum({"seq": seq, "event": body["event"]})
-    return json.dumps(body, sort_keys=True)
+    # The event is encoded once: sorted keys put "check" < "event" < "seq",
+    # so the checksummed text and the frame are splices around that one
+    # encoding, byte-identical to dumping either dict whole.
+    doc = _canonical_json(event.to_doc())
+    tail = f', "seq": {seq:d}}}'
+    canon = f'{{"event": {doc}{tail}'
+    check = hashlib.blake2b(canon.encode("utf-8"), digest_size=16).hexdigest()
+    return f'{{"check": "{check}", "event": {doc}{tail}'
 
 
 def _segment_name(writer: str, first_seq: int) -> str:

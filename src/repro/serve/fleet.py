@@ -15,7 +15,9 @@ cold one.  The worker count picks the transport:
 * **one worker** (the default of ``repro-study serve``) runs the service
   inside the front end's process: :class:`LocalHandle` hands each request
   to :func:`_submit` on the event loop, which answers it there or queues
-  it on the pool — no fork and no frames;
+  it on the pool — no fork and no frames.  An answer made on the loop
+  finishes the call in the loop turn that read the request: no wake-up
+  byte, no timer, no task switch;
 * **N >= 2 workers** are forked processes, since CPU-bound engine work in
   one process serializes on the GIL.  Each talks to the front end over
   one pre-opened ``socketpair`` carrying length-prefixed JSON frames
@@ -218,16 +220,25 @@ def _build_service(config: dict, worker_id: str | None = None):
     )
 
 
-def _submit(pool: ThreadPoolExecutor, service, worker_id: str, msg: dict, reply) -> None:
+def _submit(
+    pool: ThreadPoolExecutor,
+    service,
+    worker_id: str,
+    msg: dict,
+    reply,
+    pooled_reply=None,
+) -> None:
     """Answer one request on the calling thread, or queue it on the pool.
 
     A batch, and a point request the service does not call quick (see
     :meth:`~repro.serve.service.PredictionService.is_quick`), may hold a
     thread for long: those queue on ``pool``, stamped with their arrival
-    on the service's clock (the clock their deadline runs on).  Every
-    other request is answered before this returns: a prediction from
-    memory costs less than the hop to a pool thread and back, and
-    ``health`` and ``ready`` never enter a stage.
+    on the service's clock (the clock their deadline runs on), and reply
+    through ``pooled_reply`` (``reply`` when not given) on a pool
+    thread.  Every other request is answered through ``reply`` before
+    this returns: a prediction from memory costs less than the hop to a
+    pool thread and back, and ``health`` and ``ready`` never enter a
+    stage.
     """
     op = msg.get("op")
     if op == "batch" or (
@@ -240,7 +251,7 @@ def _submit(pool: ThreadPoolExecutor, service, worker_id: str, msg: dict, reply)
         )
     ):
         msg["arrived"] = service._clock()
-        pool.submit(_handle_frame, service, worker_id, msg, reply)
+        pool.submit(_handle_frame, service, worker_id, msg, pooled_reply or reply)
     else:
         _handle_frame(service, worker_id, msg, reply)
 
@@ -474,7 +485,10 @@ class WorkerHandle:
         The ``health`` op is exempt from the bound: a full backlog is when
         the health report matters most.  A 429 reply from the worker (its
         pool-wait shed) carries no ``Retry-After``; this fills in the
-        handle's estimate.
+        handle's estimate.  A reply already in when ``_send`` returns (one
+        answered inline on the event loop) is returned without awaiting,
+        so the call ends in the loop turn that made it; any other is
+        awaited under ``timeout``.
         """
         if not self.alive:
             raise OverloadedError(
@@ -496,7 +510,9 @@ class WorkerHandle:
         start = loop.time()
         try:
             await self._send({"id": rid, "op": op, **params})
-            if timeout is None:
+            if future.done():
+                response = future.result()
+            elif timeout is None:
                 response = await future
             else:
                 response = await asyncio.wait_for(future, timeout)
@@ -534,8 +550,11 @@ class LocalHandle(WorkerHandle):
     """The one-worker backend: the service runs in the front end's process.
 
     No fork and no frames: :meth:`_send` hands the request dict to
-    :func:`_submit` on the event loop, and the reply, made there or on a
-    pool thread, returns to the loop through ``call_soon_threadsafe``.
+    :func:`_submit` on the event loop.  A reply made there resolves the
+    call's future before :meth:`_send` returns, so
+    :meth:`WorkerHandle.call` returns it in the same loop turn; a reply
+    made on a pool thread returns to the loop through
+    ``call_soon_threadsafe``.
     """
 
     def __init__(self, name: str, config: dict, *, max_pending: int):
@@ -552,9 +571,11 @@ class LocalHandle(WorkerHandle):
         self.alive = True
 
     async def _send(self, msg: dict) -> None:
-        _submit(self._pool, self.service, self.name, msg, self._reply)
+        _submit(
+            self._pool, self.service, self.name, msg, self._resolve, self._pooled_reply
+        )
 
-    def _reply(self, msg: dict) -> None:
+    def _pooled_reply(self, msg: dict) -> None:
         try:
             self._loop.call_soon_threadsafe(self._resolve, msg)
         except RuntimeError:
@@ -810,6 +831,9 @@ class Fleet:
 
     def owner_of(self, application: str, cpus: int) -> WorkerHandle:
         """The live worker owning this (application, cpus) shard."""
+        if len(self.ring) == 1:
+            # One member owns every key: skip the digest and the ring point.
+            return self.workers[self.ring.nodes[0]]
         try:
             name = self.ring.node_for(self.shard_key(application, cpus))
         except LookupError:

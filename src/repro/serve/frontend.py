@@ -17,7 +17,10 @@ Routes:
     ring, so the owning worker answers from a warm cache; identical
     concurrent requests are collapsed by
     :class:`~repro.serve.coalesce.SingleFlight` into one worker call,
-    followers stamped ``coalesced: true``.  Every error maps through
+    followers stamped ``coalesced: true``.  Only a call that leaves the
+    loop turn (a pooled request, a frame to a forked worker) can gain
+    followers: a one-worker answer from memory is done before another
+    request is read.  Every error maps through
     :func:`~repro.serve.fleet.error_payload`: 400 structured validation
     errors (unknown ids name the nearest valid ones), 429 +
     ``Retry-After`` on shed (a worker's pending bound reached, a queued
@@ -126,6 +129,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: :meth:`FleetFrontend._linger`).
 _LINGER_SECONDS = 1.0
 
+#: Requests one connection has answered in a row before it yields the
+#: event loop once.  An answer from memory never suspends, and neither
+#: does reading a request the client already sent, so a pipelining client
+#: would otherwise hold the loop for everything it has buffered.
+_REQUESTS_PER_TURN = 8
+
 
 class _ContentTooLarge(ValueError):
     """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
@@ -205,6 +214,7 @@ class FleetFrontend:
     ) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
+        answered = 0
         try:
             while True:
                 try:
@@ -238,6 +248,9 @@ class FleetFrontend:
                 await writer.drain()
                 if close:
                     break
+                answered += 1
+                if answered % _REQUESTS_PER_TURN == 0:
+                    await asyncio.sleep(0)  # let the other connections in
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,

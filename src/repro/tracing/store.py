@@ -149,6 +149,14 @@ class TraceStore:
         # process touches (apps x cpu counts x machines).
         self._trace_paths: dict[tuple, Path] = {}
         self._probes_paths: dict[tuple, Path] = {}
+        # Entries this instance wrote or saw on disk: a warm memo
+        # hit asks has_trace/has_probes on every call, and an entry known
+        # present needs no second stat.  An entry invalidated, or found
+        # gone by a load, is dropped.  One deleted behind our back (or
+        # healed by another thread between a stat and its mark) stays
+        # marked until a load finds it gone: that costs a write-through,
+        # never an answer.
+        self._present: set[Path] = set()
 
     # ------------------------------------------------------------------
     # durability events
@@ -221,6 +229,7 @@ class TraceStore:
             # machine crash that tears one costs a re-trace, not correctness,
             # and a save need not wait on a per-file fsync.
             write_atomic_bytes(path, payload, durable=False)
+            self._present.add(path)
         except OSError as exc:
             log.warning(
                 "write of store entry %s failed (%s); it will be recomputed "
@@ -241,6 +250,7 @@ class TraceStore:
                 path.name,
                 reason,
             )
+            self._present.discard(path)
             try:
                 path.unlink()
             except OSError:  # already gone (concurrent healer) — fine
@@ -265,7 +275,7 @@ class TraceStore:
         path = self._trace_path(
             application, cpus, base_machine, sample_size, cache_sim, cache_model
         )
-        return path.exists()
+        return self._exists(path)
 
     def load_trace(
         self,
@@ -317,7 +327,7 @@ class TraceStore:
     # ------------------------------------------------------------------
     def has_probes(self, machine: MachineSpec) -> bool:
         """Whether an entry exists for this exact spec."""
-        return self._probes_path(machine).exists()
+        return self._exists(self._probes_path(machine))
 
     def load_probes(self, machine: MachineSpec) -> MachineProbes | None:
         """Cached probe bundle for this exact spec, or None.
@@ -332,9 +342,19 @@ class TraceStore:
         self._write_entry(path, binfmt.probes_to_bytes(probes))
         self._emit(ProbeCompleted(machine=machine.name, key=path.stem))
 
+    def _exists(self, path: Path) -> bool:
+        """Whether ``path`` is on disk; a stat only until it is seen there."""
+        if path in self._present:
+            return True
+        if path.exists():
+            self._present.add(path)
+            return True
+        return False
+
     def _load(self, path: Path, kind: str, decode):
         """Decode the entry at ``path``; absent or invalid -> None (healed)."""
         if not path.exists():
+            self._present.discard(path)  # deleted behind this instance's back
             return None
         try:
             return decode(path)

@@ -274,3 +274,27 @@ def test_global_registry_builds_runnable_custom_metric():
         assert t != p.predict("AVUS-standard", "ARL_Opteron", cpus=32, metric=5)
     finally:
         REGISTRY.unregister(90)
+
+
+def test_reregistered_number_gets_a_fresh_build():
+    # get_metric keeps one built metric per number and checks its spec by
+    # identity: a number registered again under another spec must not
+    # answer with the old build.
+    first = MetricSpec(10, "itest-first", "FIRST", "simple", ("ratio/hpl",))
+    second = MetricSpec(10, "itest-second", "SECOND", "predictive",
+                        ("flops/hpl", "mem/stream"))
+    REGISTRY.register(first)
+    try:
+        built = get_metric(10)
+        assert built.label.endswith("FIRST")
+        assert get_metric("itest-first") is built
+    finally:
+        REGISTRY.unregister(10)
+    REGISTRY.register(second)
+    try:
+        metric = get_metric(10)
+        assert metric.label.endswith("SECOND")
+        assert metric.needs == ("probe", "trace", "convolve")
+        assert get_metric("itest-second") is metric
+    finally:
+        REGISTRY.unregister(10)

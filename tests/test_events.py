@@ -7,10 +7,12 @@ prefix, whose replay is deterministic, and whose projection views can
 be rebuilt from the raw segments alone.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.errors import CircuitOpenError
 from repro.events import (
@@ -31,6 +33,7 @@ from repro.events import (
     writers_in,
 )
 from repro.events.log import _encode_frame
+from repro.events.types import EVENT_KINDS
 
 
 def _probe(i: int) -> ProbeCompleted:
@@ -120,6 +123,62 @@ def test_conflicting_seq_reuse_is_damage(tmp_path):
         fh.write(_encode_frame(2, _probe(77)) + "\n")  # same seq, new payload
     assert EventLog(tmp_path, writer="w").last_seq == 2
     assert [seq for seq, _e in EventLog(tmp_path, writer="w").replay()] == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the frame encoder against the whole-dict encoding
+# ---------------------------------------------------------------------------
+def _reference_frame(seq: int, event) -> str:
+    """A frame as dumping whole dicts writes it: the checksum over the
+    canonical ``{"event", "seq"}`` text, then the frame with ``check``."""
+    body = {"seq": seq, "event": event.to_doc()}
+    canon = json.dumps({"seq": seq, "event": body["event"]}, sort_keys=True)
+    body["check"] = hashlib.blake2b(canon.encode("utf-8"), digest_size=16).hexdigest()
+    return json.dumps(body, sort_keys=True)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _field_values(field):
+    """Values for one event field, by the type of its default."""
+    for kind, strategy in (
+        (bool, st.booleans()),
+        (int, st.integers()),
+        (float, st.floats()),
+        (str, st.text()),
+    ):
+        if isinstance(field.default, kind):
+            return strategy
+    return _JSON_VALUES  # the list / dict payload fields
+
+
+_ANY_EVENT = st.one_of(
+    [
+        st.builds(cls, **{f.name: _field_values(f) for f in dataclasses.fields(cls)})
+        for cls in EVENT_KINDS.values()
+    ]
+    + [
+        st.builds(
+            UnknownEvent,
+            original_kind=st.text(),
+            data=st.none() | st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
+        )
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.integers(min_value=1, max_value=1 << 80), event=_ANY_EVENT)
+@example(seq=(1 << 64) + 1, event=ProbeCompleted(machine="Mähr-Ω-機", key="é\u2028"))
+@example(seq=1, event=PredictionEmitted(application="ÄVUS", predicted_seconds=float("inf")))
+def test_frame_encoding_matches_the_whole_dict_encoding(seq, event):
+    assert _encode_frame(seq, event) == _reference_frame(seq, event)
 
 
 # ---------------------------------------------------------------------------

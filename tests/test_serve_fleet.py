@@ -42,11 +42,20 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import parse_qsl
 
 import pytest
 
 from repro.cli import main
-from repro.serve.fleet import Fleet, WorkerHandle, _build_service, _submit, _worker_main
+from repro.core.errors import ServiceUnavailableError
+from repro.serve.fleet import (
+    Fleet,
+    WorkerHandle,
+    _build_service,
+    _submit,
+    _worker_main,
+    error_payload,
+)
 from repro.serve.frontend import FleetFrontend, FleetServer
 from repro.serve.service import PredictionService
 from repro.util.faults import FaultPlan
@@ -658,6 +667,178 @@ def test_cold_point_request_leaves_the_event_loop_free(tmp_path, monkeypatch):
         assert not thread.is_alive()
     assert answered < 0.5
     assert cold["r"][0] == 200
+
+
+def _count_loop_hops(monkeypatch, loop) -> list:
+    """Record each ``loop.call_soon_threadsafe`` and ``asyncio.wait_for``."""
+    hops = []
+    real_threadsafe, real_wait_for = loop.call_soon_threadsafe, asyncio.wait_for
+
+    def call_soon_threadsafe(*args, **kwargs):
+        hops.append("call_soon_threadsafe")
+        return real_threadsafe(*args, **kwargs)
+
+    async def wait_for(*args, **kwargs):
+        hops.append("wait_for")
+        return await real_wait_for(*args, **kwargs)
+
+    monkeypatch.setattr(loop, "call_soon_threadsafe", call_soon_threadsafe)
+    monkeypatch.setattr(asyncio, "wait_for", wait_for)
+    return hops
+
+
+def _on_one_local_worker(scenario):
+    """``await scenario(handle)`` on a started one-worker fleet."""
+
+    async def main():
+        fleet = Fleet(1, service_config={"noise": False})
+        await fleet.start()
+        try:
+            return await scenario(fleet.workers["w0"])
+        finally:
+            await fleet.stop()
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("op", ["predict", "health"])
+def test_inline_answer_finishes_in_the_loop_turn_that_read_it(monkeypatch, op):
+    # A warm point request and a health probe are answered on the event
+    # loop, and the reply resolves the call's future inside _send: the
+    # call never wakes the loop through its self-pipe, never arms a
+    # timeout and never suspends.
+    async def scenario(handle):
+        await handle.call("predict", _OP_PARAMS["predict"], timeout=30)  # warm the row
+        hops = _count_loop_hops(monkeypatch, asyncio.get_running_loop())
+        reply = await handle.call(op, _OP_PARAMS[op], timeout=30)
+        counted = list(hops)  # before the fleet's own shutdown hops
+        call = handle.call(op, _OP_PARAMS[op], timeout=30)
+        try:
+            call.send(None)  # one step runs the whole call...
+        except StopIteration as finished:
+            return counted, reply, finished.value
+        call.close()  # ...or it suspended
+        return counted, reply, None
+
+    hops, reply, stepped = _on_one_local_worker(scenario)
+    assert hops == []
+    assert reply["ok"] and reply["result"]["worker"] == "w0"
+    assert stepped is not None and stepped["ok"]
+
+
+def test_cold_point_request_still_answers_from_the_pool(monkeypatch):
+    # A fresh service has no base time for the row yet: the request runs
+    # on a pool thread, its reply crosses back through the loop's
+    # thread-safe hop under the call's timeout, and it carries the value
+    # the inline answer that follows gives.
+    async def scenario(handle):
+        hops = _count_loop_hops(monkeypatch, asyncio.get_running_loop())
+        pooled = []
+        real_submit = handle._pool.submit
+
+        def submit(fn, *args):
+            pooled.append(args[2]["op"])
+            return real_submit(fn, *args)
+
+        monkeypatch.setattr(handle._pool, "submit", submit)
+        cold = await handle.call("predict", _OP_PARAMS["predict"], timeout=30)
+        cold_hops = sorted(hops)
+        warm = await handle.call("predict", _OP_PARAMS["predict"], timeout=30)
+        return pooled, cold_hops, cold, warm
+
+    pooled, cold_hops, cold, warm = _on_one_local_worker(scenario)
+    assert pooled == ["predict"]
+    assert cold_hops == ["call_soon_threadsafe", "wait_for"]
+    assert cold["ok"] and warm["ok"]
+    assert cold["result"]["predicted_seconds"] == warm["result"]["predicted_seconds"]
+
+
+def test_pooled_call_past_its_timeout_is_a_503_and_its_late_reply_dropped(
+    monkeypatch,
+):
+    # The pool holds a batch past its call's timeout: the call maps to a
+    # 503, and the reply the pool thread sends afterwards reaches the
+    # loop but finds no call waiting for it.
+    async def scenario(handle):
+        resolved = []
+        real_resolve = handle._resolve
+
+        def resolve(msg):
+            resolved.append(msg["id"])
+            real_resolve(msg)
+
+        monkeypatch.setattr(handle, "_resolve", resolve)
+        real_pool, held = handle._pool, _HeldPool()
+        handle._pool = held
+        try:
+            with pytest.raises(ServiceUnavailableError) as timed_out:
+                await handle.call("batch", _OP_PARAMS["batch"], timeout=0.05)
+            assert handle.pending == {}
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, held.run_all)  # the late reply
+            for _ in range(100):
+                if resolved:
+                    break
+                await asyncio.sleep(0.01)
+            after = await handle.call("health", {}, timeout=2.0)
+        finally:
+            handle._pool = real_pool
+        return timed_out.value, resolved, after
+
+    exc, resolved, after = _on_one_local_worker(scenario)
+    assert error_payload(exc)["status"] == 503
+    assert "did not answer within" in str(exc)
+    assert resolved == [1, 2]  # the late batch reply, then the health call
+    assert after["ok"] and after["id"] == 2
+
+
+class _RecordingWriter:
+    """A connection's writing end that logs whose answer was written."""
+
+    def __init__(self, name: str, log: list):
+        self.name, self.log = name, log
+
+    def write(self, data: bytes) -> None:
+        self.log.append(self.name)
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def test_a_pipelining_client_does_not_hold_the_event_loop():
+    # Warm answers never suspend and neither does reading a request that
+    # is already buffered, so a connection yields the loop every few
+    # answers: a request on another connection is not queued behind a
+    # whole pipelined burst.
+    from repro.serve.frontend import _REQUESTS_PER_TURN
+
+    request = f"GET {PREDICT} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+
+    async def scenario():
+        fleet = Fleet(1, service_config={"noise": False})
+        frontend = FleetFrontend(fleet)
+        await fleet.start()
+        try:
+            await frontend._predict(dict(parse_qsl(PREDICT.partition("?")[2])))
+            answered, connections = [], []
+            for name, count in (("burst", 5 * _REQUESTS_PER_TURN), ("single", 1)):
+                reader = asyncio.StreamReader()
+                reader.feed_data(request * count)
+                reader.feed_eof()
+                connections.append(
+                    frontend._handle_connection(reader, _RecordingWriter(name, answered))
+                )
+            await asyncio.gather(*connections)  # the burst's handler starts first
+            return answered
+        finally:
+            await fleet.stop()
+
+    answered = asyncio.run(scenario())
+    assert answered.count("burst") == 5 * _REQUESTS_PER_TURN
+    assert answered.index("single") <= _REQUESTS_PER_TURN
 
 
 def test_sigterm_during_an_inline_request_replies_then_exits_0(monkeypatch):

@@ -314,6 +314,51 @@ def test_health_reports_store_invalidations(tmp_path):
     assert health["store"]["invalidated"] == 0
 
 
+def test_a_batch_leaves_its_rows_quick_for_point_requests():
+    # predict_cells prices every row's base time on the way: a point
+    # request on any of its rows is then answerable from memory, and the
+    # point answer is the batch record's, bit for bit.
+    from repro.scenarios import mount_universe, unmount_universe
+
+    universe = mount_universe("mixed:3:60")
+    try:
+        svc = make_service()
+        rows = [(app.label, cpus) for app in universe.applications
+                for cpus in app.cpu_counts]
+        records = svc.predict_cells(rows, [m.name for m in universe.machines], [9])
+        first_per_row: dict = {}
+        for record in records:
+            first_per_row.setdefault((record.application, record.cpus), record)
+        assert len(first_per_row) == len(rows)
+        for (application, cpus), record in first_per_row.items():
+            assert svc.is_quick(application, cpus, record.system, 9)
+            served = svc.predict(application, cpus, record.system, 9)
+            assert served.predicted_seconds.hex() == record.predicted_seconds.hex()
+    finally:
+        unmount_universe()
+
+
+def test_warm_predict_with_a_store_stats_nothing(tmp_path, monkeypatch):
+    # The first request writes its trace and both probe bundles through
+    # to the store; from then on the store knows them present, so a warm
+    # memo hit checks nothing on disk.
+    svc = make_service(store=str(tmp_path))
+    first = svc.predict("AVUS-standard", 64, "ARL_Xeon", 9)
+    assert len(list(tmp_path.joinpath("traces").iterdir())) == 1
+    assert len(list(tmp_path.joinpath("probes").iterdir())) == 2
+    stats = []
+    real_exists = Path.exists
+
+    def counting_exists(path, *args, **kwargs):
+        stats.append(path)
+        return real_exists(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", counting_exists)
+    again = [svc.predict("AVUS-standard", 64, "ARL_Xeon", 9) for _ in range(2)]
+    assert stats == []
+    assert {served.predicted_seconds for served in again} == {first.predicted_seconds}
+
+
 @pytest.fixture()
 def small_trace_memo(monkeypatch):
     """The tracer's process-wide memo, emptied and bounded at one entry."""
