@@ -18,24 +18,27 @@ round-trip, JSON back:
   145-run / 1305-prediction matrix: cells ride the tensorized
   ``run_matrix`` path instead of N point lookups.
 
-The report lands in the committed benchmark file (``--output``,
-default ``BENCH_study.json``) under a ``"serve"`` key, merged so the
-study-bench sections survive.
+Each point leg is timed as :data:`POINT_SLICES` closed-loop slices of
+``--requests`` requests, and the batch leg as ``--batch-repeats``
+passes; the report gives every leg's median and quartiles of
+predictions/sec.  The report lands in the committed benchmark file
+(``--output``, default ``BENCH_study.json``) under a ``"serve"`` key,
+merged so the study-bench sections survive.
 
 Gates (any failure exits 1):
 
-* ``--gate-serve-pps FLOOR`` — absolute floor on batch-leg
+* ``--gate-serve-pps FLOOR`` — absolute floor on the batch leg's median
   predictions/sec;
-* ``--gate-batch-speedup X`` — the batch leg must out-serve the
-  1-worker point baseline by at least ``X``x, measured in the same
-  invocation so shared-runner drift cancels (this is the CI gate's
-  ">= 5x" contract).
+* ``--gate-batch-speedup X`` — the batch leg's median must out-serve
+  the 1-worker point baseline's median by at least ``X``x, measured in
+  the same invocation so shared-runner drift cancels (this is the CI
+  gate's ">= 5x" contract).
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_serve.py [--workers 2]
         [--requests 200] [--clients 8] [--bursts 8] [--burst-size 32]
-        [--batch-repeats 3] [--gate-serve-pps FLOOR]
+        [--batch-repeats 10] [--gate-serve-pps FLOOR]
         [--gate-batch-speedup X] [--output BENCH_study.json]
 """
 
@@ -45,6 +48,7 @@ import argparse
 import http.client
 import json
 import platform
+import statistics
 import sys
 import threading
 import time
@@ -62,6 +66,9 @@ DEADLINE_MS = 30000.0
 #: Target machine for the point legs (any mid-size system works; all
 #: cells stay eligible).
 POINT_MACHINE = "ARL_Xeon"
+
+#: Closed-loop slices each point leg is timed over.
+POINT_SLICES = 5
 
 
 def _point_paths() -> list[str]:
@@ -117,6 +124,35 @@ def closed_loop(
     return wall, [s for client in statuses for s in client]
 
 
+def spread(samples: list[float]) -> dict:
+    """Median and quartiles of a leg's predictions/sec samples."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median": round(median, 1),
+        "q1": round(q1, 1),
+        "q3": round(q3, 1),
+        "samples": [round(x, 1) for x in samples],
+    }
+
+
+def point_leg(
+    leg: str, address: tuple[str, int], paths: list[str], args, check_statuses
+) -> dict:
+    """Warm every cell, then :data:`POINT_SLICES` timed closed-loop slices."""
+    closed_loop(address, paths, len(paths), 1)
+    rates = []
+    for _ in range(POINT_SLICES):
+        wall, statuses = closed_loop(address, paths, args.requests, args.clients)
+        check_statuses(leg, statuses)
+        rates.append(len(statuses) / wall)
+    pps = spread(rates)
+    print(
+        f"{leg:<13} {pps['median']:9,.0f} predictions/s "
+        f"(quartiles {pps['q1']:,.0f}-{pps['q3']:,.0f}, {POINT_SLICES} slices)"
+    )
+    return {"requests_per_slice": args.requests, "predictions_per_second": pps}
+
+
 def coalesce_leg(
     address: tuple[str, int], bursts: int, burst_size: int, paths: list[str]
 ) -> tuple[float, list[int]]:
@@ -151,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients", type=int, default=8, metavar="N")
     parser.add_argument("--bursts", type=int, default=8, metavar="N")
     parser.add_argument("--burst-size", type=int, default=32, metavar="N")
-    parser.add_argument("--batch-repeats", type=int, default=3, metavar="N")
+    parser.add_argument("--batch-repeats", type=int, default=10, metavar="N")
     parser.add_argument(
         "--gate-serve-pps",
         type=float,
@@ -169,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--output", default="BENCH_study.json")
     args = parser.parse_args(argv)
+    if args.batch_repeats < 2:
+        parser.error("--batch-repeats must be >= 2 (the report gives quartiles)")
 
     paths = _point_paths()
     results: dict[str, dict] = {}
@@ -183,40 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     # Leg 1: single-worker point baseline.
     # ------------------------------------------------------------------
     with FleetServer(1, default_deadline=DEADLINE_MS / 1000.0) as single:
-        closed_loop(single.address, paths, len(paths), 1)  # warm every cell
-        wall, statuses = closed_loop(
-            single.address, paths, args.requests, args.clients
-        )
-        check_statuses("point_single", statuses)
-        point_single_pps = len(statuses) / wall
         results["point_single"] = {
             "workers": 1,
-            "requests": len(statuses),
-            "seconds": round(wall, 4),
-            "predictions_per_second": round(point_single_pps, 1),
+            **point_leg("point_single", single.address, paths, args, check_statuses),
         }
-        print(
-            f"point_single  {wall:7.3f}s  ({point_single_pps:,.0f} predictions/s)"
-        )
 
     # ------------------------------------------------------------------
     # Legs 2-4 share one fleet.
     # ------------------------------------------------------------------
     with FleetServer(args.workers, default_deadline=DEADLINE_MS / 1000.0) as fleet:
         address = fleet.address
-        closed_loop(address, paths, len(paths), 1)  # warm every shard
-        wall, statuses = closed_loop(address, paths, args.requests, args.clients)
-        check_statuses("point_fleet", statuses)
-        point_fleet_pps = len(statuses) / wall
         results["point_fleet"] = {
             "workers": args.workers,
-            "requests": len(statuses),
-            "seconds": round(wall, 4),
-            "predictions_per_second": round(point_fleet_pps, 1),
+            **point_leg("point_fleet", address, paths, args, check_statuses),
         }
-        print(
-            f"point_fleet   {wall:7.3f}s  ({point_fleet_pps:,.0f} predictions/s)"
-        )
 
         wall, statuses = coalesce_leg(address, args.bursts, args.burst_size, paths)
         check_statuses("coalesced", statuses)
@@ -241,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{ratio:.0%} served by coalescing)"
         )
 
-        best, count = float("inf"), None
-        batch_times = []
+        count, batch_rates = None, []
         for _ in range(args.batch_repeats):
             conn = http.client.HTTPConnection(*address, timeout=600)
             t0 = time.perf_counter()
@@ -260,20 +277,24 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(f"batch: status {resp.status}: {body}")
                 break
             count = body["count"]
-            batch_times.append(dt)
-            best = min(best, dt)
-        batch_pps = (count or 0) / best if best < float("inf") else 0.0
+            batch_rates.append(count / dt)
+        batch = spread(batch_rates) if len(batch_rates) == args.batch_repeats else None
         results["batch"] = {
             "workers": args.workers,
             "cells": count,
-            "best_seconds": round(best, 4) if best < float("inf") else None,
-            "all_seconds": [round(t, 4) for t in batch_times],
-            "predictions_per_second": round(batch_pps, 1),
+            "passes": len(batch_rates),
+            "predictions_per_second": batch,
         }
-        print(f"batch         {best:7.3f}s  ({batch_pps:,.0f} predictions/s)")
+        if batch is not None:
+            print(
+                f"batch         {batch['median']:9,.0f} predictions/s "
+                f"(quartiles {batch['q1']:,.0f}-{batch['q3']:,.0f}, "
+                f"{args.batch_repeats} passes)"
+            )
 
-    speedup = batch_pps / point_single_pps if point_single_pps else 0.0
-    print(f"\nbatch vs 1-worker point baseline: {speedup:.1f}x")
+    batch_pps = batch["median"] if batch is not None else 0.0
+    speedup = batch_pps / results["point_single"]["predictions_per_second"]["median"]
+    print(f"\nbatch vs 1-worker point baseline (ratio of medians): {speedup:.1f}x")
 
     # ------------------------------------------------------------------
     # Merge the serve section into the committed benchmark report.

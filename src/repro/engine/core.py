@@ -61,27 +61,62 @@ __all__ = ["Engine", "clear_row_cache"]
 #: recycled after the object is garbage collected), so identity keys can
 #: never alias.  The catalog version is part of the key: metric #0 scores
 #: against every catalog machine, so a mount or unmount re-prices it.
+#:
+#: A matrix pricing is filed a second time under its row alone (trace,
+#: base probes, base time, mode, catalog version: five fields, so never
+#: equal to a seven-field exact key).  A point or ``run_row`` lookup that
+#: misses its exact key reads its cells from that row's latest matrix
+#: pricing, so a point request after a batch over its row costs a lookup.
 _ROW_CACHE = BoundedLRU(4096)
 
 
-def _predict_all_cached(metrics, trace, probes_row, base_probes, base_time, mode):
-    key = (
-        tuple(id(m) for m in metrics),
-        id(trace),
-        tuple(id(p) for p in probes_row),
-        id(base_probes),
-        base_time,
-        mode,
-        CATALOG.version,
-    )
-    hit = _ROW_CACHE.get(key)
-    if hit is not None:
-        return hit[0]
+def _predict_all_cached(
+    metrics, trace, probes_row, base_probes, base_time, mode, *, matrix=False
+):
+    """:func:`predict_all` through the row memo, counting one hit or one
+    miss per call.
+
+    A ``matrix`` pricing reads only its exact key and files a miss's
+    pricing under the row as well; any other lookup falls back to the
+    row's matrix pricing before it convolves.
+    """
+    row = (id(trace), id(base_probes), base_time, mode, CATALOG.version)
+    key = (tuple(id(m) for m in metrics), tuple(id(p) for p in probes_row)) + row
+    hit = _ROW_CACHE.get(key, counted=False)
+    rows = None if hit is None else hit[0]
+    if rows is None and not matrix:
+        rows = _slice_pricing(_ROW_CACHE.get(row, counted=False), metrics, probes_row)
+    _ROW_CACHE.tally(rows is not None)
+    if rows is not None:
+        return rows
     rows = predict_all(metrics, trace, probes_row, base_probes, base_time, mode)
-    _ROW_CACHE.put(
-        key, (rows, (tuple(metrics), trace, tuple(probes_row), base_probes))
-    )
+    entry = (rows, tuple(metrics), tuple(probes_row), trace, base_probes)
+    _ROW_CACHE.put(key, entry)
+    if matrix:
+        _ROW_CACHE.put(row, entry)
     return rows
+
+
+def _position(items, obj):
+    """The index of ``obj`` in ``items``, matched by identity, or None."""
+    return next((i for i, item in enumerate(items) if item is obj), None)
+
+
+def _slice_pricing(entry, metrics, probes_row):
+    """The ``metrics`` × ``probes_row`` cells of a memoised pricing, or
+    None when there is none or it lacks one of those objects.
+
+    Each value :func:`predict_all` returns depends only on its own
+    metric and target, so a cell read from a wider pricing is
+    bit-identical to pricing it alone.
+    """
+    if entry is None:
+        return None
+    rows, priced_metrics, priced_probes = entry[:3]
+    columns = [_position(priced_probes, probes) for probes in probes_row]
+    if None in columns or any(_position(priced_metrics, m) is None for m in metrics):
+        return None
+    return {m.number: [rows[m.number][c] for c in columns] for m in metrics}
 
 
 def clear_row_cache() -> None:
@@ -237,8 +272,9 @@ class Engine:
         evaluated straight from the probe bundle — the tracer and
         convolver are never entered, which is what lets the serve layer
         keep answering from the probe cache when the convolver is down.
-        The convolve goes through the row memo, so a repeated query
-        costs a lookup.
+        The convolve goes through the row memo, so a repeated query, or
+        one whose row a matrix already priced for this metric and
+        target, costs a lookup.
         """
         target_probes, base_probes, base_time = self._probe_stage(plan, deadline)
         metric = plan.metric
@@ -284,7 +320,8 @@ class Engine:
         """All given metrics for one query, sharing probe/trace/rate work.
 
         The canonical many-metrics path (:func:`~repro.core.metrics.predict_all`
-        shares one rate table across every predictive metric);
+        shares one rate table across every predictive metric), read from
+        the row memo like :meth:`run_point`'s;
         ``PerformancePredictor.predict_row`` delegates here.
         """
         metric_objs = resolve_metrics(metrics)
@@ -418,7 +455,13 @@ class Engine:
                     deadline,
                     lambda d, trace=trace, probes_row=probes_row, base_time=base_time: (
                         _predict_all_cached(
-                            metrics, trace, probes_row, base_probes, base_time, self.mode
+                            metrics,
+                            trace,
+                            probes_row,
+                            base_probes,
+                            base_time,
+                            self.mode,
+                            matrix=True,
                         )
                     ),
                 )

@@ -290,7 +290,7 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
         if op == "predict":
             served = service.predict(
                 msg["application"],
-                int(msg["cpus"]),
+                msg["cpus"],
                 msg["machine"],
                 msg.get("metric", 9),
                 deadline_seconds=_remaining_budget(

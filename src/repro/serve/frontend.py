@@ -97,7 +97,7 @@ from repro.scenarios.builtin import builtin_applications
 from repro.serve.coalesce import SingleFlight
 from repro.serve.fleet import Fleet, error_payload
 from repro.serve.service import DEFAULT_DEADLINE_SECONDS, validate_query
-from repro.util.validation import nearest_ids
+from repro.util.validation import check_int, nearest_ids
 
 __all__ = ["FleetFrontend", "FleetServer"]
 
@@ -401,24 +401,16 @@ class FleetFrontend:
                 None,
             )
         try:
-            cpus = int(query["cpus"])
-        except ValueError:
-            return (
-                400,
-                {
-                    "error": "BadParameter",
-                    "message": f"cpus must be an integer, got {query['cpus']!r}",
-                },
-                None,
-            )
-        try:
             deadline_ms = None
             if "deadline_ms" in query:
                 deadline_ms = _deadline_ms(query["deadline_ms"])
             # Reject malformed traffic here, before any worker round-trip,
             # with exactly the in-process service's errors.
             app, _target, cpus, metric_num = validate_query(
-                query["application"], cpus, query["machine"], query.get("metric", 9)
+                query["application"],
+                query["cpus"],
+                query["machine"],
+                query.get("metric", 9),
             )
         except (UnknownIdError, ValueError, TypeError) as exc:
             mapped = error_payload(exc)
@@ -499,7 +491,7 @@ class FleetFrontend:
                     )
                 label, cpus, system, metric = cell
                 label, system = str(label), str(system)
-                cpus = int(cpus)
+                cpus = check_int("cpus", cpus)
                 try:
                     metric_num = numbers[type(metric), metric]
                 except KeyError:
@@ -526,7 +518,9 @@ class FleetFrontend:
                 for key in spec.get("metrics", _study_metrics())
             ]
             if "rows" in spec:
-                rows = [(str(label), int(cpus)) for label, cpus in spec["rows"]]
+                rows = [
+                    (str(label), check_int("cpus", cpus)) for label, cpus in spec["rows"]
+                ]
             else:
                 rows = []
                 for label in applications:

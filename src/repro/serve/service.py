@@ -70,7 +70,7 @@ from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import TraceStore
 from repro.util.clock import Clock, as_clock
 from repro.util.deadline import Deadline
-from repro.util.validation import nearest_ids
+from repro.util.validation import check_int, nearest_ids
 
 __all__ = [
     "PredictionService",
@@ -119,7 +119,7 @@ def catalog_doc() -> dict:
 
 
 def validate_query(
-    application: str, cpus: int, machine: str, metric: "int | str"
+    application: str, cpus: "int | str", machine: str, metric: "int | str"
 ) -> tuple[object, object, int, int]:
     """Resolve and validate one query's identifiers.
 
@@ -127,8 +127,9 @@ def validate_query(
     *before* a worker round-trip with exactly the errors the service
     raises: unknown ids raise
     :class:`~repro.core.errors.UnknownIdError` carrying the known set and
-    nearest matches (the HTTP 400 body); structural problems (bad cpus,
-    oversized run) raise :class:`ValueError`.  Mirrors ``StudyConfig``'s
+    nearest matches (the HTTP 400 body); structural problems (a cpus
+    that is not an integer or an integer string, an oversized run)
+    raise :class:`ValueError`.  Mirrors ``StudyConfig``'s
     name-the-bad-key convention.  ``metric`` may be a registry number
     (``9``), a numeric string (``"9"``) or a registry name
     (``"balanced"``, ``"conv+maps"``) — the registry's nearest-match
@@ -143,7 +144,7 @@ def validate_query(
         raise ValueError(exc.args[0] if exc.args else str(exc)) from None
     target = get_machine(machine)
     metric_num = REGISTRY.spec(metric).number
-    cpus_num = int(cpus)
+    cpus_num = check_int("cpus", cpus)
     if cpus_num <= 0:
         raise ValueError(f"cpus must be > 0, got {cpus!r}")
     if cpus_num > target.cpus:
@@ -518,7 +519,7 @@ class PredictionService:
                     raise
                 except KeyError as exc:  # bad @replica suffix on a known base
                     raise ValueError(exc.args[0] if exc.args else str(exc)) from None
-            cpus_num = int(cpus)
+            cpus_num = check_int("cpus", cpus)
             if cpus_num <= 0:
                 raise ValueError(f"cpus must be > 0, got {cpus!r}")
             # cells whose cpus exceed a given system are skipped per

@@ -33,16 +33,29 @@ class BoundedLRU:
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key):
-        """The value under ``key`` (now most recently used), or None."""
+    def get(self, key, *, counted: bool = True):
+        """The value under ``key`` (now most recently used), or None.
+
+        ``counted=False`` leaves the hit and miss counters alone, for a
+        caller that tries more than one key per lookup and records the
+        lookup's outcome once, with :meth:`tally`.
+        """
         with self._lock:
             value = self._data.get(key)
             if value is None:
-                self.misses += 1
+                self.misses += counted
                 return None
             self._data.move_to_end(key)
-            self.hits += 1
+            self.hits += counted
             return value
+
+    def tally(self, hit: bool) -> None:
+        """Count one lookup as a hit or a miss."""
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
 
     def __contains__(self, key) -> bool:
         """Whether ``key`` is stored; recency and counters are untouched."""

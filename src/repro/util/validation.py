@@ -8,9 +8,11 @@ three layers down the convolution.
 from __future__ import annotations
 
 import difflib
+import operator
 from collections.abc import Container, Iterable
 
 __all__ = [
+    "check_int",
     "check_positive",
     "check_fraction",
     "check_in",
@@ -18,6 +20,26 @@ __all__ = [
     "nearest_ids",
     "check_known",
 ]
+
+
+def check_int(name: str, value: object) -> int:
+    """``value`` as an int: an integer (anything :func:`operator.index`
+    takes, except ``bool``) or a string :func:`int` parses.
+
+    Anything else raises :class:`ValueError` naming the value, where a
+    bare ``int()`` would read ``32.9`` as 32 and ``True`` as 1.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_positive(name: str, value: float, *, allow_zero: bool = False) -> float:

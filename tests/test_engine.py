@@ -9,7 +9,9 @@ import pytest
 
 from repro.apps.suite import get_application
 from repro.core.errors import DeadlineExceededError, WorkerCrashError
-from repro.core.metrics import get_metric
+from repro.core.metrics import get_metric, predict_all
+from repro.core.registry import REGISTRY
+from repro.engine import core as engine_core
 from repro.engine import (
     BreakerMiddleware,
     BudgetMiddleware,
@@ -20,7 +22,10 @@ from repro.engine import (
     PointPlan,
     StageRunner,
 )
+from repro.engine.core import clear_row_cache
 from repro.machines.registry import get_machine
+from repro import scenarios
+from repro.scenarios import mount_universe, unmount_universe
 from repro.util.deadline import Deadline
 from repro.util.faults import FaultPlan
 
@@ -281,3 +286,83 @@ def test_engine_validates_knobs():
         Engine(mode="sideways")
     with pytest.raises(ValueError, match="cache_model"):
         Engine(cache_model="psychic")
+
+
+# ---------------------------------------------------------------------------
+# the row memo: a point reads its cell from the row a matrix priced
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def counted_predict_all(monkeypatch):
+    """The engine's ``predict_all``, wrapped to count its calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return predict_all(*args, **kwargs)
+
+    monkeypatch.setattr(engine_core, "predict_all", counting)
+    return calls
+
+
+def point(engine, label, cpus, system, metric):
+    return engine.run_point(
+        PointPlan(
+            app=scenarios.get_application(label),
+            cpus=cpus,
+            target=scenarios.get_machine(system),
+            metric=get_metric(metric),
+        )
+    )
+
+
+def test_points_after_a_matrix_read_its_rows_without_convolving(monkeypatch):
+    universe = mount_universe("mixed:3:60")
+    try:
+        clear_row_cache()
+        engine = Engine()
+        records, _ = engine.run_matrix(
+            MatrixPlan(
+                labels=tuple(app.label for app in universe.applications),
+                systems=tuple(machine.name for machine in universe.machines),
+                metrics=REGISTRY.numbers(),
+            )
+        )
+        assert records
+
+        def no_convolve(*args, **kwargs):
+            raise AssertionError("a point on a matrix-priced row convolved")
+
+        monkeypatch.setattr(engine_core, "predict_all", no_convolve)
+        for record in records:
+            value = point(engine, record.application, record.cpus, record.system, record.metric)
+            assert value.hex() == record.predicted_seconds.hex()
+    finally:
+        unmount_universe()
+
+
+@pytest.mark.parametrize("system, metric", [("NAVO_655", 9), ("ARL_Xeon", 5)])
+def test_a_point_outside_the_matrix_is_priced_once(counted_predict_all, system, metric):
+    engine = Engine(noise=False)
+    engine.run_matrix(
+        MatrixPlan(labels=(APP,), systems=("ARL_Xeon",), metrics=(1, 9), rows=((APP, CPUS),))
+    )
+    del counted_predict_all[:]
+    value = point(engine, APP, CPUS, system, metric)
+    assert len(counted_predict_all) == 1
+    clear_row_cache()
+    assert value == point(Engine(noise=False), APP, CPUS, system, metric)
+
+
+def test_no_point_reads_a_row_priced_before_a_mount_or_unmount(counted_predict_all):
+    engine = Engine(noise=False)
+    engine.run_matrix(
+        MatrixPlan(labels=(APP,), systems=(TARGET,), metrics=(9,), rows=((APP, CPUS),))
+    )
+    priced = point(engine, APP, CPUS, TARGET, 9)
+    for change in (lambda: mount_universe("mixed:3:60"), unmount_universe):
+        change()
+        del counted_predict_all[:]
+        assert point(engine, APP, CPUS, TARGET, 9) == priced
+        assert len(counted_predict_all) == 1

@@ -42,7 +42,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from urllib.parse import parse_qsl
+from urllib.parse import parse_qsl, urlencode
 
 import pytest
 
@@ -56,6 +56,7 @@ from repro.serve.fleet import (
     _worker_main,
     error_payload,
 )
+from repro.scenarios import mount_universe, unmount_universe
 from repro.serve.frontend import FleetFrontend, FleetServer
 from repro.serve.service import PredictionService
 from repro.util.faults import FaultPlan
@@ -255,6 +256,34 @@ def test_batch_validation_errors_are_structured_400(fleet_server):
     assert body["error"] == "BadParameter"
 
 
+def batch_bodies(cpus):
+    """One AVUS-standard x ARL_Xeon x #9 cell in the cells and rows forms."""
+    return [
+        {"cells": [["AVUS-standard", cpus, "ARL_Xeon", 9]]},
+        {"rows": [["AVUS-standard", cpus]], "systems": ["ARL_Xeon"], "metrics": [9]},
+    ]
+
+
+@pytest.mark.parametrize("cpus", [32.9, 32.0, True])
+def test_batch_cpus_must_name_an_integer(server, cpus):
+    # A float or a bool names no cell: truncating it would answer for
+    # one the client did not ask for.
+    for body in batch_bodies(cpus):
+        status, reply = post(server, "/predict/batch", body)
+        assert status == 400, body
+        assert reply["error"] == "BadParameter"
+        assert "cpus must be an integer" in reply["message"]
+
+
+def test_batch_cpus_may_be_an_integer_string(server, golden):
+    expected = [r for r in golden["records"] if r[:4] == ["AVUS-standard", 32, "ARL_Xeon", 9]]
+    for cpus in (32, "32"):
+        for body in batch_bodies(cpus):
+            status, reply = post(server, "/predict/batch", body)
+            assert status == 200
+            assert reply["records"] == expected
+
+
 # ---------------------------------------------------------------------------
 # point path over the fleet
 # ---------------------------------------------------------------------------
@@ -301,6 +330,44 @@ def test_point_validation_is_frontend_side(fleet_server):
     assert body["universe"] is None
     assert "AVUS-standard" in body["applications"]
     assert "ARL_Xeon" in body["machines"]
+
+
+def test_points_after_a_batch_read_the_rows_their_worker_priced():
+    # The ring sends a row's point requests to the worker that priced
+    # the row in the batch, and that worker reads them from its memo.
+    universe = mount_universe("mixed:3:60")
+    try:
+        with FleetServer(2, service_config={"universe": universe.ref}) as server:
+            status, body = post(
+                server,
+                "/predict/batch",
+                {
+                    "applications": [app.label for app in universe.applications],
+                    "systems": [machine.name for machine in universe.machines],
+                },
+            )
+            assert status == 200 and len(body["workers"]) == 2
+
+            def misses():
+                workers = get(server, "/healthz")[1]["workers"]
+                return {
+                    name: row["health"]["convolve_cache"]["misses"]
+                    for name, row in workers.items()
+                }
+
+            before = misses()
+            points = [r for r in body["records"] if r[3] == 9]
+            assert points
+            for label, cpus, system, metric, _actual, predicted, _error in points:
+                query = urlencode(
+                    {"application": label, "cpus": cpus, "machine": system, "metric": metric}
+                )
+                status, served, _ = get(server, f"/predict?{query}")
+                assert status == 200
+                assert served["predicted_seconds"] == predicted
+            assert misses() == before
+    finally:
+        unmount_universe()
 
 
 def test_healthz_aggregates_the_fleet(fleet_server):

@@ -10,6 +10,7 @@ from repro.core.errors import ServiceUnavailableError, UnknownIdError
 from repro.core.metrics import ALL_METRICS
 from repro.core.registry import REGISTRY
 from repro.core.predictor import PerformancePredictor
+from repro.engine.core import clear_row_cache
 from repro.serve.breaker import BreakerBoard
 from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService
@@ -113,6 +114,25 @@ def test_structural_errors_are_value_errors():
         svc.predict_cells(
             [("AVUS-standard", 64)], ["ARL_Xeon"], [9], deadline_seconds=float("nan")
         )
+
+
+@pytest.mark.parametrize("cpus", [32.9, 32.0, True])
+def test_cpus_must_name_an_integer(cpus):
+    # A float or a bool names no cell: truncating it would answer for
+    # one the client did not ask for.
+    svc = make_service()
+    with pytest.raises(ValueError, match=f"cpus must be an integer, got {cpus!r}"):
+        svc.predict("AVUS-standard", cpus, "ARL_Xeon", 9)
+    with pytest.raises(ValueError, match="cpus must be an integer"):
+        svc.predict_cells([("AVUS-standard", cpus)], ["ARL_Xeon"], [9])
+
+
+def test_cpus_may_be_an_integer_string():
+    svc = make_service()
+    for cpus in (32, "32"):
+        assert svc.predict("AVUS-standard", cpus, "ARL_Xeon", 9).cpus == 32
+        (record,) = svc.predict_cells([("AVUS-standard", cpus)], ["ARL_Xeon"], [9])
+        assert record.cpus == 32
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +356,51 @@ def test_a_batch_leaves_its_rows_quick_for_point_requests():
             assert served.predicted_seconds.hex() == record.predicted_seconds.hex()
     finally:
         unmount_universe()
+
+
+def test_point_requests_after_a_batch_each_count_one_memo_hit():
+    # The batch priced every row for all its metrics and systems, so a
+    # point request reads its cell from the batch's row: one hit, no
+    # miss, and no entry of its own.
+    clear_row_cache()
+    svc = make_service()
+    rows = [("AVUS-standard", 32), ("HYCOM-standard", 96), ("RFCTH-standard", 64)]
+    systems = ["ARL_Xeon", "NAVO_655", "ASC_SC45"]
+    metrics = [number for number in REGISTRY.numbers() if "trace" in REGISTRY.spec(number).needs]
+    records = svc.predict_cells(rows, systems, metrics)
+    before = svc.health()["convolve_cache"]
+    for record in records:
+        served = svc.predict(record.application, record.cpus, record.system, record.metric)
+        assert served.predicted_seconds.hex() == record.predicted_seconds.hex()
+    after = svc.health()["convolve_cache"]
+    assert after["hits"] - before["hits"] == len(records)
+    assert after["misses"] == before["misses"]
+    assert after["size"] == before["size"]
+
+
+def test_memos_stay_bounded_after_batches_over_two_universes(monkeypatch):
+    # One service, batches over two universes whose rows outnumber the
+    # (shrunk) bound: both process-wide memos evict instead of growing.
+    from repro.engine.core import _ROW_CACHE
+    from repro.scenarios import mount_universe, unmount_universe
+
+    bound = 8
+    monkeypatch.setattr(_ROW_CACHE, "max_size", bound)
+    monkeypatch.setattr(metasim._TRACE_CACHE, "max_size", bound)
+    svc = make_service()
+    before = svc.health()
+    try:
+        for ref in ("mixed:3:60", "mixed:11:100"):
+            universe = mount_universe(ref)
+            rows = [(app.label, cpus) for app in universe.applications
+                    for cpus in app.cpu_counts]
+            assert svc.predict_cells(rows, [m.name for m in universe.machines], [1, 9])
+    finally:
+        unmount_universe()
+    after = svc.health()
+    for memo in ("trace_cache", "convolve_cache"):
+        assert after[memo]["size"] <= bound
+        assert after[memo]["evictions"] > before[memo]["evictions"]
 
 
 def test_warm_predict_with_a_store_stats_nothing(tmp_path, monkeypatch):

@@ -22,6 +22,20 @@ def test_evicts_least_recently_used_and_counts():
         BoundedLRU(0)
 
 
+def test_an_uncounted_get_leaves_the_tally_to_its_caller():
+    lru = BoundedLRU(2)
+    lru.put("a", 1)
+    lru.put("b", 2)
+    assert lru.get("a", counted=False) == 1  # "b" is now the oldest
+    assert lru.get("c", counted=False) is None
+    assert (lru.hits, lru.misses) == (0, 0)
+    lru.tally(True)
+    lru.tally(False)
+    assert (lru.hits, lru.misses) == (1, 1)
+    lru.put("c", 3)
+    assert "a" in lru and "b" not in lru
+
+
 def test_concurrent_get_and_put_lose_no_update():
     # More threads than cores, a common start and a short switch interval:
     # without the lock a thread evicts a key between another's lookup and
@@ -38,7 +52,12 @@ def test_concurrent_get_and_put_lose_no_update():
                 start.wait(timeout=30)
                 for i in range(rounds):
                     key = (i * 7 + offset) % 5
-                    if lru.get(key) is None:
+                    if offset % 2:  # a lookup that counts its own outcome
+                        value = lru.get(key, counted=False)
+                        lru.tally(value is not None)
+                    else:
+                        value = lru.get(key)
+                    if value is None:
                         lru.put(key, key)
 
             pool = [threading.Thread(target=worker, args=(n,)) for n in range(threads)]

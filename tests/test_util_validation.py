@@ -1,8 +1,23 @@
 """Tests for argument validation helpers."""
 
+import re
+
+import numpy as np
 import pytest
 
-from repro.util.validation import check_fraction, check_in, check_positive
+from repro.util.validation import check_fraction, check_in, check_int, check_positive
+
+
+def test_check_int_accepts_integers_and_integer_strings():
+    for value in (32, "32", " 32 ", np.int64(32)):
+        assert check_int("cpus", value) == 32
+        assert type(check_int("cpus", value)) is int
+
+
+@pytest.mark.parametrize("value", [32.9, 32.0, True, False, "32.0", "x", None, np.float64(32)])
+def test_check_int_refuses_what_names_no_integer(value):
+    with pytest.raises(ValueError, match=re.escape(f"cpus must be an integer, got {value!r}")):
+        check_int("cpus", value)
 
 
 def test_check_positive_accepts():
