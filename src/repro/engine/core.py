@@ -81,40 +81,44 @@ def _predict_all_cached(
     row's matrix pricing before it convolves.
     """
     row = (id(trace), id(base_probes), base_time, mode, CATALOG.version)
-    key = (tuple(id(m) for m in metrics), tuple(id(p) for p in probes_row)) + row
+    ids = (tuple(map(id, metrics)), tuple(map(id, probes_row)))
+    key = ids + row
     hit = _ROW_CACHE.get(key, counted=False)
     rows = None if hit is None else hit[0]
     if rows is None and not matrix:
-        rows = _slice_pricing(_ROW_CACHE.get(row, counted=False), metrics, probes_row)
+        rows = _slice_pricing(_ROW_CACHE.get(row, counted=False), metrics, *ids)
     _ROW_CACHE.tally(rows is not None)
     if rows is not None:
         return rows
     rows = predict_all(metrics, trace, probes_row, base_probes, base_time, mode)
-    entry = (rows, tuple(metrics), tuple(probes_row), trace, base_probes)
+    # The key's id tuples ride along for row reads; the objects behind
+    # them anchor those ids.
+    entry = (rows, *ids, tuple(metrics), tuple(probes_row), trace, base_probes)
     _ROW_CACHE.put(key, entry)
     if matrix:
         _ROW_CACHE.put(row, entry)
     return rows
 
 
-def _position(items, obj):
-    """The index of ``obj`` in ``items``, matched by identity, or None."""
-    return next((i for i, item in enumerate(items) if item is obj), None)
+def _slice_pricing(entry, metrics, metric_ids, probe_ids):
+    """The ``metrics`` × targets cells of a memoised pricing, or None when
+    there is none or it lacks one of those objects.
 
-
-def _slice_pricing(entry, metrics, probes_row):
-    """The ``metrics`` × ``probes_row`` cells of a memoised pricing, or
-    None when there is none or it lacks one of those objects.
-
+    Objects match by identity: ``metric_ids`` and ``probe_ids`` are the
+    ids of the lookup's metrics and target probes, and the entry's own
+    id tuples name objects it holds, so an equal id is the same object.
     Each value :func:`predict_all` returns depends only on its own
     metric and target, so a cell read from a wider pricing is
     bit-identical to pricing it alone.
     """
     if entry is None:
         return None
-    rows, priced_metrics, priced_probes = entry[:3]
-    columns = [_position(priced_probes, probes) for probes in probes_row]
-    if None in columns or any(_position(priced_metrics, m) is None for m in metrics):
+    rows, priced_metric_ids, priced_probe_ids = entry[:3]
+    try:
+        columns = [priced_probe_ids.index(i) for i in probe_ids]
+    except ValueError:  # a target this pricing lacks
+        return None
+    if not all(i in priced_metric_ids for i in metric_ids):
         return None
     return {m.number: [rows[m.number][c] for c in columns] for m in metrics}
 

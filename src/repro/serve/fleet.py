@@ -26,6 +26,13 @@ cold one.  The worker count picks the transport:
   workers answer out of order, and the front end matches responses to
   futures by id.
 
+A batch reply carries its records already encoded: one
+``[label, system, cpus, count, text]`` run per (application, system,
+cpus) cell, ``text`` the cell's ``count`` records as the items of a JSON
+array (see :func:`_batch_runs`).  The front end joins the texts into its
+answer without decoding a record, and on the one-worker backend the
+encoding runs on the pool thread that priced the batch.
+
 Both transports sit under one :meth:`WorkerHandle.call`, so the pending
 bound, the EWMA ``Retry-After`` and the timeout mapping exist once.  A
 request queued on the pool is stamped when it reaches its worker, and
@@ -61,6 +68,8 @@ import signal
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
+from operator import itemgetter
 
 from repro.core.errors import OverloadedError, ServiceUnavailableError, UnknownIdError
 from repro.events.types import Event, WorkerDied, WorkerRespawned
@@ -96,6 +105,11 @@ SERVICE_CONFIG_KEYS = frozenset(
     "faults mode noise sample_size stage_fraction stage_timeouts store threads "
     "universe".split()
 )
+
+
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: call: every reply frame, batch run and HTTP body of the serve layer.
+_dump_json = json.JSONEncoder(sort_keys=True).encode
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +296,25 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
     return budget - waited
 
 
+def _batch_runs(records, cells=None) -> list[list]:
+    """A batch's records as ``[label, system, cpus, count, text]`` runs,
+    one per (application, system, cpus) cell, ``text`` its records
+    encoded once as the items of a JSON array.
+
+    ``records`` come in the engine's canonical (application, system,
+    cpus, metric) order, so a cell's records are contiguous.  The cells
+    form's ``cells`` keeps only the records it names.
+    """
+    if cells is not None:
+        wanted = {tuple(cell) for cell in cells}
+        records = [record for record in records if record[:4] in wanted]
+    runs = []
+    for (label, system, cpus), run in groupby(records, itemgetter(0, 2, 1)):
+        run = list(run)
+        runs.append([label, system, cpus, len(run), _dump_json(run)[1:-1]])
+    return runs
+
+
 def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
     """Serve one request and hand its reply frame to ``reply``."""
     rid = msg.get("id")
@@ -302,21 +335,13 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
             reply({"id": rid, "ok": True, "result": body})
         elif op == "batch":
             records = service.predict_cells(
-                [(label, cpus) for label, cpus in msg["rows"]],
+                msg["rows"],
                 msg["systems"],
                 msg["metrics"],
                 deadline_seconds=_remaining_budget(service, msg, None),
             )
-            reply(
-                {
-                    "id": rid,
-                    "ok": True,
-                    "result": {
-                        "worker": worker_id,
-                        "records": [list(record) for record in records],
-                    },
-                }
-            )
+            runs = _batch_runs(records, msg.get("cells"))
+            reply({"id": rid, "ok": True, "result": {"worker": worker_id, "runs": runs}})
         elif op == "health":
             body = service.health()
             body["worker"] = worker_id
@@ -380,7 +405,7 @@ def _worker_main(
     write_lock = threading.Lock()
 
     def reply(payload: dict) -> None:
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        data = _dump_json(payload).encode("utf-8")
         with write_lock:
             try:
                 _send_frame(sock, data)

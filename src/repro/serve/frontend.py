@@ -3,7 +3,7 @@
 One event loop accepts every connection (no thread-per-connection, no
 framework, zero new dependencies — plain ``asyncio.start_server`` and
 hand-rolled HTTP/1.1 framing with keep-alive) and does only cheap work:
-parse, validate, route, coalesce, merge.  Everything CPU-bound happens in
+parse, validate, route, coalesce, splice.  Everything CPU-bound happens in
 the :class:`~repro.serve.fleet.Fleet`'s workers — with one worker (the
 default) a service running in this process, which answers point requests
 from memory on this event loop and queues batches and slower point
@@ -37,14 +37,18 @@ Routes:
     (``applications`` / ``systems`` / ``metrics`` / optional ``rows``);
     an empty body means the paper's full study matrix; a repeated cell,
     row, system or metric counts once, at its first appearance.  The
-    front end compiles the cells into per-shard row lists, fans one
+    front end compiles the request into per-shard row lists (in the
+    cells form, with each shard's own cells), fans one
     :meth:`~repro.serve.service.PredictionService.predict_cells` call to
     each owning worker (the engine's ``run_matrix`` path — one rate
-    table per row shared across every machine and metric), retries
-    re-routed rows once if a worker dies mid-batch, then merges shards
-    back into the engine's canonical emission order.  Identical axes
-    therefore reproduce offline study records byte-for-byte, regardless
-    of worker count — ``run_matrix``'s partition invariance, served.
+    table per row shared across every machine and metric), and retries
+    re-routed rows once if a worker dies mid-batch.  Each worker encodes
+    its records once, as JSON text per (application, system, cpus) cell;
+    the front end splices those texts, never decoding a record, in the
+    engine's canonical emission order.  Identical axes therefore
+    reproduce offline study records byte-for-byte, regardless of worker
+    count — ``run_matrix``'s partition invariance, served.  ``workers``
+    counts the records each worker answered.
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
@@ -95,7 +99,7 @@ from repro.events.projections import ProjectionEngine
 from repro.scenarios import CATALOG, TARGET_SYSTEMS, get_application
 from repro.scenarios.builtin import builtin_applications
 from repro.serve.coalesce import SingleFlight
-from repro.serve.fleet import Fleet, error_payload
+from repro.serve.fleet import Fleet, _dump_json, error_payload
 from repro.serve.service import DEFAULT_DEADLINE_SECONDS, validate_query
 from repro.util.validation import check_int, nearest_ids
 
@@ -157,7 +161,7 @@ def _study_metrics() -> tuple[int, ...]:
 
 
 class FleetFrontend:
-    """Route, coalesce and merge requests over one :class:`Fleet`."""
+    """Route, coalesce and splice requests over one :class:`Fleet`."""
 
     def __init__(self, fleet: Fleet, *, default_deadline: float = DEFAULT_DEADLINE_SECONDS):
         if not 0 < default_deadline < math.inf:
@@ -325,12 +329,14 @@ class FleetFrontend:
     def _write_response(
         writer: asyncio.StreamWriter,
         status: int,
-        body: dict,
+        body: dict | bytes,
         *,
         retry_after: float | None = None,
         close: bool = False,
     ) -> None:
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
+        """Write one response; ``body`` is a JSON-shaped dict or an answer
+        already encoded as JSON bytes."""
+        payload = body if isinstance(body, bytes) else _dump_json(body).encode("utf-8")
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             "Content-Type: application/json",
@@ -347,7 +353,8 @@ class FleetFrontend:
     # routing
     # ------------------------------------------------------------------
     async def _dispatch(self, method: str, target: str, body: bytes):
-        """Route one request; returns ``(status, body_dict, retry_after)``."""
+        """Route one request; returns ``(status, body, retry_after)``, the
+        body a dict or encoded JSON bytes."""
         url = urlsplit(target)
         try:
             if method == "GET" and url.path == "/predict":
@@ -473,9 +480,9 @@ class FleetFrontend:
         if deadline_ms is not None:
             deadline_ms = _deadline_ms(deadline_ms)
 
-        wanted = None  # explicit-cells form filters the merged records
+        wanted = None  # the cells form: each worker keeps only its cells
         if "cells" in spec:
-            # Insertion-ordered dicts: first appearance fixes the merge order.
+            # Insertion-ordered dicts: first appearance fixes the answer's order.
             row_keys: dict[tuple[str, int], None] = {}
             system_keys: dict[str, None] = {}
             metric_keys: dict[int, None] = {}
@@ -563,15 +570,15 @@ class FleetFrontend:
             else deadline_ms / 1000.0 + _FRAME_TIMEOUT_MARGIN
         )
 
-        async def run_shard(shard_rows: list[tuple[str, int]]):
+        async def run_shard(shard: dict):
             """One worker's sub-batch; re-routes and retries once on death."""
-            worker = self.fleet.owner_of(*shard_rows[0])
             params = {
-                "rows": [list(row) for row in shard_rows],
-                "systems": list(systems),
-                "metrics": list(metrics),
+                **shard,
+                "systems": systems,
+                "metrics": metrics,
                 "deadline_ms": deadline_ms,
             }
+            worker = self.fleet.owner_of(*shard["rows"][0])
             try:
                 return worker.name, await worker.call("batch", params, timeout=timeout)
             except OverloadedError:
@@ -580,26 +587,33 @@ class FleetFrontend:
                 # the new owner rather than failing the whole batch.
                 self.batch_reroutes_total += 1
                 await asyncio.sleep(self.fleet.respawn_delay)
-                worker = self.fleet.owner_of(*shard_rows[0])
+                worker = self.fleet.owner_of(*shard["rows"][0])
                 return worker.name, await worker.call(
                     "batch", params, timeout=timeout
                 )
 
-        # Compile the cell list into per-shard row sets: every row routes
-        # to the worker whose caches own its trace identity.
-        shards: dict[str, list[tuple[str, int]]] = {}
-        for row in rows:
-            shards.setdefault(self.fleet.owner_of(*row).name, []).append(row)
+        # Compile the request into per-shard sub-batches: every row routes
+        # to the worker whose caches own its trace identity, and in the
+        # cells form each cell goes with its row.
+        owners = {row: self.fleet.owner_of(*row).name for row in rows}
+        shards: dict[str, dict] = {}
+        for row, name in owners.items():
+            shard = shards.setdefault(
+                name, {"rows": [], "cells": None if wanted is None else []}
+            )
+            shard["rows"].append(row)
+        for cell in wanted or ():
+            shards[owners[cell[:2]]]["cells"].append(cell)
 
         try:
             shard_results = await asyncio.gather(
-                *(run_shard(shard_rows) for shard_rows in shards.values())
+                *(run_shard(shard) for shard in shards.values())
             )
         except OverloadedError as exc:
             mapped = error_payload(exc)
             return mapped["status"], mapped["body"], mapped.get("retry_after")
         worker_counts: dict[str, int] = {}
-        merged: list[list] = []
+        runs: dict[tuple[str, str, int], tuple[int, str]] = {}
         for worker_name, response in shard_results:
             if not response.get("ok", False):
                 return (
@@ -607,45 +621,39 @@ class FleetFrontend:
                     response.get("body", {"error": "WorkerError"}),
                     response.get("retry_after"),
                 )
-            records = response["result"]["records"]
-            worker_counts[worker_name] = (
-                worker_counts.get(worker_name, 0) + len(records)
-            )
-            merged.extend(records)
+            worker_counts.setdefault(worker_name, 0)
+            for label, system, cpus, count, text in response["result"]["runs"]:
+                runs[label, system, cpus] = count, text
+                worker_counts[worker_name] += count
 
-        # Merge back into the engine's canonical emission order —
-        # (label, system, row, metric), each axis in request order — so
-        # any sharding reproduces the serial full-matrix byte stream.
-        label_order: dict[str, int] = {}
-        for label, _cpus in rows:
-            label_order.setdefault(label, len(label_order))
-        row_order = {row: i for i, row in enumerate(rows)}
-        system_order = {system: i for i, system in enumerate(systems)}
-        metric_order = {number: i for i, number in enumerate(metrics)}
-        if wanted is not None:
-            merged = [
-                record
-                for record in merged
-                if (record[0], record[1], record[2], record[3]) in wanted
-            ]
-        merged.sort(
-            key=lambda record: (
-                label_order[record[0]],
-                system_order[record[2]],
-                row_order[(record[0], record[1])],
-                metric_order[record[3]],
+        # Splice the runs in the engine's canonical emission order —
+        # (label, system, row), each axis in request order, a run holding
+        # its cell's metrics in request order — so any sharding reproduces
+        # the serial full-matrix byte stream.
+        rows_of: dict[str, list[int]] = {}
+        for label, cpus in rows:
+            rows_of.setdefault(label, []).append(cpus)
+        texts: list[str] = []
+        count = 0
+        for label, cpus_list in rows_of.items():
+            for system in systems:
+                for cpus in cpus_list:
+                    run = runs.get((label, system, cpus))
+                    if run is not None:
+                        count += run[0]
+                        texts.append(run[1])
+        priced = sum(worker_counts.values())
+        if count != priced:
+            raise RuntimeError(
+                f"batch answer placed {count} of the {priced} records its "
+                "workers priced"
             )
+        self.batch_cells_total += count
+        answer = (
+            f'{{"count": {count}, "records": [{", ".join(texts)}], '
+            f'"workers": {_dump_json(worker_counts)}}}'
         )
-        self.batch_cells_total += len(merged)
-        return (
-            200,
-            {
-                "count": len(merged),
-                "records": merged,
-                "workers": dict(sorted(worker_counts.items())),
-            },
-            None,
-        )
+        return 200, answer.encode("utf-8"), None
 
     # ------------------------------------------------------------------
     # health surfaces

@@ -5,6 +5,8 @@ one dataflow), and each middleware must enforce its single concern in
 isolation — the serve chaos suite covers the composed chain end to end.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps.suite import get_application
@@ -20,6 +22,7 @@ from repro.engine import (
     FaultMiddleware,
     MatrixPlan,
     PointPlan,
+    ProbeBundle,
     StageRunner,
 )
 from repro.engine.core import clear_row_cache
@@ -366,3 +369,27 @@ def test_no_point_reads_a_row_priced_before_a_mount_or_unmount(counted_predict_a
         del counted_predict_all[:]
         assert point(engine, APP, CPUS, TARGET, 9) == priced
         assert len(counted_predict_all) == 1
+
+
+def test_a_row_read_matches_targets_by_identity_not_equality(counted_predict_all):
+    # A probe bundle equal to the one a matrix priced, but not the same
+    # object, is priced afresh: the row memo keys on identities, and an
+    # equal object may carry different values under the same fields.
+    engine = Engine(noise=False)
+    engine.run_matrix(
+        MatrixPlan(labels=(APP,), systems=(TARGET,), metrics=(9,), rows=((APP, CPUS),))
+    )
+    app, target = scenarios.get_application(APP), scenarios.get_machine(TARGET)
+    bundle = engine.probe_bundle(app, CPUS, target)
+    twin = dataclasses.replace(bundle.target_probes)
+    assert twin == bundle.target_probes and twin is not bundle.target_probes
+    del counted_predict_all[:]
+    plan = PointPlan(
+        app=app,
+        cpus=CPUS,
+        target=target,
+        metric=get_metric(9),
+        probe=lambda d: ProbeBundle(twin, bundle.base_probes, bundle.base_time),
+    )
+    assert engine.run_point(plan) == point(engine, APP, CPUS, TARGET, 9)
+    assert len(counted_predict_all) == 1

@@ -7,7 +7,8 @@ sockets — on a loopback port.  The load-bearing pins:
 * **golden batch identity** — ``POST /predict/batch`` over the paper's
   full matrix must be byte-identical to the committed study records,
   regardless of worker count (``run_matrix`` partition invariance,
-  served over HTTP);
+  served over HTTP), and every raw batch body must equal ``json.dumps``
+  of the records in-process ``predict_cells`` prices;
 * **exactly-once coalescing** — concurrent duplicate point requests
   produce one worker call: one ``coalesced: false`` leader, the rest
   ``coalesced: true`` followers, and the worker's own request counter
@@ -47,7 +48,8 @@ from urllib.parse import parse_qsl, urlencode
 import pytest
 
 from repro.cli import main
-from repro.core.errors import ServiceUnavailableError
+from repro.core.errors import OverloadedError, ServiceUnavailableError
+from repro.core.registry import REGISTRY
 from repro.serve.fleet import (
     Fleet,
     WorkerHandle,
@@ -56,7 +58,9 @@ from repro.serve.fleet import (
     _worker_main,
     error_payload,
 )
-from repro.scenarios import mount_universe, unmount_universe
+from repro.scenarios import TARGET_SYSTEMS, get_application, mount_universe, unmount_universe
+from repro.scenarios.builtin import builtin_applications
+from repro.serve import fleet as fleet_module
 from repro.serve.frontend import FleetFrontend, FleetServer
 from repro.serve.service import PredictionService
 from repro.util.faults import FaultPlan
@@ -107,6 +111,17 @@ def get(server, path, timeout=None):
             return resp.status, json.load(resp), dict(resp.headers)
     except urllib.error.HTTPError as err:
         return err.code, json.load(err), dict(err.headers)
+
+
+def post_raw(server, path, data, timeout=300):
+    """POST ``data`` bytes as they are; the status and the raw answer."""
+    host, port = server.address
+    request = urllib.request.Request(f"http://{host}:{port}{path}", data=data, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read()
 
 
 def post(server, path, body, timeout=300):
@@ -282,6 +297,90 @@ def test_batch_cpus_may_be_an_integer_string(server, golden):
             status, reply = post(server, "/predict/batch", body)
             assert status == 200
             assert reply["records"] == expected
+
+
+#: The cells form's corner cases: a repeated cell, a cell whose cpus exceed
+#: its machine's (no record, like the paper's blank cells) and a replica.
+ORACLE_CELLS = [
+    ["HYCOM-standard", 96, "ASC_SC45", 1],
+    ["AVUS-standard", 64, "ARL_Xeon", 9],
+    ["AVUS-standard", 64, "ARL_Xeon", 9],
+    ["AVUS-large", 384, "ARL_690_1.7", 9],
+    ["AVUS-standard@3", 64, "ARL_Xeon", 9],
+    ["AVUS-standard", 64, "ASC_SC45", 1],
+]
+
+
+def oracle_records(form):
+    """The request of ``form`` and the records in-process ``predict_cells``
+    prices for it, in the answer's order."""
+    if form == "cells":
+        rows = list(dict.fromkeys((label, cpus) for label, cpus, _s, _m in ORACLE_CELLS))
+        systems = list(dict.fromkeys(cell[2] for cell in ORACLE_CELLS))
+        metrics = list(dict.fromkeys(cell[3] for cell in ORACLE_CELLS))
+        wanted = {tuple(cell) for cell in ORACLE_CELLS}
+        records = PredictionService().predict_cells(rows, systems, metrics)
+        return {"cells": ORACLE_CELLS}, [r for r in records if r[:4] in wanted]
+    if form == "axes":
+        labels, systems, metrics = ["RFCTH-standard", "AVUS-standard"], ["NAVO_655", "ARL_Xeon"], [9, 1]
+        request = {"applications": labels, "systems": systems, "metrics": metrics}
+    else:  # the empty body: the paper's full study matrix
+        labels, systems = list(builtin_applications()), TARGET_SYSTEMS
+        metrics = [spec.number for spec in REGISTRY.table3()]
+        request = None
+    rows = [(label, cpus) for label in labels for cpus in get_application(label).cpu_counts]
+    return request, PredictionService().predict_cells(rows, systems, metrics)
+
+
+@pytest.mark.parametrize("form", ["axes", "cells", "empty"])
+def test_batch_answer_is_the_encoding_of_in_process_records(server, form):
+    # The raw body, byte for byte, is json.dumps of the records the
+    # engine prices in-process, with the workers the server reports.
+    request, records = oracle_records(form)
+    data = b"" if request is None else json.dumps(request).encode()
+    status, raw = post_raw(server, "/predict/batch", data)
+    assert status == 200
+    assert records
+    expected = {
+        "count": len(records),
+        "records": [list(record) for record in records],
+        "workers": json.loads(raw)["workers"],
+    }
+    assert raw == json.dumps(expected, sort_keys=True).encode()
+
+
+def test_a_run_the_splice_cannot_place_fails_the_batch(local_server, monkeypatch):
+    # A run whose cell is not on the request's axes cannot be placed: the
+    # answer is an error, never a body short of the records priced.
+    real_batch_runs = fleet_module._batch_runs
+
+    def mislabelled(records, cells=None):
+        runs = real_batch_runs(records, cells)
+        runs[0][0] = "AVUS-elsewhere"
+        return runs
+
+    monkeypatch.setattr(fleet_module, "_batch_runs", mislabelled)
+    status, body = post(local_server, "/predict/batch", {"rows": [["AVUS-standard", 64]]})
+    assert status == 500
+    assert "placed" in body["message"]
+
+
+TWO_CELLS = [["AVUS-standard", 64, "ARL_Xeon", 9], ["HYCOM-standard", 96, "ASC_SC45", 1]]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"cells": TWO_CELLS},
+        {"rows": [cell[:2] for cell in TWO_CELLS], "systems": ["ARL_Xeon", "ASC_SC45"],
+         "metrics": [9, 1]},
+    ],
+    ids=["cells", "axes"],
+)
+def test_batch_workers_count_the_records_answered(server, body):
+    status, reply = post(server, "/predict/batch", body)
+    assert status == 200 and reply["count"] == len(reply["records"]) > 0
+    assert sum(reply["workers"].values()) == reply["count"]
 
 
 # ---------------------------------------------------------------------------
@@ -1257,6 +1356,35 @@ def test_worker_death_is_shed_rerouted_and_respawned():
         assert health["fleet"]["alive"] == 2
         assert health["ring"]["nodes"] == ["w0", "w1"]
         assert get(server, PREDICT)[0] == 200
+    finally:
+        server.stop()
+
+
+def test_a_shed_batch_shard_is_retried_once_and_the_answer_stays_whole(golden):
+    # One shard's owner sheds its first batch call: the front end retries
+    # that shard once against the ring's owner, and the full matrix still
+    # answers byte-identical to the study records.
+    server = FleetServer(2)
+    server.start()
+    try:
+        handle = server.fleet.workers["w1"]
+        real_call, shed = handle.call, []
+
+        async def shed_first_batch(op, params, **kwargs):
+            if op == "batch" and not shed:
+                shed.append(op)
+                raise OverloadedError("backlog full", retry_after=0.01)
+            return await real_call(op, params, **kwargs)
+
+        handle.call = shed_first_batch
+        status, raw = post_raw(server, "/predict/batch", b"")
+        assert status == 200 and shed == ["batch"]
+        workers = json.loads(raw)["workers"]
+        assert sum(workers.values()) == golden["n_records"]
+        expected = {"count": golden["n_records"], "records": golden["records"], "workers": workers}
+        assert raw == json.dumps(expected, sort_keys=True).encode()
+        _, health, _ = get(server, "/healthz")
+        assert health["frontend"]["batch_reroutes_total"] == 1
     finally:
         server.stop()
 
