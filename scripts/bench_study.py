@@ -13,7 +13,7 @@ configuration:
 * ``parallel``      — ``workers=N`` fan-out (byte-identity is asserted).
 
 Each configuration also records the engine's per-stage wall-clock breakdown
-(probe / execute / trace / cache_model / convolve) for its best repeat.
+(probe / execute / trace / convolve) for its best repeat.
 
 ``--scale N`` multiplies the application axis with ``label@k`` replicas
 (N x the matrix) so parallel speedup is measurable above the engine's
@@ -72,7 +72,7 @@ from repro.util.io import write_atomic
 SEED_BASELINE_SECONDS = 0.893
 
 #: Stage keys always reported (missing stages print as 0).
-STAGES = ("probe", "execute", "trace", "cache_model", "convolve")
+STAGES = ("probe", "execute", "trace", "convolve")
 
 
 def _clear_caches() -> None:

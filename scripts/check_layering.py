@@ -48,9 +48,9 @@ A third pass keeps **scipy out of import time**: no module in
 module loads (top level, including under a module-level ``if``/``try``/
 ``with`` or in a class body).  This is the case where *when the cost is
 paid* is the whole point: scipy is most of ``import repro`` (~1 s of
-~1.4 s), yet only the rank agreement, the Section 4 weight fit and the
-``cache_sim`` set-associativity accounting call it, so it is imported
-inside those functions and the serve and study processes never load it.
+~1.4 s), yet only the rank agreement and the Section 4 weight fit call
+it, so it is imported inside those functions and the serve and study
+processes never load it.
 
 A fourth pass keeps **serving on the engine's backends**: no
 ``repro.serve`` module may import (or reach as an attribute)

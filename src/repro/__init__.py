@@ -5,7 +5,8 @@
 The package implements the paper's full pipeline on simulated substrates:
 
 * machine models of the eleven HPCMP systems (:mod:`repro.machines`);
-* memory hierarchy + cache simulator + stride detector (:mod:`repro.memory`);
+* memory hierarchy model + address streams + stride detector
+  (:mod:`repro.memory`);
 * interconnect models (:mod:`repro.network`);
 * the five TI-05 application models and a full-fidelity ground-truth
   executor (:mod:`repro.apps`);
@@ -38,7 +39,6 @@ from repro.core import (
     ALL_METRICS,
     REGISTRY,
     BalancedRating,
-    CacheModel,
     Convolver,
     ErrorSummary,
     MemoryModel,
@@ -99,7 +99,6 @@ __all__ = [
     "MetricSpec",
     "Term",
     "Mode",
-    "CacheModel",
     "PredictionContext",
     "Convolver",
     "MemoryModel",

@@ -52,7 +52,7 @@ from repro.reporting.export import result_to_csv
 from repro.study.runner import StudyResult, run_study, shutdown_pool
 from repro.study import tables as T
 from repro.util.faults import FaultPlan
-from repro.util.options import CacheModel, Mode
+from repro.util.options import Mode
 from repro.util.validation import check_distinct
 
 __all__ = ["main"]
@@ -139,7 +139,6 @@ def _serve(args) -> int:
         service_config={
             "mode": args.mode,
             "noise": not args.no_noise,
-            "cache_model": args.cache_model,
             "store": args.cache_dir,
             "events_dir": args.events_dir,
             "default_deadline": deadline,
@@ -691,14 +690,6 @@ def _run(argv: list[str] | None) -> int:
         "invocations skip the non-recurring costs",
     )
     parser.add_argument(
-        "--cache-model",
-        choices=list(CacheModel.values()),
-        default="analytic",
-        help="cache accounting back-end when tracing: 'analytic' prices all "
-        "levels from one reuse-distance profile (default), 'exact' replays "
-        "streams through the set-associative simulator",
-    )
-    parser.add_argument(
         "--events-dir",
         default=None,
         metavar="DIR",
@@ -988,7 +979,6 @@ def _run(argv: list[str] | None) -> int:
         config = StudyConfig(
             mode=args.mode,
             noise=not args.no_noise,
-            cache_model=args.cache_model,
             **overrides,
         )
         result = run_study(

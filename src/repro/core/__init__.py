@@ -41,7 +41,7 @@ from repro.core.metrics import (
     get_metric,
     resolve_metrics,
 )
-from repro.util.options import CacheModel, Mode
+from repro.util.options import Mode
 from repro.core.registry import REGISTRY, MetricRegistry, MetricSpec, Term
 from repro.core.balanced import BalancedRating, optimise_weights
 from repro.core.predictor import PerformancePredictor
@@ -74,7 +74,6 @@ __all__ = [
     "Term",
     "REGISTRY",
     "Mode",
-    "CacheModel",
     "BalancedRating",
     "optimise_weights",
     "PerformancePredictor",

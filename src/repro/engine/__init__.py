@@ -1,8 +1,8 @@
 """The staged prediction engine (see DESIGN.md §5f).
 
-One owner for the probe → execute → trace → cache-model → convolve →
-metric-evaluate dataflow that the predictor facade, the offline study
-runner and the online serve layer all share:
+One owner for the probe → execute → trace → convolve → metric-evaluate
+dataflow that the predictor facade, the offline study runner and the
+online serve layer all share:
 
 * :mod:`repro.engine.plan` — typed plans (:class:`MatrixPlan`,
   :class:`PointPlan`) and artifacts (:class:`ProbeBundle`,

@@ -4,7 +4,7 @@ Every prediction in this codebase — a one-shot library call, a study
 cell, an online query — is the same pipeline::
 
     probe ─┐
-    execute ├─> trace ─> cache model ─> convolve ─> metric evaluate
+    execute ├─> trace ─> convolve ─> metric evaluate
            ─┘
 
 :class:`Engine` owns that dataflow once.  Callers declare *what* with a
@@ -46,7 +46,7 @@ from repro.tracing.metasim import (
 )
 from repro.tracing.store import TraceStore
 from repro.util.lru import BoundedLRU
-from repro.util.options import CacheModel, Mode
+from repro.util.options import Mode
 from repro.util.timing import StageTimer
 
 __all__ = ["Engine", "clear_row_cache"]
@@ -174,11 +174,6 @@ def _emit_label(records, observed, label, systems, runs, priced, numbers):
         )
     )
 
-#: Stages the study path books wall-clock for via middleware; the trace
-#: stage books itself (net of cache-model time) through the engine's
-#: timer, so timing it again here would double-count.
-_TIMED_MATRIX_STAGES = ("probe", "execute", "convolve")
-
 
 class Engine:
     """Run prediction plans through the staged pipeline.
@@ -187,9 +182,9 @@ class Engine:
     ----------
     base_system:
         The base (tracing + Equation 1 anchor) system X0.
-    mode, sample_size, noise, cache_model:
-        Pipeline knobs; ``mode``/``cache_model`` are coerced to their
-        validated enums so an invalid value fails here, not mid-run.
+    mode, sample_size, noise:
+        Pipeline knobs; ``mode`` is coerced to its validated enum so an
+        invalid value fails here, not mid-run.
     store:
         Optional persistent trace/probe cache the engine threads into
         every backend call (the *only* place that wiring now lives).
@@ -205,7 +200,6 @@ class Engine:
         mode: str = "relative",
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         noise: bool = True,
-        cache_model: str = "analytic",
         store: TraceStore | None = None,
         middleware: tuple = (),
     ):
@@ -213,7 +207,6 @@ class Engine:
         self.mode = str(Mode.coerce(mode))
         self.sample_size = sample_size
         self.noise = noise
-        self.cache_model = str(CacheModel.coerce(cache_model))
         self.store = store
         self.middleware = tuple(middleware)
         self._stages = StageRunner(self.middleware)
@@ -240,16 +233,14 @@ class Engine:
             deadline.checkpoint("probe")
         return ProbeBundle(target_probes, base_probes, self.base_time(app, cpus))
 
-    def trace(self, app, cpus: int, deadline=None, timer=None):
+    def trace(self, app, cpus: int, deadline=None):
         """Default trace backend: the base-system transfer function."""
         return trace_application(
             app,
             cpus,
             self.base_machine,
             self.sample_size,
-            cache_model=self.cache_model,
             store=self.store,
-            timer=timer,
             deadline=deadline,
         )
 
@@ -380,9 +371,7 @@ class Engine:
         is spent.
         """
         t = timer if timer is not None else StageTimer()
-        stages = StageRunner(
-            (TimingMiddleware(t, stages=_TIMED_MATRIX_STAGES),) + self.middleware
-        )
+        stages = StageRunner((TimingMiddleware(t),) + self.middleware)
         base_machine = self.base_machine
         labels, systems = plan.labels, plan.systems
 
@@ -451,7 +440,7 @@ class Engine:
                 trace = stages.run(
                     "trace",
                     deadline,
-                    lambda d, app=app, cpus=cpus: self.trace(app, cpus, d, timer=t),
+                    lambda d, app=app, cpus=cpus: self.trace(app, cpus, d),
                 )
                 probes_row = [probes[system] for system in eligible]
                 rows = stages.run(

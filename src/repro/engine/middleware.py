@@ -10,7 +10,7 @@ a stage invocation, and a caller's policy is just the tuple it passes to
     (DeadlineGate(), BreakerMiddleware(board),
      BudgetMiddleware(fraction, caps), FaultMiddleware(...))
 
-while the study runner composes ``(TimingMiddleware(timer, ...),)``.
+while the study runner composes ``(TimingMiddleware(timer),)``.
 
 The chain contract: a middleware is called as ``mw(stage, deadline,
 call_next)`` and must return the stage result; ``call_next(deadline)``
@@ -96,24 +96,15 @@ class _CallNext:
 class TimingMiddleware:
     """Book each stage's wall-clock into a :class:`~repro.util.timing.StageTimer`.
 
-    Parameters
-    ----------
-    timer:
-        The timer to book into.
-    stages:
-        Stages to time, or ``None`` for all.  The study engine times
-        probe/execute/convolve here but *not* trace — the tracer books
-        its own time (net of the cache-model share) through the timer the
-        engine hands it, and double-booking would corrupt the breakdown.
+    Every stage is timed the same way, memo hits and store loads
+    included, so the study's probe / execute / trace / convolve
+    breakdown comes from this one place.
     """
 
-    def __init__(self, timer, stages: tuple[str, ...] | None = None):
+    def __init__(self, timer):
         self.timer = timer
-        self.stages = stages
 
     def __call__(self, stage, deadline, call_next):
-        if self.stages is not None and stage not in self.stages:
-            return call_next(deadline)
         start = perf_counter()
         try:
             return call_next(deadline)

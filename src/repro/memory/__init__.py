@@ -9,10 +9,9 @@ Three complementary pieces:
   that converts a pattern into achieved bandwidth on a given machine.  This
   is the single behavioural surface both probes and the executor interrogate
   (DESIGN.md §5.2).
-* :mod:`repro.memory.cache` / :mod:`repro.memory.streams` /
-  :mod:`repro.memory.stride` — a set-associative LRU cache simulator,
-  synthetic address-stream generators and an EMPS-style stride detector;
-  together they form the tracing substrate used by MetaSim Tracer.
+* :mod:`repro.memory.streams` / :mod:`repro.memory.stride` — synthetic
+  address-stream generators and an EMPS-style stride detector; together
+  they form the tracing substrate used by MetaSim Tracer.
 """
 
 from repro.memory.patterns import (
@@ -21,7 +20,6 @@ from repro.memory.patterns import (
     StrideHistogram,
 )
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.cache import CacheStats, MultiLevelCache, SetAssociativeCache
 from repro.memory.streams import (
     pointer_chase_addresses,
     random_addresses,
@@ -34,9 +32,6 @@ __all__ = [
     "StrideClass",
     "StrideHistogram",
     "MemoryHierarchy",
-    "SetAssociativeCache",
-    "MultiLevelCache",
-    "CacheStats",
     "strided_addresses",
     "random_addresses",
     "pointer_chase_addresses",

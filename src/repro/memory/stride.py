@@ -3,9 +3,9 @@
 The paper's MetaSim Tracer "parses the address stream with a stride
 detector, thus determining what portion of memory references are stride-1,
 non-unit short strides (up to stride-8), and random stride".  This module
-implements that classification for a sampled address stream, plus a
-working-set estimate, producing the per-block memory signature the
-convolver's Metrics #6-#9 consume.
+implements that classification for a sampled address stream, producing
+the per-block stride histogram the convolver's Metrics #6-#9 consume
+(the tracer estimates working sets from the sampled streams' spans).
 """
 
 from __future__ import annotations
@@ -27,14 +27,11 @@ class StrideReport:
     ----------
     histogram:
         Fractions of references classified unit / short / random.
-    working_set_bytes:
-        Estimated bytes of distinct data touched (distinct lines x line size).
     references:
         Number of references analysed.
     """
 
     histogram: StrideHistogram
-    working_set_bytes: float
     references: int
 
 
@@ -47,49 +44,30 @@ class StrideDetector:
         Element size used to convert byte deltas to element strides.
     short_max:
         Largest |stride| (elements) still binned as short (paper: 8).
-    line_bytes:
-        Granularity for the working-set estimate.
     """
 
-    def __init__(
-        self,
-        element_bytes: int = 8,
-        short_max: int = SHORT_STRIDE_MAX,
-        line_bytes: int = 64,
-    ):
+    def __init__(self, element_bytes: int = 8, short_max: int = SHORT_STRIDE_MAX):
         if element_bytes <= 0:
             raise ValueError(f"element_bytes must be > 0, got {element_bytes}")
         if short_max < 2:
             raise ValueError(f"short_max must be >= 2, got {short_max}")
-        if line_bytes <= 0:
-            raise ValueError(f"line_bytes must be > 0, got {line_bytes}")
         self.element_bytes = element_bytes
         self.short_max = short_max
-        self.line_bytes = line_bytes
 
-    def classify(
-        self, addresses: np.ndarray, *, working_set: bool = True
-    ) -> StrideReport:
+    def classify(self, addresses: np.ndarray) -> StrideReport:
         """Analyse one reference stream (addresses of a single load/store group).
 
         The first reference of a stream has no predecessor and inherits the
         classification of the second, matching how per-instruction stride
-        detectors warm up.  ``working_set=False`` skips the distinct-line
-        count (the costliest part) and reports ``nan`` — for callers that
-        estimate working sets another way.
+        detectors warm up.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         n = int(addrs.shape[0])
         if n == 0:
             raise ValueError("cannot classify an empty address stream")
-        if working_set:
-            lines = np.unique(addrs // self.line_bytes)
-            ws = float(lines.size * self.line_bytes)
-        else:
-            ws = float("nan")
         if n == 1:
             hist = StrideHistogram(unit=1.0, short=0.0, random=0.0)
-            return StrideReport(histogram=hist, working_set_bytes=ws, references=1)
+            return StrideReport(histogram=hist, references=1)
 
         deltas = addrs[1:] - addrs[:-1]  # np.diff minus the wrapper overhead
         # Classification happens in the integer byte domain: an element
@@ -113,7 +91,7 @@ class StrideDetector:
                 abs_deltas, short_mask, short
             ),
         )
-        return StrideReport(histogram=hist, working_set_bytes=ws, references=n)
+        return StrideReport(histogram=hist, references=n)
 
     def _dominant_short_stride(
         self, abs_deltas: np.ndarray, short_mask: np.ndarray, short: int

@@ -101,8 +101,8 @@ DEFAULT_MAX_PENDING = 64
 
 #: Keys a worker's service config may carry (see :func:`_build_service`).
 SERVICE_CONFIG_KEYS = frozenset(
-    "base_system breaker cache_model default_deadline events_dir fault_stages "
-    "faults mode noise sample_size stage_fraction stage_timeouts store threads "
+    "base_system breaker default_deadline events_dir fault_stages faults "
+    "mode noise sample_size stage_fraction stage_timeouts store threads "
     "universe".split()
 )
 
@@ -222,7 +222,6 @@ def _build_service(config: dict, worker_id: str | None = None):
         base_system=config.get("base_system", BASE_SYSTEM),
         mode=config.get("mode", "relative"),
         sample_size=config.get("sample_size", DEFAULT_SAMPLE_SIZE),
-        cache_model=config.get("cache_model", "analytic"),
         noise=config.get("noise", True),
         store=config.get("store"),
         default_deadline=config.get("default_deadline", 1.0),
@@ -850,8 +849,6 @@ class Fleet:
             cpus,
             self.config.get("base_system", BASE_SYSTEM),
             self.config.get("sample_size", DEFAULT_SAMPLE_SIZE),
-            False,
-            self.config.get("cache_model", "analytic"),
         )
 
     def owner_of(self, application: str, cpus: int) -> WorkerHandle:

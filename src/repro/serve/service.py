@@ -50,7 +50,7 @@ from repro.core.errors import (
     UnknownIdError,
 )
 from repro.core.metrics import get_metric
-from repro.util.options import CacheModel, Mode
+from repro.util.options import Mode
 from repro.core.registry import REGISTRY
 from repro.engine import (
     BreakerMiddleware,
@@ -206,10 +206,10 @@ class PredictionService:
     ----------
     base_system:
         System traces and Equation-1 ratios anchor to (the study's X0).
-    mode, sample_size, cache_model, noise:
+    mode, sample_size, noise:
         Pipeline knobs, identical in meaning to
-        :class:`~repro.study.runner.StudyConfig`; ``mode`` and
-        ``cache_model`` are validated through the shared enums.
+        :class:`~repro.study.runner.StudyConfig`; ``mode`` is validated
+        through the shared enum.
     store:
         Optional persistent :class:`~repro.tracing.store.TraceStore` (or
         directory path) shared by all request threads; its invalidation
@@ -253,7 +253,6 @@ class PredictionService:
         base_system: str = BASE_SYSTEM,
         mode: str = "relative",
         sample_size: int = DEFAULT_SAMPLE_SIZE,
-        cache_model: str = "analytic",
         noise: bool = True,
         store: "TraceStore | str | os.PathLike | None" = None,
         default_deadline: float = DEFAULT_DEADLINE_SECONDS,
@@ -267,7 +266,6 @@ class PredictionService:
         sleep: "Callable[[float], None] | None" = None,
     ):
         mode = str(Mode.coerce(mode))
-        cache_model = str(CacheModel.coerce(cache_model))
         if not CATALOG.has_machine(base_system):
             known = CATALOG.machine_ids()
             raise UnknownIdError(
@@ -289,7 +287,6 @@ class PredictionService:
         self.base_system = base_system
         self.mode = mode
         self.sample_size = sample_size
-        self.cache_model = cache_model
         self.noise = noise
         self.default_deadline = default_deadline
         self.stage_fraction = stage_fraction
@@ -321,7 +318,6 @@ class PredictionService:
             mode=mode,
             sample_size=sample_size,
             noise=noise,
-            cache_model=cache_model,
             store=self.store,
             middleware=(
                 DeadlineGate(),

@@ -78,7 +78,6 @@ _IDENTITY_FIELDS = (
     "mode",
     "sample_size",
     "noise",
-    "cache_model",
 )
 
 # BACKOFF_BASE_SECONDS / BACKOFF_CAP_SECONDS / backoff_seconds now live in
@@ -111,8 +110,10 @@ class CellFailure(NamedTuple):
 def config_digest(config) -> str:
     """Stable digest of a :class:`StudyConfig`'s result-shaping identity."""
     h = hashlib.blake2b(digest_size=16)
-    for name in _IDENTITY_FIELDS:
-        h.update(repr(getattr(config, name)).encode("utf-8"))
+    # The trailing constant stands where the removed cache_model field's
+    # default was hashed, so checkpoints written before it went resume.
+    for value in [*(getattr(config, name) for name in _IDENTITY_FIELDS), "analytic"]:
+        h.update(repr(value).encode("utf-8"))
         h.update(b"\x1f")
     return h.hexdigest()
 

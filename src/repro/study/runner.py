@@ -43,7 +43,7 @@ from repro.core.errors import (
     WorkerCrashError,
     summarise,
 )
-from repro.util.options import CacheModel, Mode
+from repro.util.options import Mode
 from repro.core.registry import REGISTRY
 from repro.engine import Engine, MatrixPlan, PredictionRecord
 from repro.scenarios import (
@@ -113,8 +113,8 @@ class StudyConfig:
     The defaults reproduce the paper's setup exactly; ablation benches
     construct variants (``noise=False``, ``mode="absolute"``, coarser
     tracer sampling, ...).  Every identifier is validated on construction:
-    an unknown application label, system name, metric number, mode or
-    cache model raises :class:`ValueError` naming the offending key, and
+    an unknown application label, system name, metric number or mode
+    raises :class:`ValueError` naming the offending key, and
     so does an application, system or metric named twice (metrics are
     compared as registry numbers, so ``9`` and its name are one metric).
     """
@@ -126,7 +126,6 @@ class StudyConfig:
     mode: str = "relative"
     sample_size: int = DEFAULT_SAMPLE_SIZE
     noise: bool = True
-    cache_model: str = "analytic"
     #: Engine resilience knobs (identity-neutral: they never change study
     #: output, only how hard the engine fights to produce it, so they are
     #: excluded from the checkpoint's config digest).
@@ -170,7 +169,6 @@ class StudyConfig:
         # config digest are name/number agnostic.
         object.__setattr__(self, "metrics", tuple(resolved))
         object.__setattr__(self, "mode", Mode.coerce(self.mode))
-        object.__setattr__(self, "cache_model", CacheModel.coerce(self.cache_model))
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.chunk_timeout is not None and not self.chunk_timeout > 0:
@@ -204,10 +202,10 @@ class StudyResult:
     #: per application row whose retries were exhausted, in canonical
     #: application order.  Empty for a fully successful study.
     failures: list[CellFailure] = field(default_factory=list)
-    #: Wall-clock seconds per pipeline stage (probe / trace / cache_model /
-    #: execute / convolve); parallel runs sum the workers' breakdowns, so
-    #: stage seconds can exceed the run's wall time.  Diagnostic only —
-    #: excluded from equality.
+    #: Wall-clock seconds per pipeline stage (probe / execute / trace /
+    #: convolve), memo hits and store loads included; parallel runs sum the
+    #: workers' breakdowns, so stage seconds can exceed the run's wall
+    #: time.  Diagnostic only — excluded from equality.
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     _select_index: dict[str, dict] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -384,7 +382,6 @@ def _run_submatrix(
         mode=cfg.mode,
         sample_size=cfg.sample_size,
         noise=cfg.noise,
-        cache_model=cfg.cache_model,
         store=store,
     )
     return engine.run_matrix(

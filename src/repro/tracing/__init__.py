@@ -4,7 +4,7 @@
   counts and memory signatures, plus the communication trace).
 * :mod:`repro.tracing.metasim` — MetaSim Tracer: samples per-block address
   streams on the *base* machine, classifies them with the stride detector,
-  replays them through a cache simulator, and emits
+  estimates working sets from their spans, and emits
   :class:`~repro.tracing.trace.ApplicationTrace` records.
 * :mod:`repro.tracing.counters` — hardware-counter style exact totals (the
   cheap path the paper uses for Metrics #4/#5).

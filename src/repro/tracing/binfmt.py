@@ -34,6 +34,12 @@ Traces load as :class:`MappedTrace`: identity fields plus zero-copy
 :class:`~repro.tracing.trace.BlockArrays` views for the convolver's hot
 path; per-block :class:`~repro.tracing.trace.BlockTrace` objects are only
 materialised if someone actually asks for ``trace.blocks``.
+
+Trace entries written by earlier builds also carry a per-block cache
+service-fraction column in the header, and may carry ``reuse_*``
+sections: cache accounting that no metric read.  The reader looks at
+neither, so those entries load unchanged under the same schema version
+and store digest.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ from repro.tracing.trace import (
     BlockArrays,
     BlockTrace,
     CommRecord,
-    ReuseHistogram,
 )
 
 __all__ = [
@@ -255,30 +260,6 @@ def trace_to_bytes(trace) -> bytes:
         "working_set": arrays.working_set,
         "dependency_weight": arrays.dependency_weight,
     }
-    if any(b.reuse is not None for b in blocks):
-        flags = np.array([b.reuse is not None for b in blocks], dtype=np.uint8)
-        lengths = [len(b.reuse.distances) if b.reuse is not None else 0 for b in blocks]
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        sections["reuse_flags"] = flags
-        sections["reuse_offsets"] = offsets
-        sections["reuse_distances"] = np.array(
-            [d for b in blocks if b.reuse is not None for d in b.reuse.distances],
-            dtype=np.int64,
-        )
-        sections["reuse_counts"] = np.array(
-            [c for b in blocks if b.reuse is not None for c in b.reuse.counts],
-            dtype=np.int64,
-        )
-        sections["reuse_scalars"] = np.array(
-            [
-                (b.reuse.cold, b.reuse.total, b.reuse.line_bytes)
-                if b.reuse is not None
-                else (0, 0, 0)
-                for b in blocks
-            ],
-            dtype=np.int64,
-        )
     meta = {
         "schema_version": SCHEMA_VERSION,
         "kind": "application_trace",
@@ -288,7 +269,6 @@ def trace_to_bytes(trace) -> bytes:
         "timesteps": trace.timesteps,
         "sample_size": trace.sample_size,
         "block_names": [b.name for b in blocks],
-        "l_service": [b.l_service for b in blocks],
         "comm": [
             {
                 "name": rec.name,
@@ -360,28 +340,6 @@ class MappedTrace:
         self._materialized: ApplicationTrace | None = None
 
     # -- lazy materialisation -----------------------------------------
-    def _reuse(self, i: int) -> ReuseHistogram | None:
-        entry = self._entry
-        if "reuse_flags" not in entry.header["sections"]:
-            return None
-        try:
-            if not entry.section("reuse_flags")[i]:
-                return None
-            offsets = entry.section("reuse_offsets")
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            cold, total, line_bytes = (
-                int(v) for v in entry.section("reuse_scalars")[i]
-            )
-            return ReuseHistogram(
-                distances=tuple(int(d) for d in entry.section("reuse_distances")[lo:hi]),
-                counts=tuple(int(c) for c in entry.section("reuse_counts")[lo:hi]),
-                cold=cold,
-                total=total,
-                line_bytes=line_bytes,
-            )
-        except (IndexError, ValueError) as exc:
-            raise TraceCorruptError(f"malformed reuse sections: {exc}") from exc
-
     def materialize(self) -> ApplicationTrace:
         """The equivalent fully-materialised :class:`ApplicationTrace`."""
         cached = self._materialized
@@ -404,8 +362,6 @@ class MappedTrace:
                     ),
                     working_set=float(a.working_set[i]),
                     dependency_weight=float(a.dependency_weight[i]),
-                    l_service=header["l_service"][i],
-                    reuse=self._reuse(i),
                 )
                 for i, name in enumerate(header["block_names"])
             )

@@ -49,7 +49,6 @@ from repro.probes.results import MachineProbes
 from repro.tracing import binfmt
 from repro.tracing.binfmt import SCHEMA_VERSION
 from repro.util.io import write_atomic_bytes
-from repro.util.options import CacheModel
 
 __all__ = ["TraceStore", "trace_key", "probes_key"]
 
@@ -67,23 +66,14 @@ def _digest(*keys: object) -> str:
     return h.hexdigest()
 
 
-def trace_key(
-    application: str,
-    cpus: int,
-    base_machine: str,
-    sample_size: int,
-    cache_sim: bool = False,
-    cache_model: str | None = "analytic",
-) -> str:
+def trace_key(application: str, cpus: int, base_machine: str, sample_size: int) -> str:
     """The content digest naming a trace identity in every store.
 
     This is the public form of the digest that stems ``<digest>.rpb``
     entries on disk; the serve fleet reuses it as the consistent-hashing
     shard key, so "which worker owns this trace" and "which file holds
-    it" are the same question.  ``cache_model`` only shapes the artifact
-    when cache accounting ran, mirroring the tracer's own identity rule.
+    it" are the same question.
     """
-    model = str(CacheModel.coerce(cache_model)) if cache_sim else None
     return _digest(
         "trace",
         SCHEMA_VERSION,
@@ -91,8 +81,10 @@ def trace_key(
         int(cpus),
         base_machine,
         int(sample_size),
-        bool(cache_sim),
-        model,
+        # The removed cache_sim flag and cache_model, as every product path
+        # hashed them: the constants keep entry names and shards in place.
+        False,
+        None,
     )
 
 
@@ -187,16 +179,10 @@ class TraceStore:
 
     # ------------------------------------------------------------------
     def _trace_path(
-        self,
-        application: str,
-        cpus: int,
-        base_machine: str,
-        sample_size: int,
-        cache_sim: bool,
-        cache_model: str | None,
+        self, application: str, cpus: int, base_machine: str, sample_size: int
     ) -> Path:
         """Memoized entry path for one trace identity."""
-        key = (application, cpus, base_machine, sample_size, cache_sim, cache_model)
+        key = (application, cpus, base_machine, sample_size)
         path = self._trace_paths.get(key)
         if path is None:
             path = (self.traces_dir / trace_key(*key)).with_suffix(BINARY_SUFFIX)
@@ -263,54 +249,28 @@ class TraceStore:
     # traces
     # ------------------------------------------------------------------
     def has_trace(
-        self,
-        application: str,
-        cpus: int,
-        base_machine: str,
-        sample_size: int,
-        cache_sim: bool = False,
-        cache_model: str = "analytic",
+        self, application: str, cpus: int, base_machine: str, sample_size: int
     ) -> bool:
         """Whether an entry exists for this identity (it may still be corrupt)."""
-        path = self._trace_path(
-            application, cpus, base_machine, sample_size, cache_sim, cache_model
+        return self._exists(
+            self._trace_path(application, cpus, base_machine, sample_size)
         )
-        return self._exists(path)
 
     def load_trace(
-        self,
-        application: str,
-        cpus: int,
-        base_machine: str,
-        sample_size: int,
-        cache_sim: bool = False,
-        cache_model: str = "analytic",
+        self, application: str, cpus: int, base_machine: str, sample_size: int
     ) -> binfmt.MappedTrace | None:
         """The cached trace for this identity, or None if absent/invalid.
 
         Entries come back as zero-copy
         :class:`~repro.tracing.binfmt.MappedTrace` views of the mapped file.
         """
-        path = self._trace_path(
-            application, cpus, base_machine, sample_size, cache_sim, cache_model
-        )
+        path = self._trace_path(application, cpus, base_machine, sample_size)
         return self._load(path, "trace", binfmt.load_trace)
 
-    def save_trace(
-        self,
-        trace,
-        *,
-        cache_sim: bool = False,
-        cache_model: str = "analytic",
-    ) -> None:
+    def save_trace(self, trace) -> None:
         """Persist ``trace`` under its identity key (binary format)."""
         path = self._trace_path(
-            trace.application,
-            trace.cpus,
-            trace.base_machine,
-            trace.sample_size,
-            cache_sim,
-            cache_model,
+            trace.application, trace.cpus, trace.base_machine, trace.sample_size
         )
         self._write_entry(path, binfmt.trace_to_bytes(trace))
         self._emit(

@@ -18,7 +18,6 @@ from repro.memory.patterns import StrideHistogram
 from repro.network.model import CollectiveKind
 
 __all__ = [
-    "ReuseHistogram",
     "BlockTrace",
     "CommRecord",
     "ApplicationTrace",
@@ -67,44 +66,6 @@ class BlockArrays(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ReuseHistogram:
-    """Machine-independent stack-distance histogram of a block's stream.
-
-    A serialisable freeze of :class:`repro.memory.reuse.ReuseProfile`'s
-    histogram (tuples instead of arrays, so traces stay hashable/comparable):
-    fully-associative hit rates at any capacity follow from it directly.
-
-    Attributes
-    ----------
-    distances, counts:
-        Sorted distinct finite LRU stack distances and reference counts.
-    cold:
-        First-touch references (miss at any capacity).
-    total:
-        Total references profiled.
-    line_bytes:
-        Line granularity of the profile.
-    """
-
-    distances: tuple[int, ...]
-    counts: tuple[int, ...]
-    cold: int
-    total: int
-    line_bytes: int
-
-    @classmethod
-    def of(cls, profile) -> "ReuseHistogram":
-        """Freeze a :class:`~repro.memory.reuse.ReuseProfile`."""
-        return cls(
-            distances=tuple(int(d) for d in profile.distances),
-            counts=tuple(int(c) for c in profile.counts),
-            cold=profile.cold,
-            total=profile.total,
-            line_bytes=profile.line_bytes,
-        )
-
-
-@dataclass(frozen=True)
 class BlockTrace:
     """Measured signature of one basic block (per rank, per timestep).
 
@@ -123,13 +84,6 @@ class BlockTrace:
     dependency_weight:
         Static-analysis dependency class as a weight in {0, 0.5, 1}:
         the fraction of references Metric #9 prices with dependent curves.
-    l_service:
-        Optional per-level service fractions observed by the cache
-        simulator on the base machine (diagnostic; not used by metrics).
-    reuse:
-        Optional machine-independent reuse-distance histogram of the
-        block's sampled stream (recorded when the tracer's cache
-        accounting is on) — prices any cache geometry without the stream.
     """
 
     name: str
@@ -139,8 +93,6 @@ class BlockTrace:
     stride: StrideHistogram
     working_set: float
     dependency_weight: float
-    l_service: dict[str, float] | None = None
-    reuse: ReuseHistogram | None = None
 
     @property
     def refs(self) -> float:

@@ -1,51 +1,48 @@
-"""Validated option enums shared by every pipeline layer.
+"""The validated ``mode`` option shared by every pipeline layer.
 
-The ``mode`` / ``cache_model`` knob pair used to travel the codebase as
-bare strings, each consumer re-validating (or forgetting to validate) its
-own copy — an invalid value could survive config construction and only
-blow up mid-study inside a worker process.  These enums centralise the
-vocabulary: :meth:`~OptionEnum.coerce` turns user input into the enum at
-*construction* time, raising a :class:`ValueError` that names the knob and
-the known values, and every layer (study config, prediction service,
-tracer, store, CLI) shares the single definition.
+The ``mode`` knob used to travel the codebase as a bare string, each
+consumer re-validating (or forgetting to validate) its own copy — an
+invalid value could survive config construction and only blow up
+mid-study inside a worker process.  :class:`Mode` centralises the
+vocabulary: :meth:`~Mode.coerce` turns user input into the enum at
+*construction* time, raising a :class:`ValueError` that names the knob
+and the known values, and every layer (study config, engine, prediction
+service, CLI) shares the single definition.
 
-Both enums subclass :class:`str`, so existing call sites keep working
+The enum subclasses :class:`str`, so existing call sites keep working
 unchanged: ``cfg.mode == "relative"`` is still true, f-strings render the
 bare value, pickling to study workers is transparent, and
 ``json.dumps`` emits the plain string.  ``repr`` is pinned to the plain
 string's repr so checkpoint config digests (which hash field reprs) are
 byte-identical to the stringly-typed era.
 
-The definitions live in :mod:`repro.util` — the bottom of the dependency
-stack — because the tracer and store (below :mod:`repro.core`) validate
-with them too.  :mod:`repro.core` re-exports both names.
+The definition lives in :mod:`repro.util` — the bottom of the dependency
+stack — so every layer can validate with it; :mod:`repro.core`
+re-exports it.
 """
 
 from __future__ import annotations
 
 import enum
 
-__all__ = ["Mode", "CacheModel"]
+__all__ = ["Mode"]
 
 
-class OptionEnum(str, enum.Enum):
-    """A closed string vocabulary that validates at construction."""
+class Mode(str, enum.Enum):
+    """Convolver anchoring: base-relative (the paper) or absolute."""
+
+    RELATIVE = "relative"
+    ABSOLUTE = "absolute"
 
     @classmethod
-    def coerce(cls, value: object) -> "OptionEnum":
+    def coerce(cls, value: object) -> "Mode":
         """Return the member for ``value``, naming the knob on failure."""
         try:
             return cls(value)
         except ValueError:
-            known = ", ".join(m.value for m in cls)
             raise ValueError(
-                f"unknown {cls.option_name()} {value!r}; known: {known}"
+                f"unknown mode {value!r}; known: {', '.join(cls.values())}"
             ) from None
-
-    @classmethod
-    def option_name(cls) -> str:
-        """Human name of the knob (subclasses override)."""
-        return cls.__name__.lower()
 
     @classmethod
     def values(cls) -> tuple[str, ...]:
@@ -59,25 +56,3 @@ class OptionEnum(str, enum.Enum):
         # Checkpoint identity digests hash repr(field); keeping the plain
         # string's repr means enum adoption never invalidates a journal.
         return repr(self.value)
-
-
-class Mode(OptionEnum):
-    """Convolver anchoring: base-relative (the paper) or absolute."""
-
-    RELATIVE = "relative"
-    ABSOLUTE = "absolute"
-
-    @classmethod
-    def option_name(cls) -> str:
-        return "mode"
-
-
-class CacheModel(OptionEnum):
-    """Cache accounting back-end used when tracing with ``cache_sim``."""
-
-    ANALYTIC = "analytic"
-    EXACT = "exact"
-
-    @classmethod
-    def option_name(cls) -> str:
-        return "cache_model"

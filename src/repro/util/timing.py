@@ -2,10 +2,11 @@
 
 A :class:`StageTimer` is a named bag of accumulated seconds.  The study
 runner threads one through tracing, probing and convolution so a run can
-report *where* its time went (trace / probe / cache_model / execute /
-convolve) — the breakdown `scripts/bench_study.py` records in
-``BENCH_study.json``.  Callers time a stage with ``time.perf_counter``
-in ``try``/``finally`` and book it with :meth:`StageTimer.add`.
+report *where* its time went (probe / execute / trace / convolve) — the
+breakdown `scripts/bench_study.py` records in ``BENCH_study.json``.  The
+engine's :class:`~repro.engine.middleware.TimingMiddleware` times each
+stage with ``time.perf_counter`` in ``try``/``finally`` and books it
+with :meth:`StageTimer.add`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class StageTimer:
         """Fold another breakdown (e.g. from a worker process) into this one."""
         for stage, seconds in other.items():
             self.add(stage, seconds)
-
-    def get(self, stage: str) -> float:
-        """Accumulated seconds for ``stage`` (0 when never timed)."""
-        return self._seconds.get(stage, 0.0)
 
     def breakdown(self) -> dict[str, float]:
         """Snapshot of all stages, insertion-ordered."""

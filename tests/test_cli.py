@@ -157,6 +157,7 @@ def test_bad_fault_spec_rejected(capsys):
         (["table4", "--cache-dir", "{file}"], "{file}"),
         (["store", "info", "--cache-dir", "{file}/below"], "{file}"),
         (["table4", "--metrics", "9,conv+maps+net+dep"], "duplicate metric 9 in --metrics"),
+        (["csv", "--cache-model", "exact"], "--cache-model"),
     ],
     ids=[
         "workers-0",
@@ -164,6 +165,7 @@ def test_bad_fault_spec_rejected(capsys):
         "cache-dir-is-file",
         "cache-dir-below-file",
         "metrics-repeated",
+        "cache-model-removed",
     ],
 )
 def test_bad_arguments_exit_2_at_parse_time(tmp_path, capsys, argv, named):

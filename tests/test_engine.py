@@ -287,8 +287,6 @@ def test_matrix_plan_rejects_a_repeated_axis_entry(axis, fields):
 def test_engine_validates_knobs():
     with pytest.raises(ValueError, match="mode"):
         Engine(mode="sideways")
-    with pytest.raises(ValueError, match="cache_model"):
-        Engine(cache_model="psychic")
 
 
 # ---------------------------------------------------------------------------

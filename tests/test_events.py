@@ -339,7 +339,6 @@ def test_store_accounting_is_event_derived(tmp_path, base_machine, avus):
             trace.cpus,
             trace.base_machine,
             trace.sample_size,
-            False,
         )
         is None
     )

@@ -42,12 +42,6 @@ def test_stride_beyond_short_max_is_random(detector):
     assert report.histogram.random > 0.95
 
 
-def test_working_set_estimate_for_strided(detector):
-    ws = 1 << 18
-    report = detector.classify(strided_addresses(2 * (ws // 8), 1, working_set=ws))
-    assert report.working_set_bytes == pytest.approx(ws, rel=0.05)
-
-
 def test_single_reference_stream(detector):
     report = detector.classify(np.array([4096]))
     assert report.references == 1
@@ -64,8 +58,6 @@ def test_detector_parameter_validation():
         StrideDetector(element_bytes=0)
     with pytest.raises(ValueError):
         StrideDetector(short_max=1)
-    with pytest.raises(ValueError):
-        StrideDetector(line_bytes=0)
 
 
 def test_mixed_stream_fractions(detector):

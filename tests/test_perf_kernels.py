@@ -1,19 +1,17 @@
 """Golden-stream equivalence tests for the vectorized kernel layer.
 
-Each vectorized kernel (pointer chase gather, stream interleave scatter,
-batched cache replay, block-axis convolution) is checked bit-for-bit
-against a straightforward per-element reference implementation matching
-the seed code, for fixed seeds.
+Each vectorized kernel (pointer chase gather, block-axis convolution) is
+checked bit-for-bit against a straightforward per-element reference
+implementation matching the seed code, for fixed seeds.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.convolver import Convolver, MemoryModel
-from repro.memory.cache import MultiLevelCache, SetAssociativeCache
-from repro.memory.streams import pointer_chase_addresses, random_addresses
+from repro.memory.streams import pointer_chase_addresses
 from repro.probes.suite import probe_machine
-from repro.tracing.metasim import _interleave, trace_application
+from repro.tracing.metasim import trace_application
 from repro.util.rng import stable_rng
 
 from tests.conftest import make_machine
@@ -65,100 +63,6 @@ def test_chase_bounded_path_differs_across_seeds():
     a = pointer_chase_addresses(256, 1 << 28, stable_rng("s1"))
     b = pointer_chase_addresses(256, 1 << 28, stable_rng("s2"))
     assert not np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# stream interleave
-# ---------------------------------------------------------------------------
-
-
-def _interleave_reference(streams, rng):
-    """Seed-style interleave: per-reference cursor walk over shuffled labels."""
-    if len(streams) == 1:
-        return streams[0]
-    labels = np.concatenate(
-        [np.full(s.shape[0], i, dtype=np.int64) for i, s in enumerate(streams)]
-    )
-    rng.shuffle(labels)
-    cursors = [0] * len(streams)
-    out = np.empty(labels.shape[0], dtype=np.int64)
-    for pos, lab in enumerate(labels):
-        out[pos] = streams[lab][cursors[lab]]
-        cursors[lab] += 1
-    return out
-
-
-@pytest.mark.parametrize("sizes", [[10], [5, 7], [64, 1, 33], [100, 100, 100, 3]])
-def test_interleave_scatter_matches_reference_cursor(sizes):
-    streams = [
-        random_addresses(m, 1 << 16, stable_rng("st", i)) for i, m in enumerate(sizes)
-    ]
-    a = _interleave([s.copy() for s in streams], stable_rng("il", tuple(sizes)))
-    b = _interleave_reference([s.copy() for s in streams], stable_rng("il", tuple(sizes)))
-    np.testing.assert_array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# cache replay
-# ---------------------------------------------------------------------------
-
-
-def _mixed_stream(seed, n=3000, ws=1 << 17):
-    rng = stable_rng("cache-stream", seed)
-    unit = np.arange(n // 2, dtype=np.int64) * 8 % ws
-    rand = random_addresses(n - n // 2, ws, rng)
-    return _interleave([unit, rand], rng)
-
-
-@pytest.mark.parametrize("ways", [1, 2, 4])
-def test_batched_cache_replay_matches_per_access_walk(ways):
-    addrs = _mixed_stream(ways)
-    fast = SetAssociativeCache(64 * 1024, line_bytes=64, ways=ways)
-    slow = SetAssociativeCache(64 * 1024, line_bytes=64, ways=ways)
-    mask = fast.simulate(addrs)
-    ref_mask = np.array([slow.access(int(a)) for a in addrs])
-    np.testing.assert_array_equal(mask, ref_mask)
-    assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
-    np.testing.assert_array_equal(fast._tags, slow._tags)
-    np.testing.assert_array_equal(fast._stamp, slow._stamp)
-    assert fast._clock == slow._clock
-
-
-def test_batched_cache_replay_exact_when_warm():
-    # A second batch must start from the exact LRU state the first one left.
-    first, second = _mixed_stream("warm-a"), _mixed_stream("warm-b")
-    fast = SetAssociativeCache(32 * 1024, line_bytes=64, ways=4)
-    slow = SetAssociativeCache(32 * 1024, line_bytes=64, ways=4)
-    fast.simulate(first)
-    for a in first:
-        slow.access(int(a))
-    mask = fast.simulate(second)
-    ref_mask = np.array([slow.access(int(a)) for a in second])
-    np.testing.assert_array_equal(mask, ref_mask)
-    np.testing.assert_array_equal(fast._tags, slow._tags)
-    np.testing.assert_array_equal(fast._stamp, slow._stamp)
-
-
-def test_multilevel_batched_replay_matches_per_reference_walk(base_machine):
-    addrs = _mixed_stream("multi", n=4000, ws=1 << 21)
-    fast = MultiLevelCache.of(base_machine)
-    slow = MultiLevelCache.of(base_machine)
-    stats = fast.simulate(addrs)
-
-    ref_hits = [0] * len(slow.levels)
-    ref_mem = 0
-    for a in addrs:
-        for i, level in enumerate(slow.levels):
-            if level.access(int(a)):
-                ref_hits[i] += 1
-                break
-        else:
-            ref_mem += 1
-    assert stats.hits == ref_hits
-    assert stats.memory_accesses == ref_mem
-    assert stats.total == len(addrs)
-    for f, s in zip(fast.levels, slow.levels):
-        np.testing.assert_array_equal(f._tags, s._tags)
 
 
 # ---------------------------------------------------------------------------

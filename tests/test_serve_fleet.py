@@ -589,8 +589,17 @@ def test_readyz_tracks_breaker_state():
 
 
 def test_removed_service_config_keys_fail_loudly():
-    with pytest.raises(ValueError, match=r"\['max_concurrent', 'max_queue'\]"):
-        _build_service({"noise": False, "max_concurrent": 1, "max_queue": 0})
+    with pytest.raises(
+        ValueError, match=r"\['cache_model', 'max_concurrent', 'max_queue'\]"
+    ):
+        _build_service(
+            {
+                "noise": False,
+                "cache_model": "analytic",
+                "max_concurrent": 1,
+                "max_queue": 0,
+            }
+        )
 
 
 def test_open_probe_breaker_maps_to_503():

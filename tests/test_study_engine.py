@@ -84,7 +84,7 @@ def test_store_trace_round_trip_is_exact(tmp_path, base_machine, avus):
     store = TraceStore(tmp_path)
     clear_trace_cache()
     computed = trace_application(avus, 64, base_machine, store=store)
-    loaded = store.load_trace(avus.label, 64, base_machine.name, computed.sample_size, False)
+    loaded = store.load_trace(avus.label, 64, base_machine.name, computed.sample_size)
     assert loaded == computed
 
 
@@ -105,7 +105,7 @@ def test_store_tolerates_corrupt_files(tmp_path, base_machine, avus):
     trace_application(avus, 64, base_machine, store=store)
     for f in tmp_path.joinpath("traces").iterdir():
         f.write_text("{not json")
-    assert store.load_trace(avus.label, 64, base_machine.name, 4096, False) is None
+    assert store.load_trace(avus.label, 64, base_machine.name, 4096) is None
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,6 @@ def test_select_index_rebuilds_after_mutation(full_study):
         ("base_system", "HAL9000", "HAL9000"),
         ("metrics", (1, 42), "42"),
         ("mode", "sideways", "sideways"),
-        ("cache_model", "psychic", "psychic"),
     ],
 )
 def test_config_rejects_unknown_ids_by_name(field, value, fragment):
@@ -240,5 +239,5 @@ def test_config_rejects_a_repeated_id_by_name(field, value, fragment):
 
 
 def test_config_variant_revalidates():
-    with pytest.raises(ValueError, match="psychic"):
-        StudyConfig().variant(cache_model="psychic")
+    with pytest.raises(ValueError, match="sideways"):
+        StudyConfig().variant(mode="sideways")

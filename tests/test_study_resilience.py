@@ -334,6 +334,16 @@ def test_checkpoint_engine_knobs_do_not_invalidate():
     assert config_digest(REDUCED) != config_digest(REDUCED.variant(noise=False))
 
 
+def test_config_digest_is_pinned():
+    # A checkpoint resumes only under the digest it was written with, so a
+    # change to what the digest hashes must be deliberate.
+    assert config_digest(StudyConfig()) == "5d1639ee0ade261b08234784fb9c831d"
+    assert (
+        config_digest(StudyConfig(mode="absolute", noise=False))
+        == "226be279bcdb66529242e23858c70c25"
+    )
+
+
 def test_checkpoint_under_crash_faults_resumes(tmp_path, clean):
     """Chaos + checkpoint together: crash-heavy run, killed, then resumed."""
     ck = tmp_path / "study.ckpt"

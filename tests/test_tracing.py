@@ -91,13 +91,6 @@ def test_trace_cache(base, avus):
     assert c is not a
 
 
-def test_cache_sim_service_fractions(base, avus):
-    trace = MetaSimTracer(base, sample_size=1024, cache_sim=True).trace(avus, 64)
-    for block in trace.blocks:
-        assert block.l_service is not None
-        assert sum(block.l_service.values()) == pytest.approx(1.0)
-
-
 def test_sample_size_validation(base):
     with pytest.raises(ValueError):
         MetaSimTracer(base, sample_size=10)

@@ -20,8 +20,8 @@ from repro.network.model import CollectiveKind
 from repro.probes.suite import clear_probe_cache, probe_machine
 from repro.tracing import binfmt
 from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_application
-from repro.tracing.store import TraceStore
-from repro.tracing.trace import ApplicationTrace, BlockTrace, CommRecord, ReuseHistogram
+from repro.tracing.store import TraceStore, trace_key
+from repro.tracing.trace import ApplicationTrace, BlockArrays, BlockTrace, CommRecord
 
 # ---------------------------------------------------------------------------
 # equality that treats NaN as equal to itself (bit-level round-trip check)
@@ -46,15 +46,7 @@ def _blocks_equal(a: BlockTrace, b: BlockTrace) -> bool:
         and a.stride.short_stride_elems == b.stride.short_stride_elems
         and _feq(a.working_set, b.working_set)
         and _feq(a.dependency_weight, b.dependency_weight)
-        and _l_service_equal(a.l_service, b.l_service)
-        and a.reuse == b.reuse
     )
-
-
-def _l_service_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.keys() == b.keys() and all(_feq(a[k], b[k]) for k in a)
 
 
 def _traces_equal(a, b) -> bool:
@@ -108,26 +100,6 @@ def _stride(draw) -> StrideHistogram:
 
 @st.composite
 def block_traces(draw, index: int = 0):
-    reuse = None
-    if draw(st.booleans()):
-        n = draw(st.integers(min_value=0, max_value=4))
-        distances = tuple(sorted(draw(st.sets(st.integers(0, 2**40), min_size=n, max_size=n))))
-        counts = tuple(
-            draw(st.lists(st.integers(1, 2**40), min_size=len(distances), max_size=len(distances)))
-        )
-        reuse = ReuseHistogram(
-            distances=distances,
-            counts=counts,
-            cold=draw(st.integers(0, 2**40)),
-            total=draw(st.integers(0, 2**40)),
-            line_bytes=draw(st.sampled_from([32, 64, 128])),
-        )
-    l_service = None
-    if draw(st.booleans()):
-        l_service = {
-            level: draw(any_f8)
-            for level in draw(st.lists(st.sampled_from(["L1", "L2", "L3", "MM"]), unique=True))
-        }
     return BlockTrace(
         name=f"block{index}",
         fp_ops=draw(any_f8),
@@ -136,8 +108,6 @@ def block_traces(draw, index: int = 0):
         stride=_stride(draw),
         working_set=draw(any_f8),
         dependency_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        l_service=l_service,
-        reuse=reuse,
     )
 
 
@@ -306,3 +276,60 @@ def test_stale_payload_schema_raises_and_store_retraces(tmp_path, avus, base_mac
     retraced = trace_application(avus, 64, base_machine, store=store)
     assert retraced == trace
     assert store.load_trace(*identity) == trace
+
+
+# ---------------------------------------------------------------------------
+# entries written by builds that still recorded cache accounting
+# ---------------------------------------------------------------------------
+
+
+def _legacy_trace_bytes(trace, *, reuse: bool) -> bytes:
+    """``trace`` in the layout earlier builds wrote: an ``l_service`` header
+    column (null per block, as every product path left it) and, with
+    ``reuse``, the five ``reuse_*`` sections."""
+    n = len(trace.blocks)
+    sections = dict(BlockArrays.of_blocks(trace.blocks)._asdict())
+    if reuse:
+        sections["reuse_flags"] = np.ones(n, dtype=np.uint8)
+        sections["reuse_offsets"] = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
+        sections["reuse_distances"] = np.tile(np.array([1, 7], dtype=np.int64), n)
+        sections["reuse_counts"] = np.tile(np.array([3, 5], dtype=np.int64), n)
+        sections["reuse_scalars"] = np.tile(np.array([[2, 10, 64]], dtype=np.int64), (n, 1))
+    meta = {
+        "schema_version": binfmt.SCHEMA_VERSION,
+        "kind": "application_trace",
+        "application": trace.application,
+        "cpus": trace.cpus,
+        "base_machine": trace.base_machine,
+        "timesteps": trace.timesteps,
+        "sample_size": trace.sample_size,
+        "block_names": [b.name for b in trace.blocks],
+        "l_service": [None] * n,
+        "comm": [
+            {
+                "name": rec.name,
+                "kind": rec.kind if isinstance(rec.kind, str) else rec.kind.value,
+                "count": rec.count,
+                "size_bytes": rec.size_bytes,
+                "neighbors": rec.neighbors,
+            }
+            for rec in trace.comm
+        ],
+    }
+    return binfmt._encode(binfmt.KIND_TRACE, meta, sections)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["l_service", "l_service+reuse"])
+def test_legacy_entry_loads_unchanged(tmp_path, avus, base_machine, reuse):
+    trace = MetaSimTracer(base_machine).trace(avus, 64)
+    store = TraceStore(tmp_path)
+    identity = (trace.application, trace.cpus, trace.base_machine, trace.sample_size)
+    path = (store.traces_dir / trace_key(*identity)).with_suffix(".rpb")
+    path.write_bytes(_legacy_trace_bytes(trace, reuse=reuse))
+
+    loaded = store.load_trace(*identity)
+    assert loaded is not None
+    assert loaded.comm == trace.comm  # materialises, as metrics #8/#9 do
+    assert loaded == trace
+    assert store.invalidated == 0
+    assert path.exists()

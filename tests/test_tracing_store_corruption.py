@@ -49,7 +49,7 @@ def _trace_file(store):
 
 def _load(store, trace):
     return store.load_trace(
-        trace.application, trace.cpus, trace.base_machine, trace.sample_size, False
+        trace.application, trace.cpus, trace.base_machine, trace.sample_size
     )
 
 
