@@ -43,16 +43,7 @@ deterministic simulation harness cannot put it on virtual time.
 ``time.perf_counter`` stays allowed: it only *measures* wall cost for
 diagnostics and never steers control flow.
 
-A third pass keeps **scipy out of import time**: no module in
-``src/repro`` may import ``scipy`` from a statement that runs when the
-module loads (top level, including under a module-level ``if``/``try``/
-``with`` or in a class body).  This is the case where *when the cost is
-paid* is the whole point: scipy is most of ``import repro`` (~1 s of
-~1.4 s), yet only the rank agreement and the Section 4 weight fit call
-it, so it is imported inside those functions and the serve and study
-processes never load it.
-
-A fourth pass keeps **serving on the engine's backends**: no
+A third pass keeps **serving on the engine's backends**: no
 ``repro.serve`` module may import (or reach as an attribute)
 ``probe_machine``, ``trace_application``, ``GroundTruthExecutor`` or
 ``executor_for``.  The service gets probes, base times, traces and
@@ -199,32 +190,6 @@ def time_calls_of(path: Path) -> list[tuple[int, str]]:
     return found
 
 
-#: The package that may only be imported inside a function body.
-LAZY_PACKAGE = "scipy"
-
-
-def import_time_imports_of(path: Path) -> list[tuple[int, str]]:
-    """Absolute imports in ``path`` that run when the module loads.
-
-    Walks the whole tree except function bodies, which run only when
-    called.
-    """
-    found: list[tuple[int, str]] = []
-    pending: list[ast.AST] = [
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    ]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            found.extend((node.lineno, alias.name) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.append((node.lineno, node.module or ""))
-        pending.extend(ast.iter_child_nodes(node))
-    return sorted(found)
-
-
 #: Package prefix whose modules may not call the pipeline backends directly.
 SERVE_PACKAGE = "repro.serve"
 
@@ -262,19 +227,6 @@ def check_serve_backends() -> list[str]:
                 f"{mod} uses {name} directly "
                 f"(go through repro.engine.Engine)"
             )
-    return violations
-
-
-def check_lazy_imports() -> list[str]:
-    violations: list[str] = []
-    for path in sorted(SRC.rglob("*.py")):
-        for line, imported in import_time_imports_of(path):
-            if imported.split(".")[0] == LAZY_PACKAGE:
-                violations.append(
-                    f"{path.relative_to(SRC.parent)}:{line}: "
-                    f"{module_name(path)} imports {imported} at module level "
-                    f"(import it inside the function that uses it)"
-                )
     return violations
 
 
@@ -341,7 +293,6 @@ def main() -> int:
         check()
         + check_builder_imports()
         + check_time_usage()
-        + check_lazy_imports()
         + check_serve_backends()
     )
     for v in violations:
@@ -352,10 +303,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(
-        "check_layering: import boundaries, time usage, lazy imports "
-        "and serve backends clean"
-    )
+    print("check_layering: import boundaries, time usage and serve backends clean")
     return 0
 
 

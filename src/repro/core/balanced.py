@@ -11,14 +11,14 @@ Predictions use Equation 1 with the composite score as the rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.probes.results import MachineProbes
 
-__all__ = ["BalancedRating", "optimise_weights", "CATEGORY_NAMES"]
+__all__ = ["BalancedRating", "mean_abs_error", "optimise_weights", "CATEGORY_NAMES"]
 
 #: The three IDC categories and the probe rate backing each.
 CATEGORY_NAMES: tuple[str, str, str] = ("hpl", "stream", "allreduce")
@@ -52,6 +52,9 @@ class BalancedRating:
 
     probes_by_system: Mapping[str, MachineProbes]
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    #: system -> its 0-100 (hpl, stream, allreduce) scores, built once.
+    _scores: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _unit_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.probes_by_system:
@@ -59,20 +62,21 @@ class BalancedRating:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (3,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError(f"weights must be 3 non-negative values, got {self.weights}")
-
-    def _score_table(self) -> dict[str, np.ndarray]:
         rates = {name: _category_rates(p) for name, p in self.probes_by_system.items()}
         best = np.max(np.stack(list(rates.values())), axis=0)
-        return {name: 100.0 * r / best for name, r in rates.items()}
+        scores = {name: 100.0 * r / best for name, r in rates.items()}
+        object.__setattr__(self, "_scores", scores)
+        object.__setattr__(self, "_unit_weights", w / w.sum())
+
+    def category_scores(self, system: str) -> np.ndarray:
+        """The 0-100 (hpl, stream, allreduce) scores of ``system``."""
+        if system not in self._scores:
+            raise KeyError(f"system {system!r} was not probed")
+        return self._scores[system]
 
     def score(self, system: str) -> float:
         """Composite 0-100 score of ``system``."""
-        scores = self._score_table()
-        if system not in scores:
-            raise KeyError(f"system {system!r} was not probed")
-        w = np.asarray(self.weights, dtype=float)
-        w = w / w.sum()
-        return float(scores[system] @ w)
+        return float(self.category_scores(system) @ self._unit_weights)
 
     def predict(self, system: str, base_system: str, base_time: float) -> float:
         """Equation-1 prediction using the composite score as the rate."""
@@ -81,11 +85,37 @@ class BalancedRating:
         return self.score(base_system) / self.score(system) * base_time
 
 
+def mean_abs_error(
+    rating: BalancedRating,
+    observations: Sequence[tuple[str, str, float, float]],
+    weights: np.ndarray | Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Mean absolute Equation-1 error (%) over ``observations``, as
+    :func:`optimise_weights` takes them, for each row of the ``(k, 3)``
+    (hpl, stream, allreduce) ``weights``; rows are renormalised.  Only
+    the category scores of ``rating`` are read, not its weights."""
+    if not observations:
+        raise ValueError("need at least one observation")
+    targets, bases, base_time, actual = zip(*observations)
+    target_scores = np.stack([rating.category_scores(s) for s in targets])
+    base_scores = np.stack([rating.category_scores(s) for s in bases])
+    w = np.asarray(weights, dtype=float)
+    w = (w / w.sum(axis=1, keepdims=True)).T
+    actual = np.asarray(actual)[:, None]
+    predicted = (base_scores @ w) / (target_scores @ w) * np.asarray(base_time)[:, None]
+    return 100.0 * np.mean(np.abs(predicted - actual) / actual, axis=0)
+
+
 def optimise_weights(
     probes_by_system: Mapping[str, MachineProbes],
     observations: Sequence[tuple[str, str, float, float]],
 ) -> tuple[float, float, float]:
     """Find the category weights minimising mean absolute prediction error.
+
+    A grid search over the weight simplex: every point of a 1/100 grid,
+    then four zooms, each a 21 x 21 grid at a tenth of the previous
+    spacing centred on the best point so far.  It is deterministic and
+    needs no starting point.
 
     Parameters
     ----------
@@ -100,27 +130,22 @@ def optimise_weights(
     tuple
         Normalised (hpl, stream, allreduce) weights.
     """
-    if not observations:
-        raise ValueError("need at least one observation to fit weights")
-    from scipy import optimize
-
-    def mean_abs_error(raw: np.ndarray) -> float:
-        w = np.abs(raw)
-        if w.sum() <= 0:
-            return 1e9
-        rating = BalancedRating(probes_by_system, tuple(w / w.sum()))
-        errs = []
-        for target, base, base_time, actual in observations:
-            pred = rating.predict(target, base, base_time)
-            errs.append(abs(pred - actual) / actual)
-        return 100.0 * float(np.mean(errs))
-
-    result = optimize.minimize(
-        mean_abs_error,
-        x0=np.array([1 / 3, 1 / 3, 1 / 3]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-4, "maxiter": 2000},
-    )
-    w = np.abs(result.x)
-    w = w / w.sum()
+    rating = BalancedRating(probes_by_system)
+    # Integer steps keep the simplex edge exact: allreduce = 0 is not lost
+    # to rounding below zero.
+    grid = _simplex_grid(np.arange(101), np.arange(101), 100) / 100
+    best = grid[np.argmin(mean_abs_error(rating, observations, grid))]
+    for spacing in (1e-3, 1e-4, 1e-5, 1e-6):
+        steps = np.arange(-10, 11) * spacing
+        grid = _simplex_grid(best[0] + steps, best[1] + steps, 1.0)
+        best = grid[np.argmin(mean_abs_error(rating, observations, grid))]
+    w = best / best.sum()
     return (float(w[0]), float(w[1]), float(w[2]))
+
+
+def _simplex_grid(hpl: np.ndarray, stream: np.ndarray, total: float) -> np.ndarray:
+    """Rows (h, s, total - h - s) for every h in ``hpl`` and s in ``stream``,
+    keeping those with no negative weight."""
+    h, s = (a.ravel() for a in np.meshgrid(hpl, stream, indexing="ij"))
+    grid = np.column_stack((h, s, total - h - s))
+    return grid[(grid >= 0).all(axis=1)]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+import numpy as np
+
 __all__ = ["rank_systems", "rank_agreement"]
 
 
@@ -25,9 +27,13 @@ def rank_systems(times: Mapping[str, float]) -> list[str]:
 def rank_agreement(
     predicted: Mapping[str, float], actual: Mapping[str, float]
 ) -> dict[str, float]:
-    """Kendall tau and Spearman rho between predicted and actual orderings.
+    """Kendall tau-b and Spearman rho between predicted and actual orderings.
 
-    Only systems present in both mappings participate.
+    Only systems present in both mappings participate.  Tau-b is
+    (concordant - discordant pairs) / sqrt(pairs untied in ``predicted``)
+    / sqrt(pairs untied in ``actual``); rho is the Pearson correlation of
+    the average ranks (tied values share the mean of their ranks).  Both
+    are NaN when either side is constant or holds a NaN.
 
     Returns
     -------
@@ -35,12 +41,26 @@ def rank_agreement(
         ``{"kendall_tau": ..., "spearman_rho": ..., "n": ...}``.
     """
     common = sorted(set(predicted) & set(actual))
-    if len(common) < 2:
+    n = len(common)
+    if n < 2:
         raise ValueError("need at least two common systems to compare rankings")
-    from scipy import stats
-
-    p = [predicted[name] for name in common]
-    a = [actual[name] for name in common]
-    tau = stats.kendalltau(p, a).statistic
-    rho = stats.spearmanr(p, a).statistic
-    return {"kendall_tau": float(tau), "spearman_rho": float(rho), "n": float(len(common))}
+    p = np.array([predicted[name] for name in common], dtype=float)
+    a = np.array([actual[name] for name in common], dtype=float)
+    # sign_p[i, j] = sign(p[i] - p[j]); each unordered pair appears twice.
+    sign_p = np.sign(p[:, None] - p)
+    sign_a = np.sign(a[:, None] - a)
+    untied_p = np.count_nonzero(sign_p) // 2
+    untied_a = np.count_nonzero(sign_a) // 2
+    if np.isnan(p).any() or np.isnan(a).any() or not untied_p or not untied_a:
+        nan = float("nan")
+        return {"kendall_tau": nan, "spearman_rho": nan, "n": float(n)}
+    concordant_minus_discordant = int(np.sum(sign_p * sign_a)) // 2
+    tau = concordant_minus_discordant / np.sqrt(untied_p) / np.sqrt(untied_a)
+    # A value's average rank is (n + 1 + #smaller - #larger) / 2.
+    ranks = (n + 1 + np.column_stack((sign_p.sum(axis=1), sign_a.sum(axis=1)))) / 2
+    rho = np.corrcoef(ranks, rowvar=False)[1, 0]
+    return {
+        "kendall_tau": min(1.0, max(-1.0, float(tau))),
+        "spearman_rho": float(rho),
+        "n": float(n),
+    }

@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.core.balanced import BalancedRating, optimise_weights
+from repro.core.balanced import BalancedRating, mean_abs_error, optimise_weights
 from repro.core.predictor import PerformancePredictor
 from repro.scenarios import (
     BASE_SYSTEM,
@@ -75,17 +75,10 @@ def _balanced_section(result: StudyResult) -> list[str]:
         (system, BASE_SYSTEM, predictor.base_time(app, cpus), actual)
         for (app, system, cpus), actual in result.observed.items()
     ]
-
-    def err(rating: BalancedRating) -> float:
-        errs = [
-            abs(rating.predict(t, b, bt) - a) / a * 100.0
-            for t, b, bt, a in observations
-        ]
-        return sum(errs) / len(errs)
-
-    equal_err = err(BalancedRating(probes))
     weights = optimise_weights(probes, observations)
-    fitted_err = err(BalancedRating(probes, weights))
+    equal_err, fitted_err = mean_abs_error(
+        BalancedRating(probes), observations, [(1.0, 1.0, 1.0), weights]
+    )
     paper = PAPER_BALANCED_RATING
     return [
         "## Section 4 — IDC balanced rating",

@@ -287,15 +287,18 @@ class MappedTrace:
     """A trace decoded lazily from a binary entry.
 
     Duck-typed stand-in for :class:`~repro.tracing.trace.ApplicationTrace`:
-    identity fields and :attr:`block_arrays` are available immediately
-    (the arrays are zero-copy views into the underlying buffer — for a
-    store entry, an ``np.memmap`` of the file); ``blocks``/``comm`` and
-    the derived totals materialise genuine trace objects on first use, so
-    the convolver's tensorised path never pays per-block Python
-    reconstruction.  Equality and hashing delegate to the materialised
-    :class:`ApplicationTrace`, in both comparison directions (the frozen
-    dataclass returns ``NotImplemented`` for a foreign class, which makes
-    Python fall back to this class's reflected ``__eq__``).
+    identity fields, :attr:`comm` and :attr:`block_arrays` are available
+    immediately (the arrays are zero-copy views into the underlying
+    buffer — for a store entry, an ``np.memmap`` of the file); ``blocks``
+    and the derived totals materialise genuine trace objects on first
+    use, so the convolver's tensorised path never pays per-block Python
+    reconstruction.  The whole header is parsed here, so a malformed one
+    fails the store's load, which invalidates the entry and re-traces,
+    rather than a later use of the trace.  Equality and hashing delegate
+    to the materialised :class:`ApplicationTrace`, in both comparison
+    directions (the frozen dataclass returns ``NotImplemented`` for a
+    foreign class, which makes Python fall back to this class's
+    reflected ``__eq__``).
     """
 
     __slots__ = (
@@ -305,6 +308,7 @@ class MappedTrace:
         "timesteps",
         "sample_size",
         "block_arrays",
+        "comm",
         "_entry",
         "_materialized",
     )
@@ -328,6 +332,16 @@ class MappedTrace:
                 stride_elems=entry.section("stride_elems"),
                 working_set=entry.section("working_set"),
                 dependency_weight=entry.section("dependency_weight"),
+            )
+            self.comm = tuple(
+                CommRecord(
+                    name=str(doc["name"]),
+                    kind=doc["kind"] if doc["kind"] == "p2p" else CollectiveKind(doc["kind"]),
+                    count=doc["count"],
+                    size_bytes=doc["size_bytes"],
+                    neighbors=doc["neighbors"],
+                )
+                for doc in header["comm"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceCorruptError(f"malformed trace header: {exc}") from exc
@@ -365,16 +379,6 @@ class MappedTrace:
                 )
                 for i, name in enumerate(header["block_names"])
             )
-            comm = tuple(
-                CommRecord(
-                    name=str(doc["name"]),
-                    kind=doc["kind"] if doc["kind"] == "p2p" else CollectiveKind(doc["kind"]),
-                    count=doc["count"],
-                    size_bytes=doc["size_bytes"],
-                    neighbors=doc["neighbors"],
-                )
-                for doc in header["comm"]
-            )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise TraceCorruptError(f"malformed trace payload: {exc}") from exc
         cached = ApplicationTrace(
@@ -383,7 +387,7 @@ class MappedTrace:
             base_machine=self.base_machine,
             timesteps=self.timesteps,
             blocks=blocks,
-            comm=comm,
+            comm=self.comm,
             sample_size=self.sample_size,
         )
         self._materialized = cached
@@ -397,10 +401,6 @@ class MappedTrace:
     @property
     def blocks(self) -> tuple[BlockTrace, ...]:
         return self.materialize().blocks
-
-    @property
-    def comm(self) -> tuple[CommRecord, ...]:
-        return self.materialize().comm
 
     @property
     def total_fp(self) -> float:

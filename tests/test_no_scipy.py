@@ -1,11 +1,8 @@
-"""The study and serve paths run with scipy absent.
+"""Every path runs with scipy absent.
 
-scipy backs only analyses of finished predictions (the rank agreement,
-the Section 4 weight fit) and the exact cache-simulation accounting, and
-each imports it inside the function that uses it.  Here a fresh
-interpreter in which every scipy import raises runs the default study
-and boots both serving backends; ``scripts/check_layering.py`` keeps any
-module-level scipy import from coming back.
+The project depends on numpy alone.  Here a fresh interpreter in which
+every scipy import raises runs the default study, the rank agreement and
+the Section 4 weight fit on its results, and boots both serving backends.
 """
 
 import json
@@ -13,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.core.ranking import rank_agreement
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
@@ -37,6 +36,31 @@ rows = [
     for r in result.records
 ]
 summary = {"records": len(rows), "golden": rows == golden["records"], "serve": {}}
+
+from repro.core import optimise_weights, rank_agreement
+from repro.core.predictor import PerformancePredictor
+from repro.probes.suite import probe_machine
+from repro.scenarios import BASE_SYSTEM, get_machine
+
+cell = result.select(metric=9, application="AVUS-standard", cpus=64)
+agreement = rank_agreement(
+    {r.system: r.predicted_seconds for r in cell},
+    {r.system: r.actual_seconds for r in cell},
+)
+predictor = PerformancePredictor()
+observations = [
+    (system, BASE_SYSTEM, predictor.base_time(app, cpus), actual)
+    for (app, system, cpus), actual in result.observed.items()
+]
+systems = {system for system, *_ in observations} | {BASE_SYSTEM}
+weights = optimise_weights(
+    {name: probe_machine(get_machine(name)) for name in systems}, observations
+)
+summary["analyses"] = {
+    "n": agreement["n"],
+    "kendall_tau": agreement["kendall_tau"],
+    "weights": [round(w, 2) for w in weights],
+}
 for workers in (1, 2):
     with FleetServer(workers) as server:
         conn = http.client.HTTPConnection(*server.address, timeout=60)
@@ -82,4 +106,17 @@ def test_study_and_serve_run_without_scipy():
             "degraded": False,
             "batch": 1305,
         }
+    cell = [
+        row
+        for row in json.loads(GOLDEN.read_text())["records"]
+        if row[0] == "AVUS-standard" and row[1] == 64 and row[3] == 9
+    ]
+    expected = rank_agreement(
+        {row[2]: row[5] for row in cell}, {row[2]: row[4] for row in cell}
+    )
+    assert summary["analyses"] == {
+        "n": expected["n"],
+        "kendall_tau": expected["kendall_tau"],
+        "weights": [0.0, 0.65, 0.35],
+    }
     assert summary["scipy_loaded"] == []

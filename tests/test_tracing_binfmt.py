@@ -329,7 +329,7 @@ def test_legacy_entry_loads_unchanged(tmp_path, avus, base_machine, reuse):
 
     loaded = store.load_trace(*identity)
     assert loaded is not None
-    assert loaded.comm == trace.comm  # materialises, as metrics #8/#9 do
+    assert loaded.comm == trace.comm  # parsed at load, as metrics #8/#9 read it
     assert loaded == trace
     assert store.invalidated == 0
     assert path.exists()

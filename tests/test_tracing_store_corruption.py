@@ -9,16 +9,22 @@ entries of earlier builds are never read at all.
 """
 
 import json
+import os
 import struct
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.probes.suite import clear_probe_cache, probe_machine
+from repro.study.runner import StudyConfig, clear_study_caches, run_study
 from repro.tracing import binfmt
 from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_application
 from repro.tracing.store import TraceStore
 from repro.util.faults import FaultPlan
+
+GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
 
 
 def _fresh_trace(avus, base_machine):
@@ -168,6 +174,56 @@ def test_fault_injected_store_corruption_heals(tmp_path, base_machine, avus):
     healed = _retrace(avus, base_machine, clean)
     assert healed == trace
     assert _load(clean, trace) == trace
+
+
+def _rewrite_trace_header(path, edit):
+    """Re-encode the trace entry at ``path`` with ``edit`` applied to its
+    header.  The checksum is recomputed, so the envelope stays valid and
+    only the trace header parse can reject the entry."""
+    entry = binfmt._entry_from_path(path, binfmt.KIND_TRACE)
+    meta = {k: v for k, v in entry.header.items() if k != "sections"}
+    sections = {
+        name: np.array(entry.section(name)) for name in entry.header["sections"]
+    }
+    edit(meta)
+    tmp = path.with_suffix(".edit")
+    tmp.write_bytes(binfmt._encode(binfmt.KIND_TRACE, meta, sections))
+    os.replace(tmp, path)
+
+
+def _drop_comm(meta):
+    del meta["comm"]
+
+
+def _unknown_collective(meta):
+    meta["comm"][0]["kind"] = "no-such-collective"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_drop_comm, _unknown_collective],
+    ids=["missing-comm", "unknown-collective"],
+)
+def test_malformed_comm_header_heals_within_a_study(tmp_path, edit):
+    """A checksum-valid entry whose communication header does not parse
+    is invalidated on load and re-traced; the study never sees it."""
+    golden = json.loads(GOLDEN.read_text())
+    store = TraceStore(tmp_path)
+    clear_study_caches()
+    run_study(StudyConfig(), store=store)
+    path = sorted(store.traces_dir.iterdir())[0]
+    _rewrite_trace_header(path, edit)
+
+    clear_study_caches()
+    result = run_study(StudyConfig(), store=store)
+    assert store.invalidated == 1
+    assert binfmt.load_trace(path).comm  # the re-traced entry parses
+    rows = [
+        [r.application, r.cpus, r.system, r.metric,
+         r.actual_seconds, r.predicted_seconds, r.error_percent]
+        for r in result.records
+    ]
+    assert rows == golden["records"]
 
 
 def test_healing_logs_a_warning(stored, caplog):
