@@ -112,6 +112,19 @@ SERVICE_CONFIG_KEYS = frozenset(
 _dump_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size (``VmHWM``) in MB; ``None``
+    where ``/proc/self/status`` cannot be read."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None
+
+
 # ---------------------------------------------------------------------------
 # framing (both sides)
 # ---------------------------------------------------------------------------
@@ -345,6 +358,7 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
             body = service.health()
             body["worker"] = worker_id
             body["pid"] = os.getpid()
+            body["peak_rss_mb"] = _peak_rss_mb()
             reply({"id": rid, "ok": True, "result": body})
         elif op == "ready":
             reply({"id": rid, "ok": True, "result": service.ready()[1]})
@@ -638,8 +652,9 @@ class ProcessHandle(WorkerHandle):
             while True:
                 header = await reader.readexactly(4)
                 length = int.from_bytes(header, "little")
-                payload = await reader.readexactly(length)
-                self._resolve(json.loads(payload))
+                # No name holds the frame: a batch reply is megabytes,
+                # freed once decoded rather than when the next one lands.
+                self._resolve(json.loads(await reader.readexactly(length)))
         except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
             pass  # death is handled authoritatively by the sentinel watch
         except asyncio.CancelledError:

@@ -34,11 +34,12 @@ Routes:
 ``POST /predict/batch``
     A tensorized sub-matrix in one request.  The body names explicit
     ``cells`` ``[application, cpus, system, metric]`` or axes
-    (``applications`` / ``systems`` / ``metrics`` / optional ``rows``);
-    an empty body means the paper's full study matrix; a repeated cell,
-    row, system or metric counts once, at its first appearance.  The
-    front end compiles the request into per-shard row lists (in the
-    cells form, with each shard's own cells), fans one
+    (``applications`` / ``systems`` / ``metrics`` / optional ``rows``),
+    each a JSON array; an empty body means the paper's full study
+    matrix; a repeated cell, row, system or metric counts once, at its
+    first appearance.  The front end compiles the request into
+    per-shard row lists (in the cells form, with each shard's own
+    cells), fans one
     :meth:`~repro.serve.service.PredictionService.predict_cells` call to
     each owning worker (the engine's ``run_matrix`` path — one rate
     table per row shared across every machine and metric), and retries
@@ -48,14 +49,19 @@ Routes:
     engine's canonical emission order.  Identical axes therefore
     reproduce offline study records byte-for-byte, regardless of worker
     count — ``run_matrix``'s partition invariance, served.  ``workers``
-    counts the records each worker answered.
+    counts the records each worker answered.  The front end holds each
+    answer once: a worker's reply frame is dropped as soon as it is
+    decoded, its texts as soon as the body is joined, and the body as
+    soon as it is written.
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
     per-worker handle depth (pending, shed, EWMA), breaker boards,
     pool-wait shed counts and trace/convolve memo counters (gathered
     concurrently), ring membership and hash-space shares,
-    coalescing counters, death/respawn totals; ``status`` reads
+    coalescing counters, death/respawn totals, and each process's peak
+    resident set (``peak_rss_mb``, from ``VmHWM``: the front end's under
+    ``frontend``, each worker's in its health); ``status`` reads
     ``degraded`` while a worker is down, any breaker is open or a
     worker's health probe fails.
 
@@ -78,10 +84,11 @@ Routes:
     front end itself, which mounts the same universe as its workers.
 
 A request the HTTP framing cannot parse (a malformed request line, a
-bad ``Content-Length``, an over-long header line) gets a JSON 400, and
-one declaring a body over :data:`MAX_BODY_BYTES` a JSON 413 before any
-of the body is read; either way the connection is then closed, after a
-short lingering read.
+bad ``Content-Length``, an over-long header line, any
+``Transfer-Encoding``: only ``Content-Length`` frames a body) gets a
+JSON 400, and one declaring a body over :data:`MAX_BODY_BYTES` a JSON
+413 before any of the body is read; either way the connection is then
+closed, after a short lingering read.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ from repro.events.projections import ProjectionEngine
 from repro.scenarios import CATALOG, TARGET_SYSTEMS, get_application
 from repro.scenarios.builtin import builtin_applications
 from repro.serve.coalesce import SingleFlight
-from repro.serve.fleet import Fleet, _dump_json, error_payload
+from repro.serve.fleet import Fleet, _dump_json, _peak_rss_mb, error_payload
 from repro.serve.service import DEFAULT_DEADLINE_SECONDS, validate_query
 from repro.util.validation import check_int, nearest_ids
 
@@ -249,6 +256,9 @@ class FleetFrontend:
                 self._write_response(
                     writer, status, payload, retry_after=retry_after, close=close
                 )
+                # A batch answer is megabytes: hold it no longer than its
+                # write, not until this connection's next request.
+                del payload
                 await writer.drain()
                 if close:
                     break
@@ -291,8 +301,9 @@ class FleetFrontend:
         """One request as ``(method, target, headers, body)``; ``None`` at
         EOF or once the server is stopping.  Raises :class:`ValueError` on
         framing it cannot parse (``readline`` itself raises it for a line
-        over the stream limit), and :class:`_ContentTooLarge` for a
-        declared body over :data:`MAX_BODY_BYTES`."""
+        over the stream limit) and on any ``Transfer-Encoding``, and
+        :class:`_ContentTooLarge` for a declared body over
+        :data:`MAX_BODY_BYTES`."""
         if self._stopping:
             return None
         self._idle.add(writer)
@@ -313,6 +324,14 @@ class FleetFrontend:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length frames a body here: read as no body, a
+            # chunked batch would be answered for the full matrix and its
+            # chunks parsed as the next request.
+            raise ValueError(
+                f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+                "supported; send the body with Content-Length"
+            )
         length = headers.get("content-length") or "0"
         if not length.isdecimal():
             raise ValueError(
@@ -335,7 +354,12 @@ class FleetFrontend:
         close: bool = False,
     ) -> None:
         """Write one response; ``body`` is a JSON-shaped dict or an answer
-        already encoded as JSON bytes."""
+        already encoded as JSON bytes.
+
+        A dict's answer goes out in one write.  Encoded bytes (a batch
+        answer, megabytes) follow their head in a second write instead
+        of being copied onto it; the transport disables Nagle's
+        algorithm, so the split costs no delayed-ACK wait."""
         payload = body if isinstance(body, bytes) else _dump_json(body).encode("utf-8")
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
@@ -347,7 +371,12 @@ class FleetFrontend:
             # retry before the hint.
             head.append(f"Retry-After: {max(1, round(retry_after + 0.5))}")
         head.append("Connection: close" if close else "Connection: keep-alive")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload)
+        head_bytes = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+        if isinstance(body, bytes):
+            writer.write(head_bytes)
+            writer.write(body)
+        else:
+            writer.write(head_bytes + payload)
 
     # ------------------------------------------------------------------
     # routing
@@ -475,6 +504,12 @@ class FleetFrontend:
             spec = {}
         if not isinstance(spec, dict):
             raise ValueError(f"request body must be a JSON object, got {type(spec).__name__}")
+        for field in ("cells", "applications", "systems", "machines", "metrics", "rows"):
+            # Iterated as given, a string would name one id per character.
+            if field in spec and not isinstance(spec[field], list):
+                raise ValueError(
+                    f"{field} must be a JSON array, got {type(spec[field]).__name__}"
+                )
 
         deadline_ms = spec.get("deadline_ms")
         if deadline_ms is not None:
@@ -622,7 +657,9 @@ class FleetFrontend:
                     response.get("retry_after"),
                 )
             worker_counts.setdefault(worker_name, 0)
-            for label, system, cpus, count, text in response["result"]["runs"]:
+            # Popped, and each run again as it is placed below: once the
+            # body is joined, nothing else holds a text.
+            for label, system, cpus, count, text in response["result"].pop("runs"):
                 runs[label, system, cpus] = count, text
                 worker_counts[worker_name] += count
 
@@ -638,7 +675,7 @@ class FleetFrontend:
         for label, cpus_list in rows_of.items():
             for system in systems:
                 for cpus in cpus_list:
-                    run = runs.get((label, system, cpus))
+                    run = runs.pop((label, system, cpus), None)
                     if run is not None:
                         count += run[0]
                         texts.append(run[1])
@@ -649,10 +686,14 @@ class FleetFrontend:
                 "workers priced"
             )
         self.batch_cells_total += count
-        answer = (
-            f'{{"count": {count}, "records": [{", ".join(texts)}], '
-            f'"workers": {_dump_json(worker_counts)}}}'
-        )
+        # The body is one join: its head and tail ride on the first and
+        # last items, so no second string is built around the records,
+        # and the texts go before the body is encoded.
+        texts = texts or [""]
+        texts[0] = f'{{"count": {count}, "records": [{texts[0]}'
+        texts[-1] += f'], "workers": {_dump_json(worker_counts)}}}'
+        answer = ", ".join(texts)
+        del texts
         return 200, answer.encode("utf-8"), None
 
     # ------------------------------------------------------------------
@@ -688,6 +729,7 @@ class FleetFrontend:
                 "batch_requests_total": self.batch_requests_total,
                 "batch_cells_total": self.batch_cells_total,
                 "batch_reroutes_total": self.batch_reroutes_total,
+                "peak_rss_mb": _peak_rss_mb(),
             },
             "workers": workers,
         }

@@ -31,6 +31,8 @@ re-add), driven through the public HTTP surface.
 """
 
 import asyncio
+import gc
+import http.client
 import json
 import logging
 import multiprocessing
@@ -40,6 +42,7 @@ import signal
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -270,6 +273,24 @@ def test_batch_validation_errors_are_structured_400(fleet_server):
     assert status == 400
     assert body["error"] == "BadParameter"
 
+    # An axis is a JSON array: a string iterated as one would name one
+    # id per character ("19" metrics 1 and 9).
+    for field, value in [
+        ("metrics", "19"),
+        ("metrics", "90"),
+        ("metrics", 9),
+        ("applications", "AVUS-standard"),
+        ("systems", "ARL_Xeon"),
+        ("machines", "ARL_Xeon"),
+        ("rows", "AVUS-standard"),
+        ("cells", "AVUS-standard"),
+        ("applications", None),
+    ]:
+        status, body = post(fleet_server, "/predict/batch", {field: value})
+        assert status == 400, (field, value)
+        assert body["error"] == "BadParameter"
+        assert f"{field} must be a JSON array" in body["message"]
+
 
 def batch_bodies(cpus):
     """One AVUS-standard x ARL_Xeon x #9 cell in the cells and rows forms."""
@@ -381,6 +402,86 @@ def test_batch_workers_count_the_records_answered(server, body):
     status, reply = post(server, "/predict/batch", body)
     assert status == 200 and reply["count"] == len(reply["records"]) > 0
     assert sum(reply["workers"].values()) == reply["count"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_written_batch_answer_is_not_kept(workers):
+    # Once a batch answer is written, the front end holds none of it, nor
+    # the worker replies it was spliced from, while the connection waits
+    # idle for its next request.
+    universe = mount_universe("mixed:0:1000")
+    try:
+        body = json.dumps(
+            {
+                "applications": [app.label for app in universe.applications],
+                "systems": [machine.name for machine in universe.machines],
+            }
+        ).encode()
+        with FleetServer(workers, service_config={"universe": universe.ref}) as server:
+            assert post_raw(server, "/predict/batch", body)[0] == 200  # warms every row
+            conn = http.client.HTTPConnection(*server.address, timeout=300)
+
+            def traced() -> int:
+                gc.collect()  # a full collection also empties the free lists
+                return tracemalloc.get_traced_memory()[0]
+
+            tracemalloc.start()
+            try:
+                before = traced()
+                conn.request("POST", "/predict/batch", body)
+                response = conn.getresponse()
+                size = len(response.read())
+                assert response.status == 200 and size > 500_000
+                # The last bytes can reach this thread a moment before the
+                # server's thread lets go of its send buffer.
+                deadline = time.monotonic() + 5.0
+                while (kept := traced() - before) > 0.05 * size:
+                    if time.monotonic() > deadline:
+                        break
+                    time.sleep(0.05)
+            finally:
+                tracemalloc.stop()
+                conn.close()
+        assert kept <= 0.05 * size, f"{kept} bytes kept after a {size}-byte answer"
+    finally:
+        unmount_universe()
+
+
+def test_keep_alive_answers_are_framed_by_their_content_length(server):
+    # A batch answer is written after its head, a point answer in one
+    # write: on one connection, each body is exactly its Content-Length.
+    batch = json.dumps(
+        {"rows": [["AVUS-standard", 64]], "systems": ["ARL_Xeon", "ASC_SC45"]}
+    ).encode()
+    batch_request = (
+        b"POST /predict/batch HTTP/1.1\r\nHost: t\r\n"
+        + f"Content-Length: {len(batch)}\r\n\r\n".encode()
+        + batch
+    )
+    point_request = f"GET {PREDICT}&metric=9 HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+    with socket.create_connection(server.address, timeout=60) as sock:
+        answers = sock.makefile("rb")
+
+        def exchange(request: bytes) -> bytes:
+            sock.sendall(request)
+            assert answers.readline().startswith(b"HTTP/1.1 200 ")
+            headers = {}
+            while (line := answers.readline()) != b"\r\n":
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.lower()] = value.strip()
+            assert headers["connection"] == "keep-alive"
+            return answers.read(int(headers["content-length"]))
+
+        first, point, again = map(exchange, (batch_request, point_request, batch_request))
+        sock.shutdown(socket.SHUT_WR)
+        assert answers.read() == b""  # nothing past the last declared length
+    assert first == again
+    records = json.loads(first)["records"]
+    assert len(records) == 18
+    served = json.loads(point)
+    fields = ("application", "cpus", "machine", "served_metric", "predicted_seconds")
+    record = next(r for r in records if r[2] == "ARL_Xeon" and r[3] == 9)
+    assert [served[field] for field in fields] == [*record[:4], record[5]]
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +655,11 @@ def test_healthz_shape(server):
     status, body, _ = get(server, "/healthz")
     assert status == 200
     assert body["status"] == "ok"
+    # Each process's VmHWM: the front end's own and each worker's.
+    assert body["frontend"]["peak_rss_mb"] > 0
     for row in body["workers"].values():
         health = row["health"]
+        assert health["pid"] == row["pid"] and health["peak_rss_mb"] > 0
         # A served batch adds its lazily created "execute" breaker.
         assert {"probe", "trace", "convolve"} <= set(health["breakers"])
         # The worker's own pool-wait sheds; depth lives on the handle.
@@ -568,6 +672,17 @@ def test_healthz_shape(server):
                 "size", "max_size", "hits", "misses", "evictions"
             }
             assert health[memo]["size"] <= health[memo]["max_size"] == 4096
+
+
+def test_peak_rss_is_null_where_proc_cannot_be_read(local_server, monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(fleet_module, "open", unreadable, raising=False)
+    status, body, _ = get(local_server, "/healthz")
+    assert status == 200
+    assert body["frontend"]["peak_rss_mb"] is None
+    assert body["workers"]["w0"]["health"]["peak_rss_mb"] is None
 
 
 def test_readyz_tracks_breaker_state():
@@ -1220,6 +1335,11 @@ def _raw_exchange(server, request: bytes) -> bytes:
             chunks.append(chunk)
 
 
+#: The end of a request whose body, a three-cell batch, is chunked.
+_CELLS = json.dumps({"cells": [["AVUS-standard", c, "ARL_Xeon", 9] for c in (32, 64, 128)]})
+_CHUNKED = f"Transfer-Encoding: chunked\r\n\r\n{len(_CELLS):x}\r\n{_CELLS}\r\n0\r\n\r\n"
+
+
 @pytest.mark.parametrize(
     "request_bytes",
     [
@@ -1227,11 +1347,24 @@ def _raw_exchange(server, request: bytes) -> bytes:
         b"POST /predict/batch HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
         b"POST /predict/batch HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+        # Only Content-Length frames a body: read as an empty one, a
+        # chunked batch would be the paper's full matrix.
+        f"POST /predict/batch HTTP/1.1\r\n{_CHUNKED}".encode(),
+        f"POST /predict/batch HTTP/1.1\r\nContent-Length: 20\r\n{_CHUNKED}".encode(),
     ],
-    ids=["request-line", "content-length-text", "content-length-negative", "long-header"],
+    ids=[
+        "request-line",
+        "content-length-text",
+        "content-length-negative",
+        "long-header",
+        "chunked",
+        "chunked-and-content-length",
+    ],
 )
 def test_malformed_framing_is_a_json_400(local_server, request_bytes):
+    # One answer, then EOF: the unread rest is never parsed as a request.
     raw = _raw_exchange(local_server, request_bytes)
+    assert raw.count(b"HTTP/1.1 ") == 1
     head, _, body = raw.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"Connection: close" in head
