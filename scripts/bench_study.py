@@ -35,13 +35,13 @@ Gates (any failure exits 1):
   than FRACTION extra wall-clock over a storeless cold run timed in the
   same paired loop (the serialization tax of persisting every trace/probe
   bundle to the binary store; pairing cancels runner drift);
-* ``--require-parallel-win`` — fails when the parallel run is slower than
-  serial cold at the same scale (25% noise margin — generous because
-  on a capped single-core host both measurements are the same serial
-  code path and differ only by scheduler noise).  The engine caps
-  ``workers`` at the usable core count, so on a single-core host the
-  parallel run degrades to serial and the gate asserts exactly the
-  engine's "never slower than serial" guarantee.
+* ``--require-parallel-win`` — fails when the parallel run, on a fresh
+  pool, is slower than serial cold at the same scale (25% noise margin —
+  generous because on a capped single-core host both measurements are
+  the same serial code path and differ only by scheduler noise).  The
+  engine caps ``workers`` at the usable core count, so on a single-core
+  host the parallel run degrades to serial and the gate asserts exactly
+  the engine's "never slower than serial" guarantee.
 
 Usage::
 
@@ -76,8 +76,9 @@ STAGES = ("probe", "execute", "trace", "convolve")
 
 
 def _clear_caches() -> None:
-    # All four memo layers (trace, probe, execution, engine rows) must drop,
-    # or a "cold" measurement silently reuses warm state and lies.
+    # Every memo layer (trace, probe, execution, engine rows) and the
+    # persistent pool's warm workers must drop, or a "cold" measurement
+    # silently reuses warm state and lies.
     clear_study_caches()
 
 

@@ -279,8 +279,6 @@ class GroundTruthExecutor:
     # ------------------------------------------------------------------
     # tensorised block timing
     # ------------------------------------------------------------------
-    _COMBOS = _COMBOS  # module-level constant; kept as a class alias too
-
     def _app_tensors(self, app: ApplicationModel) -> dict:
         """Block-axis statics of ``app`` on this machine, built once.
 
@@ -359,25 +357,6 @@ class GroundTruthExecutor:
             )
         seconds = combine_overlap(t_fp, t_mem, self.machine.overlap_factor)
         return t_fp, t_mem, seconds, ws
-
-    def _timings(
-        self, app: ApplicationModel, rank_cells: float, rank_bytes: float
-    ) -> tuple[BlockTiming, ...]:
-        """All blocks' timings in one block-axis pass (see `_timings_arrays`)."""
-        t_fp, t_mem, seconds, ws = self._timings_arrays(
-            app, np.array([rank_cells]), np.array([rank_bytes])
-        )
-        names = self._app_tensors(app)["names"]
-        return tuple(
-            BlockTiming(
-                name=name,
-                fp_seconds=float(fp),
-                mem_seconds=float(mem),
-                seconds=float(sec),
-                working_set=float(w),
-            )
-            for name, fp, mem, sec, w in zip(names, t_fp[0], t_mem[0], seconds[0], ws[0])
-        )
 
     # ------------------------------------------------------------------
     # communication
@@ -528,8 +507,10 @@ def executor_for(machine: MachineSpec, *, noise: bool = True) -> GroundTruthExec
 
 
 def clear_execution_cache() -> None:
-    """Drop shared executors (and their memoised results) — bench/test hook."""
+    """Drop shared executors (and their memoised results) and the
+    machine-independent block statics — bench/test hook."""
     _EXECUTOR_CACHE.clear()
+    _APP_STATICS.clear()
 
 
 def observed_time(machine: MachineSpec, app: ApplicationModel, cpus: int) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.kernels import combine_overlap
 from repro.network.model import CollectiveKind
 from repro.probes.results import MachineProbes
-from repro.tracing.trace import ApplicationTrace, BlockArrays, BlockTrace, CommRecord
+from repro.tracing.trace import ApplicationTrace, BlockTrace, CommRecord
 from repro.util.validation import check_fraction
 
 __all__ = [
@@ -119,11 +119,11 @@ class ConvolvedTime:
 
 @dataclass(frozen=True)
 class _TraceArrays:
-    """Block-axis views of a trace, extracted once per batch call.
+    """Block-axis views of a trace, extracted once per rate table.
 
-    Every machine in a batch shares the same trace, so pulling the block
+    Every machine of a table shares the same trace, so pulling the block
     scalars into contiguous arrays up front leaves only element-wise NumPy
-    ops in the per-machine loop.
+    ops in the machines x blocks pass.
     """
 
     fp_ops: np.ndarray
@@ -135,16 +135,13 @@ class _TraceArrays:
 
     @classmethod
     def of(cls, trace: ApplicationTrace) -> "_TraceArrays":
-        # Fast path: both ApplicationTrace and the store's MappedTrace
-        # expose cached block-axis arrays (for a mapped trace these are
-        # zero-copy memmap views), so no per-block Python objects are
-        # touched here.  ``b.bytes = (loads + stores) * 8.0`` and
-        # ``strided = unit + short`` performed array-wise are the same
-        # IEEE-754 operations per element as the old scalar loop, so no
-        # prediction moves a bit.
-        ba = getattr(trace, "block_arrays", None)
-        if ba is None:  # duck-typed stand-in without the cache
-            ba = BlockArrays.of_blocks(trace.blocks)
+        # Both ApplicationTrace and the store's MappedTrace expose cached
+        # block-axis arrays (for a mapped trace these are zero-copy memmap
+        # views), so no per-block Python objects are touched here.
+        # ``b.bytes = (loads + stores) * 8.0`` and ``strided = unit +
+        # short`` performed array-wise are the same IEEE-754 operations
+        # per element as the scalar :meth:`Convolver._mem_seconds`.
+        ba = trace.block_arrays
         total_bytes = (ba.loads + ba.stores) * 8.0
         return cls(
             fp_ops=ba.fp_ops,
@@ -322,114 +319,9 @@ class Convolver:
         )
 
     # ------------------------------------------------------------------
-    def _comm_seconds(
-        self, records: tuple[CommRecord, ...], probes: MachineProbes, cpus: int
-    ) -> float:
-        """Price one timestep of traced MPI events with NETBENCH results."""
-        return _comm_seconds(records, probes, cpus)
-
-    # ------------------------------------------------------------------
-    def _mem_seconds_arrays(
-        self, arrays: "_TraceArrays", probes: MachineProbes
-    ) -> np.ndarray:
-        """Per-timestep memory seconds of every block, as one array pass.
-
-        Element-for-element identical to :meth:`_mem_seconds` (the same
-        operations in the same order, applied across the block axis).
-        """
-        model = self.memory_model
-        if model is MemoryModel.NONE:
-            return np.zeros(arrays.total_bytes.shape[0])
-        total_bytes = arrays.total_bytes
-        if model is MemoryModel.STREAM:
-            return total_bytes / probes.stream.bandwidth
-
-        strided_bytes = arrays.strided_bytes
-        random_bytes = arrays.random_bytes
-        if model is MemoryModel.STREAM_GUPS:
-            return (
-                strided_bytes / probes.stream.bandwidth
-                + random_bytes / probes.gups.random_bandwidth
-            )
-
-        ws = arrays.working_set
-        maps = probes.maps
-        unit_bw = maps.unit.lookup_many(ws)
-        random_bw = maps.random.lookup_many(ws)
-        if model is MemoryModel.MAPS:
-            return strided_bytes / unit_bw + random_bytes / random_bw
-
-        if model is MemoryModel.MAPS_DEP:
-            w = arrays.dependency
-            t = strided_bytes * (1.0 - w) / unit_bw
-            t = t + random_bytes * (1.0 - w) / random_bw
-            # Dependent terms vanish exactly where w == 0 (adding 0.0 is
-            # exact), matching the scalar path's conditional.
-            t = t + strided_bytes * w / maps.unit_dep.lookup_many(ws)
-            t = t + random_bytes * w / maps.random_dep.lookup_many(ws)
-            return t
-        raise AssertionError(f"unhandled memory model {model!r}")
-
-    def _batch_core(self, trace: ApplicationTrace, probes_list: list[MachineProbes]):
-        """Yield ``(probes, t_fp, t_mem, seconds, compute, comm)`` per machine.
-
-        Block arrays are extracted from the trace once and reused for every
-        machine; each machine then costs only element-wise NumPy ops.
-        """
-        arrays = _TraceArrays.of(trace)
-        for probes in probes_list:
-            t_fp = arrays.fp_ops / probes.hpl.rmax_flops
-            t_mem = self._mem_seconds_arrays(arrays, probes)
-            seconds = combine_overlap(t_fp, t_mem, self.overlap)
-            # Left-fold accumulation: np.sum is sequential below NumPy's
-            # pairwise block size (128), matching the scalar sum() order.
-            compute = float(np.sum(seconds)) * trace.timesteps
-            comm = 0.0
-            if self.network:
-                comm = self._comm_seconds(trace.comm, probes, trace.cpus) * trace.timesteps
-            yield probes, t_fp, t_mem, seconds, compute, comm
-
-    def predict_batch(
-        self, trace: ApplicationTrace, probes_list: list[MachineProbes]
-    ) -> list[ConvolvedTime]:
-        """Convolve ``trace`` with several probed machines at once.
-
-        All blocks of a machine are priced in one NumPy pass (FP, memory,
-        overlap as block-axis arrays), so sweeps and the study runner stop
-        re-looping scalar block math.  Results are bit-identical to calling
-        :meth:`predict` per machine.
-        """
-        # block_names avoids materialising a mapped trace's block objects
-        names = getattr(trace, "block_names", None) or [b.name for b in trace.blocks]
-        out: list[ConvolvedTime] = []
-        for probes, t_fp, t_mem, seconds, compute, comm in self._batch_core(
-            trace, probes_list
-        ):
-            blocks = tuple(
-                BlockPrediction(
-                    name=name,
-                    fp_seconds=float(fp),
-                    mem_seconds=float(mem),
-                    seconds=float(sec),
-                )
-                for name, fp, mem, sec in zip(names, t_fp, t_mem, seconds)
-            )
-            out.append(
-                ConvolvedTime(
-                    machine=probes.machine,
-                    application=trace.application,
-                    cpus=trace.cpus,
-                    compute_seconds=compute,
-                    comm_seconds=comm,
-                    blocks=blocks,
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------
     def _mem_seconds_matrix(self, rates: RateTable) -> np.ndarray:
-        """(machines, blocks) memory seconds — the 2-D form of
-        :meth:`_mem_seconds_arrays` (same per-element operation order)."""
+        """(machines, blocks) memory seconds: :meth:`_mem_seconds` applied
+        across both axes, with the same per-element operation order."""
         model = self.memory_model
         arrays = rates.arrays
         n_machines = len(rates.probes_list)
@@ -455,41 +347,66 @@ class Convolver:
             w = rates.arrays.dependency[None, :]
             t = strided * (1.0 - w) / unit_bw
             t = t + random * (1.0 - w) / random_bw
+            # Dependent terms vanish exactly where w == 0 (adding 0.0 is
+            # exact), matching the scalar path's conditional.
             t = t + strided * w / rates.maps_bw("unit_dep")
             t = t + random * w / rates.maps_bw("random_dep")
             return t
         raise AssertionError(f"unhandled memory model {model!r}")
 
+    def _price(self, rates: RateTable):
+        """``(t_fp, t_mem, seconds, compute, comm)`` for every machine.
+
+        The one pricing pass: FP, memory and overlap over the whole
+        machines x blocks sheet, each element the same operations in the
+        same order as :meth:`predict_block`.  ``compute`` and ``comm`` are
+        (machines,) whole-run seconds; ``comm`` is ``0.0`` without the
+        network term.  Row sums reduce each machine's blocks exactly as a
+        1-D ``np.sum`` over that machine's row would.
+        """
+        t_fp = rates.arrays.fp_ops[None, :] / rates.rmax[:, None]
+        t_mem = self._mem_seconds_matrix(rates)
+        seconds = combine_overlap(t_fp, t_mem, self.overlap)
+        timesteps = rates.trace.timesteps
+        compute = np.sum(seconds, axis=1) * timesteps
+        comm = rates.comm_seconds() * timesteps if self.network else 0.0
+        return t_fp, t_mem, seconds, compute, comm
+
     def total_seconds_matrix(self, rates: RateTable) -> np.ndarray:
         """Predicted wall-clock seconds for every machine of ``rates``.
 
-        The whole machines x blocks sheet is priced in one 2-D pass;
-        element ``m`` is bit-identical to
-        ``predict(trace, rates.probes_list[m]).total_seconds`` (the same
-        elementwise operations in the same order, with row sums reducing
-        sequentially like the 1-D path).
+        Element ``m`` is bit-identical to
+        ``predict(trace, rates.probes_list[m]).total_seconds``.
         """
-        arrays = rates.arrays
-        t_fp = arrays.fp_ops[None, :] / rates.rmax[:, None]
-        t_mem = self._mem_seconds_matrix(rates)
-        seconds = combine_overlap(t_fp, t_mem, self.overlap)
-        compute = np.sum(seconds, axis=1) * rates.trace.timesteps
-        if not self.network:
-            return compute + 0.0
-        comm = rates.comm_seconds() * rates.trace.timesteps
+        *_, compute, comm = self._price(rates)
         return compute + comm
 
-    def total_seconds_batch(
+    def predict_batch(
         self, trace: ApplicationTrace, probes_list: list[MachineProbes]
-    ) -> list[float]:
-        """Just the predicted wall-clock seconds per machine.
-
-        Identical numbers to ``[predict(trace, p).total_seconds ...]`` but
-        skips building the per-block breakdown dataclasses — the study
-        runner's inner loop only ever needs the totals.
-        """
-        totals = self.total_seconds_matrix(RateTable(trace, list(probes_list)))
-        return [float(t) for t in totals]
+    ) -> list[ConvolvedTime]:
+        """Convolve ``trace`` with several probed machines, with the
+        per-block breakdown, from one :meth:`_price` pass.  Each result is
+        bit-identical to :meth:`predict` on that machine alone."""
+        rates = RateTable(trace, probes_list)
+        t_fp, t_mem, seconds, compute, comm = self._price(rates)
+        comm = np.broadcast_to(comm, compute.shape)
+        names = trace.block_names
+        return [
+            ConvolvedTime(
+                machine=probes.machine,
+                application=trace.application,
+                cpus=trace.cpus,
+                compute_seconds=float(compute[m]),
+                comm_seconds=float(comm[m]),
+                blocks=tuple(
+                    BlockPrediction(name=name, fp_seconds=fp, mem_seconds=mem, seconds=sec)
+                    for name, fp, mem, sec in zip(
+                        names, t_fp[m].tolist(), t_mem[m].tolist(), seconds[m].tolist()
+                    )
+                ),
+            )
+            for m, probes in enumerate(rates.probes_list)
+        ]
 
     def predict(self, trace: ApplicationTrace, probes: MachineProbes) -> ConvolvedTime:
         """Predict the traced application's wall-clock time on ``probes``' machine."""

@@ -204,13 +204,10 @@ class PredictiveMetric(Metric):
         self.convolver = Convolver(memory_model, network=network)
 
     def predict(self, ctx: PredictionContext) -> float:
-        if ctx.trace is None:
-            raise ValueError(f"metric #{self.number} ({self.name}) needs a trace")
-        c_target = self.convolver.predict(ctx.trace, ctx.target_probes).total_seconds
-        if ctx.mode == "absolute":
-            return c_target
-        c_base = self.convolver.predict(ctx.trace, ctx.base_probes).total_seconds
-        return (c_target / c_base) * ctx.base_time
+        """One target through :meth:`predict_many`, the engine's arithmetic."""
+        return self.predict_many(
+            ctx.trace, [ctx.target_probes], ctx.base_probes, ctx.base_time, ctx.mode
+        )[0]
 
     def predict_many(
         self,

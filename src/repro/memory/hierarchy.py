@@ -291,7 +291,3 @@ class MemoryHierarchy:
         """The level that serves the majority of references for ``working_set``."""
         fractions = self.residency_fractions(working_set)
         return self.levels[int(np.argmax(fractions))]
-
-    def level_names(self) -> list[str]:
-        """Names of the hierarchy levels, nearest first."""
-        return [lvl.name for lvl in self.levels]

@@ -121,23 +121,14 @@ class MapsCurve:
             raise ValueError(f"working_set must be > 0, got {working_set!r}")
         return float(np.interp(np.log(working_set), self._log_sizes, self.bandwidths))
 
-    def lookup_many(self, working_sets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`lookup` over an array of working-set sizes.
-
-        Element-for-element identical to scalar lookups (same ``np.interp``
-        evaluation), in one pass.
-        """
-        ws = np.asarray(working_sets, dtype=float)
-        if np.any(ws <= 0):
-            raise ValueError("working sets must all be > 0")
-        return np.interp(np.log(ws), self._log_sizes, self.bandwidths)
-
     def lookup_many_log(self, log_working_sets: np.ndarray) -> np.ndarray:
-        """:meth:`lookup_many` for callers holding pre-taken ``log(ws)``.
+        """Vectorised :meth:`lookup` for callers holding pre-taken ``log(ws)``.
 
-        The convolver's rate table prices one row's working sets against
-        every machine and curve kind; taking the log once there turns each
-        curve lookup into a single ``np.interp``.
+        Element-for-element identical to scalar lookups (the same
+        ``np.interp`` evaluation).  The convolver's rate table prices one
+        row's working sets against every machine and curve kind; taking
+        the log once there turns each curve lookup into a single
+        ``np.interp``.
         """
         return np.interp(log_working_sets, self._log_sizes, self.bandwidths)
 

@@ -235,19 +235,6 @@ class CircuitBreaker:
                 self._trip(now)
 
     # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker: admit, record outcome, propagate."""
-        self.allow()
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
     def snapshot(self) -> dict:
         """Health-report view: state, window count, cooldown, totals."""
         with self._lock:

@@ -84,7 +84,7 @@ Routes:
     front end itself, which mounts the same universe as its workers.
 
 A request the HTTP framing cannot parse (a malformed request line, a
-bad ``Content-Length``, an over-long header line, any
+bad or repeated ``Content-Length``, an over-long header line, any
 ``Transfer-Encoding``: only ``Content-Length`` frames a body) gets a
 JSON 400, and one declaring a body over :data:`MAX_BODY_BYTES` a JSON
 413 before any of the body is read; either way the connection is then
@@ -301,7 +301,8 @@ class FleetFrontend:
         """One request as ``(method, target, headers, body)``; ``None`` at
         EOF or once the server is stopping.  Raises :class:`ValueError` on
         framing it cannot parse (``readline`` itself raises it for a line
-        over the stream limit) and on any ``Transfer-Encoding``, and
+        over the stream limit), on a repeated ``Content-Length`` and on
+        any ``Transfer-Encoding``, and
         :class:`_ContentTooLarge` for a declared body over
         :data:`MAX_BODY_BYTES`."""
         if self._stopping:
@@ -323,7 +324,12 @@ class FleetFrontend:
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # Read by its last value here but by its first in a proxy,
+                # one stream would frame as two different requests.
+                raise ValueError("Content-Length must appear at most once")
+            headers[name] = value.strip()
         if "transfer-encoding" in headers:
             # Only Content-Length frames a body here: read as no body, a
             # chunked batch would be answered for the full matrix and its
@@ -560,9 +566,16 @@ class FleetFrontend:
                 for key in spec.get("metrics", _study_metrics())
             ]
             if "rows" in spec:
-                rows = [
-                    (str(label), check_int("cpus", cpus)) for label, cpus in spec["rows"]
-                ]
+                rows = []
+                for row in spec["rows"]:
+                    # Unpacked as given, an object would yield its keys and
+                    # "A1" the label "A" at cpus "1".
+                    if not isinstance(row, (list, tuple)) or len(row) != 2:
+                        raise ValueError(
+                            f"each row must be [application, cpus], got {row!r}"
+                        )
+                    label, cpus = row
+                    rows.append((str(label), check_int("cpus", cpus)))
             else:
                 rows = []
                 for label in applications:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.study.runner import StudyConfig, StudyResult, run_study
-from repro.tracing.metasim import clear_trace_cache
 
 __all__ = ["AblationOutcome", "run_ablation", "ABLATIONS"]
 
@@ -49,8 +48,8 @@ class AblationOutcome:
 def run_ablation(name: str, config: StudyConfig | None = None) -> AblationOutcome:
     """Run the named ablation (see :data:`ABLATIONS`).
 
-    Tracer-related variants clear the trace cache first so the sample-size
-    change actually takes effect.
+    Tracer variants need no cache clear: the trace memo and the store
+    both key on the sample size, so the default-size traces stay warm.
     """
     try:
         changes = ABLATIONS[name]
@@ -58,8 +57,6 @@ def run_ablation(name: str, config: StudyConfig | None = None) -> AblationOutcom
         known = ", ".join(ABLATIONS)
         raise KeyError(f"unknown ablation {name!r}; known: {known}") from None
     cfg = (config or StudyConfig()).variant(**changes)
-    if "sample_size" in changes:
-        clear_trace_cache()
     result = run_study(cfg)
     errors = {m: s.mean_abs for m, s in result.overall_table().items()}
     return AblationOutcome(name=name, errors=errors, result=result)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ranking import rank_agreement
-from repro.study.paper_data import PAPER_TABLE4
 from repro.study.runner import StudyResult
 
 __all__ = [
@@ -155,8 +154,3 @@ def shape_check(result: StudyResult) -> ShapeCheck:
         < min(table[1], table[2], table[3]) + 5.0,
     }
     return ShapeCheck(checks=checks)
-
-
-def paper_table4_ordering() -> list[int]:
-    """Metric numbers sorted by the paper's Table 4 error (best first)."""
-    return sorted(PAPER_TABLE4, key=lambda m: PAPER_TABLE4[m][0])

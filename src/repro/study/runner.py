@@ -82,12 +82,14 @@ __all__ = [
 
 
 def clear_study_caches() -> None:
-    """Drop every in-process memo the study path reads through.
+    """Drop every memo the study path reads through.
 
-    Traces, probe bundles, shared executors (with their run_many memos)
-    and the engine's row-level convolve memo — the full warm state.  The
-    bench harness calls this to measure genuinely cold passes; anything
-    less leaves one of the layered caches warm and under-reports cost.
+    Traces, probe bundles, shared executors (with their run_many memos
+    and block statics), the engine's row-level convolve memo, and the
+    persistent worker pool, whose workers hold memos of their own — the
+    full warm state.  The bench harness calls this to measure genuinely
+    cold passes; anything less leaves one of the layered caches warm and
+    under-reports cost.
     """
     from repro.apps.execution import clear_execution_cache
     from repro.engine.core import clear_row_cache
@@ -98,6 +100,7 @@ def clear_study_caches() -> None:
     clear_probe_cache()
     clear_execution_cache()
     clear_row_cache()
+    shutdown_pool()
 
 #: Below this many (application, cpus, system) cells a study runs serially
 #: even when ``workers > 1``: fan-out overhead (chunk pickling, result

@@ -17,7 +17,8 @@ from repro.core.errors import StudyAbortedError
 from repro.core.metrics import get_metric
 from repro.core.predictor import PerformancePredictor
 from repro.serve.service import PredictionService
-from repro.study.runner import StudyConfig, clear_study_caches, run_study
+from repro.study import runner
+from repro.study.runner import StudyConfig, clear_study_caches, run_study, shutdown_pool
 from repro.util.faults import FaultPlan
 
 GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
@@ -71,7 +72,11 @@ def test_killed_and_resumed_study_matches_golden(golden, tmp_path):
 
 
 def test_parallel_study_matches_golden(golden):
-    result = run_study(StudyConfig(), workers=2)
+    # The paper matrix sits under PARALLEL_MIN_CELLS: without the override
+    # workers=2 would run serially and pin nothing about the pool.
+    shutdown_pool()
+    result = run_study(StudyConfig(), workers=2, min_parallel_cells=0)
+    assert runner._POOL is not None
     assert as_rows(result) == golden["records"]
 
 
@@ -110,8 +115,9 @@ def test_store_killed_and_resumed_matches_golden(golden, tmp_path):
 def test_store_parallel_study_matches_golden(golden, tmp_path):
     store = tmp_path / "cache"
     run_study(StudyConfig(), store=store)  # populate
-    clear_study_caches()
-    result = run_study(StudyConfig(), store=store, workers=2)
+    clear_study_caches()  # also shuts the pool down
+    result = run_study(StudyConfig(), store=store, workers=2, min_parallel_cells=0)
+    assert runner._POOL is not None
     assert as_rows(result) == golden["records"]
 
 

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.core.errors import CircuitOpenError
+from repro.engine.middleware import BreakerMiddleware
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from repro.util.rng import stable_rng
 
@@ -135,19 +136,20 @@ def test_record_failure_while_open_is_noop():
 def test_open_implies_no_backend_calls():
     clock = FakeClock()
     b = make_breaker(clock, failure_threshold=1, cooldown_seconds=100.0)
+    gate = BreakerMiddleware({"trace": b})  # the path requests take
     calls = []
 
-    def backend():
+    def backend(deadline):
         calls.append(1)
         raise RuntimeError("backend down")
 
     with pytest.raises(RuntimeError):
-        b.call(backend)
+        gate("trace", None, backend)
     assert b.state == OPEN
     for _ in range(50):
         clock.advance(1.0)  # stays within cooldown
         with pytest.raises(CircuitOpenError):
-            b.call(backend)
+            gate("trace", None, backend)
     assert len(calls) == 1  # only the call that tripped it
 
 

@@ -273,6 +273,21 @@ def test_batch_validation_errors_are_structured_400(fleet_server):
     assert status == 400
     assert body["error"] == "BadParameter"
 
+    # A row is a 2-item array: unpacked as given, an object named its
+    # keys and "A1" the label "A" at cpus "1".
+    for row in [
+        {"AVUS-standard": 1, "64": 2},
+        "A1",
+        ["AVUS-standard", 64, 1],
+        ["AVUS-standard"],
+        5,
+    ]:
+        spec = {"rows": [row], "systems": ["ARL_Xeon"], "metrics": [9]}
+        status, body = post(fleet_server, "/predict/batch", spec)
+        assert status == 400, row
+        assert body["error"] == "BadParameter"
+        assert body["message"] == f"each row must be [application, cpus], got {row!r}"
+
     # An axis is a JSON array: a string iterated as one would name one
     # id per character ("19" metrics 1 and 9).
     for field, value in [
@@ -1338,6 +1353,8 @@ def _raw_exchange(server, request: bytes) -> bytes:
 #: The end of a request whose body, a three-cell batch, is chunked.
 _CELLS = json.dumps({"cells": [["AVUS-standard", c, "ARL_Xeon", 9] for c in (32, 64, 128)]})
 _CHUNKED = f"Transfer-Encoding: chunked\r\n\r\n{len(_CELLS):x}\r\n{_CELLS}\r\n0\r\n\r\n"
+#: A one-cell batch body.
+_CELL = json.dumps({"cells": [["AVUS-standard", 64, "ARL_Xeon", 9]]})
 
 
 @pytest.mark.parametrize(
@@ -1351,6 +1368,10 @@ _CHUNKED = f"Transfer-Encoding: chunked\r\n\r\n{len(_CELLS):x}\r\n{_CELLS}\r\n0\
         # chunked batch would be the paper's full matrix.
         f"POST /predict/batch HTTP/1.1\r\n{_CHUNKED}".encode(),
         f"POST /predict/batch HTTP/1.1\r\nContent-Length: 20\r\n{_CHUNKED}".encode(),
+        # Framed by its first length, a proxy would see a bodiless
+        # request and then a second one.
+        f"POST /predict/batch HTTP/1.1\r\nContent-Length: 0\r\n"
+        f"Content-Length: {len(_CELL)}\r\n\r\n{_CELL}".encode(),
     ],
     ids=[
         "request-line",
@@ -1359,6 +1380,7 @@ _CHUNKED = f"Transfer-Encoding: chunked\r\n\r\n{len(_CELLS):x}\r\n{_CELLS}\r\n0\
         "long-header",
         "chunked",
         "chunked-and-content-length",
+        "content-length-twice",
     ],
 )
 def test_malformed_framing_is_a_json_400(local_server, request_bytes):

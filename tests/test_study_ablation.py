@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.scenarios import get_application, get_machine
 from repro.study.ablation import ABLATIONS, run_ablation
-from repro.study.runner import StudyConfig
+from repro.study.runner import StudyConfig, run_study
+from repro.tracing.metasim import trace_memoized
 
 #: A reduced configuration so ablations stay fast in CI.
 SMALL = StudyConfig(
@@ -61,3 +63,16 @@ def test_alternate_base_predicts_itself_exactly():
     out = run_ablation("alternate_base", SMALL)
     errs = out.result.errors(metric=9, system="NAVO_655")
     assert errs and max(abs(e) for e in errs) < 1e-6
+
+
+def test_tracer_ablation_keeps_the_warm_traces():
+    """The trace memo keys on the sample size, so a tracer ablation needs
+    no clear: a warm study's default-size traces survive it."""
+    rows = {(r.application, r.cpus) for r in run_study(SMALL).records}
+    coarse = run_ablation("coarse_tracing", SMALL)
+    assert coarse.result.config.sample_size == 256
+    base = get_machine(SMALL.base_system)
+    for label, cpus in rows:
+        app = get_application(label)
+        assert trace_memoized(app, cpus, base, SMALL.sample_size)
+        assert trace_memoized(app, cpus, base, 256)
