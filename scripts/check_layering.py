@@ -12,13 +12,12 @@ Two boundaries carry the architecture and are enforced here:
   ``repro.serve`` — the numeric core (metrics, convolver, registry,
   predictor facade) cannot depend on any orchestration or serving
   concern, or the study/serve layers stop being optional clients.
-* ``repro.engine`` must import **neither** the HTTP front end and its
-  worker fleet (``repro.serve.frontend``, ``repro.serve.fleet``) **nor**
-  ``repro.cli`` — the staged engine is a library both the study runner
-  and the service embed; the moment it reaches into a front end, the
-  dependency arrow inverts.  (Engine middleware talks to serve-layer
-  objects like BreakerBoard strictly by duck type, so no import is ever
-  needed.)
+* ``repro.engine`` must import **none** of ``repro.study``,
+  ``repro.serve`` and ``repro.cli`` — the staged engine is a library
+  both the study runner and the service embed; the moment it reaches
+  into one of its callers, the dependency arrow inverts.  (A caller's
+  per-stage policy reaches the engine as a ``run_stage`` hook it passes
+  in, so no import is ever needed.)
 
 A third boundary guards the scenario catalog (DESIGN.md section 5k):
 ``repro.scenarios`` is the id-resolution layer every consumer goes
@@ -69,7 +68,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: layer prefix -> module prefixes it must never import.
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro.core": ("repro.study", "repro.serve"),
-    "repro.engine": ("repro.serve.frontend", "repro.serve.fleet", "repro.cli"),
+    "repro.engine": ("repro.study", "repro.serve", "repro.cli"),
     # The shared bottom layers must not reach up either; cheap to pin.
     "repro.util": ("repro.study", "repro.serve", "repro.engine", "repro.cli"),
     "repro.tracing": ("repro.study", "repro.serve", "repro.engine", "repro.cli"),

@@ -715,7 +715,7 @@ def _run(argv: list[str] | None) -> int:
     parser.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=2,
         metavar="N",
         help="retries per study chunk before it is quarantined into the "
         "result's failures list (default: 2)",

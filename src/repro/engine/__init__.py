@@ -7,27 +7,16 @@ online serve layer all share:
 * :mod:`repro.engine.plan` — typed plans (:class:`MatrixPlan`,
   :class:`PointPlan`) and artifacts (:class:`ProbeBundle`,
   :class:`PredictionRecord`).
-* :mod:`repro.engine.middleware` — cross-cutting concerns (timing,
-  deadline gating, budget slicing, circuit breaking, fault injection)
-  as composable stage middleware.
 * :mod:`repro.engine.core` — :class:`Engine`, which runs plans through
-  the stages under a caller-chosen middleware tuple.
+  the stages, calling one caller-chosen hook,
+  ``run_stage(stage, deadline, fn)``, around every stage invocation.
 
 Layering: the engine sits above ``core``/``probes``/``tracing``/``apps``
-and below ``study``/``serve``/``cli``; it must never import the HTTP
-front end (``serve.frontend``, ``serve.fleet``) or ``cli`` (enforced by
-``scripts/check_layering.py``).
+and below ``study``/``serve``/``cli``; it must never import any of those
+three (enforced by ``scripts/check_layering.py``).
 """
 
 from repro.engine.core import Engine
-from repro.engine.middleware import (
-    BreakerMiddleware,
-    BudgetMiddleware,
-    DeadlineGate,
-    FaultMiddleware,
-    StageRunner,
-    TimingMiddleware,
-)
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
 
 __all__ = [
@@ -36,10 +25,4 @@ __all__ = [
     "PointPlan",
     "PredictionRecord",
     "ProbeBundle",
-    "StageRunner",
-    "TimingMiddleware",
-    "DeadlineGate",
-    "BreakerMiddleware",
-    "BudgetMiddleware",
-    "FaultMiddleware",
 ]

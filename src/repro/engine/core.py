@@ -9,11 +9,13 @@ cell, an online query — is the same pipeline::
 
 :class:`Engine` owns that dataflow once.  Callers declare *what* with a
 :class:`~repro.engine.plan.MatrixPlan` or
-:class:`~repro.engine.plan.PointPlan` and *policy* with a middleware
-tuple (:mod:`repro.engine.middleware`); the engine decides stage order,
-threads the :class:`~repro.tracing.store.TraceStore` and deadline into
-the backends, and evaluates metrics through the declarative registry
-(:mod:`repro.core.registry`).  The former per-caller pipelines —
+:class:`~repro.engine.plan.PointPlan` and *policy* with one stage hook,
+``run_stage(stage, deadline, fn)``, which the engine calls for every
+probe, execute, trace and convolve invocation (the serve layer's hook
+gates, budgets and fault-injects each stage); the engine decides stage
+order, threads the :class:`~repro.tracing.store.TraceStore` and deadline
+into the backends, and evaluates metrics through the declarative
+registry (:mod:`repro.core.registry`).  The former per-caller pipelines —
 ``core/predictor.py``'s one-shot loop, ``study/runner.py``'s 900-line
 batch engine, ``serve/service.py``'s rung executor — are now thin
 clients that build plans.
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
+from time import perf_counter
 
 import numpy as np
 
 from repro.apps.execution import executor_for
 from repro.core.metrics import PredictionContext, predict_all, resolve_metrics
-from repro.engine.middleware import StageRunner, TimingMiddleware
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
 from repro.probes.suite import probe_machine, probes_memoized
@@ -47,7 +49,6 @@ from repro.tracing.metasim import (
 from repro.tracing.store import TraceStore
 from repro.util.lru import BoundedLRU
 from repro.util.options import Mode
-from repro.util.timing import StageTimer
 
 __all__ = ["Engine", "clear_row_cache"]
 
@@ -131,6 +132,11 @@ def clear_row_cache() -> None:
 _new_record = partial(tuple.__new__, PredictionRecord)
 
 
+def _call_stage(stage, deadline, fn):
+    """The default stage hook: run the stage under the caller's deadline."""
+    return fn(deadline)
+
+
 def _emit_label(records, observed, label, systems, runs, priced, numbers):
     """Append one label's records in canonical (system, cpus, metric) order.
 
@@ -188,9 +194,11 @@ class Engine:
     store:
         Optional persistent trace/probe cache the engine threads into
         every backend call (the *only* place that wiring now lives).
-    middleware:
-        Stage middleware tuple applied to every stage invocation,
-        outermost first (see :mod:`repro.engine.middleware`).
+    run_stage:
+        Hook called as ``run_stage(stage, deadline, fn)`` for every stage
+        invocation; it returns what ``fn`` returns when called with the
+        deadline the hook settles on (``None`` means unbudgeted).  By
+        default it calls ``fn(deadline)``.
     """
 
     def __init__(
@@ -201,15 +209,14 @@ class Engine:
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         noise: bool = True,
         store: TraceStore | None = None,
-        middleware: tuple = (),
+        run_stage=None,
     ):
         self.base_machine = get_machine(base_system)
         self.mode = str(Mode.coerce(mode))
         self.sample_size = sample_size
         self.noise = noise
         self.store = store
-        self.middleware = tuple(middleware)
-        self._stages = StageRunner(self.middleware)
+        self.run_stage = run_stage if run_stage is not None else _call_stage
         self._base_executor = executor_for(self.base_machine, noise=noise)
         self._base_times: dict[tuple[str, int], float] = {}
 
@@ -292,7 +299,7 @@ class Engine:
                 (metric,), trace, (target_probes,), base_probes, base_time, self.mode
             )[metric.number][0]
 
-        return self._stages.run("convolve", deadline, convolve)
+        return self.run_stage("convolve", deadline, convolve)
 
     def point_memoized(self, app, cpus: int, target, metric) -> bool:
         """Whether :meth:`run_point` for this query finds its inputs in
@@ -332,17 +339,17 @@ class Engine:
                 metric_objs, trace, (target_probes,), base_probes, base_time, self.mode
             )
 
-        rows = self._stages.run("convolve", deadline, convolve)
+        rows = self.run_stage("convolve", deadline, convolve)
         return {number: values[0] for number, values in rows.items()}
 
     def _probe_stage(self, plan: PointPlan, deadline):
         probe = plan.probe
         if probe is None:
             probe = lambda d: self.probe_bundle(plan.app, plan.cpus, plan.target, d)
-        return self._stages.run("probe", deadline, probe)
+        return self.run_stage("probe", deadline, probe)
 
     def _trace_stage(self, plan: PointPlan, deadline):
-        return self._stages.run(
+        return self.run_stage(
             "trace", deadline, lambda d: self.trace(plan.app, plan.cpus, d)
         )
 
@@ -350,7 +357,7 @@ class Engine:
     # matrix plans: the offline study block
     # ------------------------------------------------------------------
     def run_matrix(
-        self, plan: MatrixPlan, *, timer: StageTimer | None = None, deadline=None
+        self, plan: MatrixPlan, *, timer: dict[str, float] | None = None, deadline=None
     ) -> tuple[list[PredictionRecord], dict[tuple[str, str, int], float]]:
         """Compute the (labels × systems) block of a study matrix.
 
@@ -369,9 +376,22 @@ class Engine:
         checkpoint mid-stage and abandon the matrix with
         :class:`~repro.core.errors.DeadlineExceededError` once the budget
         is spent.
+
+        ``timer``, when given, accumulates each stage's wall-clock seconds
+        under its name (probe, execute, trace, convolve), the stage hook,
+        memo hits and store loads included.
         """
-        t = timer if timer is not None else StageTimer()
-        stages = StageRunner((TimingMiddleware(t),) + self.middleware)
+        run_stage = self.run_stage
+        if timer is not None:
+            hook = run_stage
+
+            def run_stage(stage, deadline, fn):
+                start = perf_counter()
+                try:
+                    return hook(stage, deadline, fn)
+                finally:
+                    timer[stage] = timer.get(stage, 0.0) + perf_counter() - start
+
         base_machine = self.base_machine
         labels, systems = plan.labels, plan.systems
 
@@ -384,7 +404,7 @@ class Engine:
             }
             return base_probes, machines, probes
 
-        base_probes, machines, probes = stages.run("probe", deadline, probe_all)
+        base_probes, machines, probes = run_stage("probe", deadline, probe_all)
         # Shared per-machine executors: their app-tensor and run_many memos
         # survive across every matrix this process runs.
         base_executor = executor_for(base_machine, noise=self.noise)
@@ -429,7 +449,7 @@ class Engine:
                 }
                 return runs, base_times
 
-            runs, base_times = stages.run("execute", deadline, execute)
+            runs, base_times = run_stage("execute", deadline, execute)
             # The batched totals are bit-identical to base_time's scalar
             # run, so a later point request on these rows reads them.
             for cpus, time in base_times.items():
@@ -437,13 +457,13 @@ class Engine:
             priced = []
             for cpus, eligible in eligible_rows:
                 base_time = base_times[cpus]
-                trace = stages.run(
+                trace = run_stage(
                     "trace",
                     deadline,
                     lambda d, app=app, cpus=cpus: self.trace(app, cpus, d),
                 )
                 probes_row = [probes[system] for system in eligible]
-                rows = stages.run(
+                rows = run_stage(
                     "convolve",
                     deadline,
                     lambda d, trace=trace, probes_row=probes_row, base_time=base_time: (

@@ -2,7 +2,7 @@
 
 A *plan* declares what to compute — which applications, systems and
 metrics — and the :class:`~repro.engine.core.Engine` decides how: which
-stages run, in what order, under which middleware.  Two plan shapes cover
+stages run, in what order, under which stage hook.  Two plan shapes cover
 every caller in the codebase:
 
 * :class:`MatrixPlan` — the offline study's (applications × systems)

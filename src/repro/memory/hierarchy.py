@@ -283,11 +283,3 @@ class MemoryHierarchy:
         if total_bytes == 0:
             return 0.0
         return total_bytes / self.effective_bandwidth(pattern)
-
-    # ------------------------------------------------------------------
-    # introspection helpers (used by probes and reports)
-    # ------------------------------------------------------------------
-    def serving_level(self, working_set: float) -> MemoryLevelSpec:
-        """The level that serves the majority of references for ``working_set``."""
-        fractions = self.residency_fractions(working_set)
-        return self.levels[int(np.argmax(fractions))]

@@ -132,11 +132,6 @@ class MapsCurve:
         """
         return np.interp(log_working_sets, self._log_sizes, self.bandwidths)
 
-    @property
-    def main_memory_bandwidth(self) -> float:
-        """The large-size asymptote (rightmost point) — the STREAM/GUPS analogue."""
-        return float(self.bandwidths[-1])
-
 
 @dataclass(frozen=True)
 class MapsResult:

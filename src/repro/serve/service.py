@@ -7,21 +7,22 @@ the same staged engine the offline study uses
 parts of that pipeline misbehave.  The service itself owns only the
 *serving* concerns — validation, the degradation ladder loop, health
 surfaces; each rung executes as an engine
-:class:`~repro.engine.PointPlan` under a middleware chain that implements
-the per-stage policy exactly once:
+:class:`~repro.engine.PointPlan` whose every stage runs through one
+service method, :meth:`PredictionService.run_stage`, the per-stage
+policy written once:
 
-* :class:`~repro.engine.DeadlineGate` — every request runs under a
-  per-request :class:`~repro.util.deadline.Deadline`; a stage is skipped
-  before touching any backend once the budget is spent;
-* :class:`~repro.engine.BreakerMiddleware` — each backend stage is gated
-  by a :class:`~repro.serve.breaker.CircuitBreaker`; a failing stage
-  trips open and is *not called at all* until its cooldown elapses;
-* :class:`~repro.engine.BudgetMiddleware` — a stage gets a bounded slice
-  of the remaining budget, so one stall cannot eat the whole request;
-* :class:`~repro.engine.FaultMiddleware` — chaos is first-class: the
-  constructor takes the same :class:`~repro.util.faults.FaultPlan` the
-  study engine uses, keyed per (stage, call number), plus injectable
-  ``clock``/``sleep`` for fake-clock chaos tests.
+* every request runs under a per-request
+  :class:`~repro.util.deadline.Deadline`; a stage is skipped before
+  touching any backend once the budget is spent;
+* each backend stage is gated by a
+  :class:`~repro.serve.breaker.CircuitBreaker`; a failing stage trips
+  open and is *not called at all* until its cooldown elapses;
+* a stage gets a bounded slice of the remaining budget, so one stall
+  cannot eat the whole request;
+* chaos is first-class: the constructor takes the same
+  :class:`~repro.util.faults.FaultPlan` the study engine uses, keyed per
+  (stage, call number), plus injectable ``clock``/``sleep`` for
+  fake-clock chaos tests.
 
 On an open breaker, a stage failure or deadline pressure, the request
 falls down the registry-derived degradation ladder
@@ -38,6 +39,7 @@ requests may name them (``metric=balanced``) as well as number them.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -48,19 +50,12 @@ from repro.core.errors import (
     DeadlineExceededError,
     ServiceUnavailableError,
     UnknownIdError,
+    WorkerCrashError,
 )
 from repro.core.metrics import get_metric
 from repro.util.options import Mode
 from repro.core.registry import REGISTRY
-from repro.engine import (
-    BreakerMiddleware,
-    BudgetMiddleware,
-    DeadlineGate,
-    Engine,
-    FaultMiddleware,
-    MatrixPlan,
-    PointPlan,
-)
+from repro.engine import Engine, MatrixPlan, PointPlan
 from repro.events.log import EventLog
 from repro.events.types import BreakerTripped, PredictionEmitted
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
@@ -220,8 +215,9 @@ class PredictionService:
         Share of the remaining request budget one stage may spend
         (see :data:`DEFAULT_STAGE_FRACTION`).
     stage_timeouts:
-        Optional absolute per-stage caps, e.g. ``{"convolve": 0.1}`` —
-        the effective stage budget is the smaller of cap and fraction.
+        Optional absolute per-stage caps in seconds, each finite and
+        > 0, e.g. ``{"convolve": 0.1}`` — the effective stage budget is
+        the smaller of cap and fraction.
     breakers:
         Injectable breaker board (built with defaults on the service's
         clock when omitted).
@@ -284,6 +280,12 @@ class PredictionService:
             raise ValueError(
                 f"unknown stage_timeouts keys {sorted(unknown)}; stages: {STAGES}"
             )
+        for stage, cap in (stage_timeouts or {}).items():
+            if not (isinstance(cap, (int, float)) and 0 < cap < math.inf):
+                raise ValueError(
+                    f"stage_timeouts[{stage!r}] must be a finite number > 0 "
+                    f"seconds, got {cap!r}"
+                )
         self.base_system = base_system
         self.mode = mode
         self.sample_size = sample_size
@@ -310,27 +312,19 @@ class PredictionService:
         self.fault_stages = tuple(fault_stages)
 
         # The rung executor: the engine owns the probe → trace → convolve
-        # dataflow; this middleware tuple is the service's entire
-        # per-stage policy (ordering is contractual — see
-        # repro.engine.middleware for the two invariants it encodes).
+        # dataflow and calls run_stage, the service's entire per-stage
+        # policy, around every stage.
         self._engine = Engine(
             base_system,
             mode=mode,
             sample_size=sample_size,
             noise=noise,
             store=self.store,
-            middleware=(
-                DeadlineGate(),
-                BreakerMiddleware(self.breakers),
-                BudgetMiddleware(self.stage_fraction, self.stage_timeouts),
-                FaultMiddleware(
-                    lambda: self.faults,
-                    self.fault_stages,
-                    sleep=lambda seconds: self._sleep(seconds),
-                ),
-            ),
+            run_stage=self.run_stage,
         )
         self._state_lock = threading.Lock()
+        #: Stage calls the fault plan has seen, per stage (under the lock).
+        self._fault_calls: dict[str, int] = {}
         self.requests_total = 0
         self.degraded_total = 0
         self.unserved_total = 0
@@ -370,6 +364,66 @@ class PredictionService:
         except (KeyError, TypeError, ValueError):  # predict raises it at once
             return True
         return self._engine.point_memoized(app, cpus, target, REGISTRY.spec(requested))
+
+    # ------------------------------------------------------------------
+    # the stage policy
+    # ------------------------------------------------------------------
+    def run_stage(self, stage: str, deadline, fn):
+        """Run one engine stage under the service's policy: ``fn(sub)``.
+
+        The engine's stage hook.  The statement order is the policy, and
+        it keeps two invariants the chaos tests pin:
+
+        * a request whose budget is already spent is rejected *before*
+          the breaker is touched, so a late request never poisons a
+          healthy backend's failure window;
+        * the stage's budget slice, the injected fault and the slice's
+          post-call checkpoint all run *inside* the breaker's ``try``, so
+          a stalled backend is recorded as that stage's failure while the
+          request still has budget to serve a cheaper rung.
+
+        ``self.faults``, ``self.stage_timeouts`` and ``self._sleep`` are
+        read on every call, so re-tuning the live service (chaos tests
+        switch the fault plan off mid-test) applies to the next stage.
+        A ``None`` deadline (an unbudgeted batch) reaches ``fn`` as
+        ``None``.  An open breaker raises
+        :class:`~repro.core.errors.CircuitOpenError` without calling
+        ``fn``, and is not a recorded failure.
+        """
+        if deadline is not None:
+            deadline.checkpoint(stage)
+        breaker = self.breakers[stage]
+        breaker.allow()
+        try:
+            sub = deadline
+            if deadline is not None:
+                budget = deadline.remaining() * self.stage_fraction
+                cap = self.stage_timeouts.get(stage)
+                if cap is not None:
+                    budget = min(budget, cap)
+                sub = deadline.sub(budget, stage=stage)
+            plan = self.faults
+            if plan is not None and stage in self.fault_stages:
+                # Keyed per (stage, call number), so a seeded plan
+                # misbehaves in the same places on every run.
+                with self._state_lock:
+                    call = self._fault_calls.get(stage, 0) + 1
+                    self._fault_calls[stage] = call
+                label = f"serve:{stage}"
+                if plan.should_stall(label, call):
+                    self._sleep(plan.stall_seconds)
+                if plan.should_crash(label, call):
+                    raise WorkerCrashError(
+                        f"injected crash in service stage {stage!r} (call {call})"
+                    )
+            out = fn(sub)
+            if sub is not None:
+                sub.checkpoint(stage)
+        except Exception:
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+        return out
 
     # ------------------------------------------------------------------
     # the request path
@@ -496,8 +550,8 @@ class PredictionService:
         each worker rides :meth:`~repro.engine.Engine.run_matrix` — the
         same tensorized path the offline study uses, sharing one rate
         table per row across every metric and machine — under the
-        service's own middleware chain (deadline gate, breakers, budget,
-        faults).  Returns :class:`~repro.engine.PredictionRecord` rows in
+        service's own stage policy (:meth:`run_stage`: deadline gate,
+        breakers, budget, faults).  Returns :class:`~repro.engine.PredictionRecord` rows in
         the canonical (application, system, cpus, metric) order;
         identical rows and axes therefore reproduce study records
         bit-for-bit.  A repeated row, system or metric counts once, at

@@ -132,7 +132,8 @@ class EpisodeResult:
 class ScheduleFaults:
     """A :class:`~repro.util.faults.FaultPlan`-shaped timeline adapter.
 
-    The service's :class:`~repro.engine.middleware.FaultMiddleware` asks
+    The service's stage hook
+    (:meth:`~repro.serve.service.PredictionService.run_stage`) asks
     ``should_stall(label, call)`` / ``should_crash(label, call)`` per
     stage call; this adapter answers from the schedule instead of from
     seeded Bernoulli draws: a :class:`StallStage`/:class:`CrashStage`

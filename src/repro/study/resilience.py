@@ -67,9 +67,10 @@ CHECKPOINT_SCHEMA_VERSION = 2
 #: Writer id of the study journal stream inside its log directory.
 CHECKPOINT_WRITER = "study"
 
-#: Identity fields of a StudyConfig — the ones that shape results.  Engine
-#: knobs (``max_retries``, ``chunk_timeout``) are deliberately excluded:
-#: changing them must not orphan a checkpoint.
+#: The StudyConfig fields a checkpoint's digest hashes, in a fixed order.
+#: The retry knobs (``max_retries``, ``chunk_timeout``) are ``run_study``
+#: arguments, not config fields, so retuning them never orphans a
+#: checkpoint.
 _IDENTITY_FIELDS = (
     "applications",
     "systems",

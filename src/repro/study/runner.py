@@ -66,7 +66,6 @@ from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import TraceStore
 from repro.util.clock import Clock, as_clock
 from repro.util.deadline import Deadline
-from repro.util.timing import StageTimer
 from repro.util.validation import check_distinct
 
 __all__ = [
@@ -129,11 +128,6 @@ class StudyConfig:
     mode: str = "relative"
     sample_size: int = DEFAULT_SAMPLE_SIZE
     noise: bool = True
-    #: Engine resilience knobs (identity-neutral: they never change study
-    #: output, only how hard the engine fights to produce it, so they are
-    #: excluded from the checkpoint's config digest).
-    max_retries: int = 2
-    chunk_timeout: float | None = None
 
     def __post_init__(self) -> None:
         for label in self.applications:
@@ -172,12 +166,6 @@ class StudyConfig:
         # config digest are name/number agnostic.
         object.__setattr__(self, "metrics", tuple(resolved))
         object.__setattr__(self, "mode", Mode.coerce(self.mode))
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.chunk_timeout is not None and not self.chunk_timeout > 0:
-            raise ValueError(
-                f"chunk_timeout must be > 0 seconds, got {self.chunk_timeout!r}"
-            )
 
     def variant(self, **changes) -> "StudyConfig":
         """A copy with the given fields replaced."""
@@ -357,7 +345,7 @@ def _run_submatrix(
     labels: tuple[str, ...],
     systems: tuple[str, ...],
     store: TraceStore | None,
-    timer: StageTimer | None = None,
+    timer: dict[str, float] | None = None,
     deadline: Deadline | None = None,
 ) -> tuple[list[PredictionRecord], dict[tuple[str, str, int], float]]:
     """Compute the (labels x systems) block of the study matrix.
@@ -416,9 +404,9 @@ def _run_chunk(
     if faults is not None:
         faults.inject_chunk_faults(labels[0], attempt, in_worker=True)
     store = TraceStore(store_root, faults=faults) if store_root else None
-    timer = StageTimer()
+    timer: dict[str, float] = {}
     records, observed = _run_submatrix(cfg, labels, cfg.systems, store, timer)
-    return records, observed, timer.breakdown()
+    return records, observed, timer
 
 
 def _warm_worker(
@@ -533,7 +521,7 @@ def run_study(
     min_parallel_cells: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
     faults=None,
-    max_retries: int | None = None,
+    max_retries: int = 2,
     chunk_timeout: float | None = None,
     clock=None,
 ) -> StudyResult:
@@ -580,16 +568,16 @@ def run_study(
         deterministic chaos (worker crashes, chunk stalls, store
         corruption) — the harness that proves the retry/resume paths.
     max_retries:
-        Retries per chunk before quarantine (overrides
-        ``config.max_retries``).  Retries back off exponentially with
-        deterministic seeded jitter and re-dispatch to a rebuilt pool when
-        the previous one broke.  Chunks that exhaust retries land in
-        :attr:`StudyResult.failures` instead of aborting the study.
+        Retries per chunk before quarantine.  Retries back off
+        exponentially with deterministic seeded jitter and re-dispatch to
+        a rebuilt pool when the previous one broke.  Chunks that exhaust
+        retries land in :attr:`StudyResult.failures` instead of aborting
+        the study.
     chunk_timeout:
-        Per-chunk deadline in seconds (overrides ``config.chunk_timeout``).
-        In parallel mode an overrunning chunk's wait is abandoned (the
-        pool is rebuilt); in serial mode the deadline is checked after the
-        chunk finishes.  Timed-out chunks retry like crashes.
+        Per-chunk deadline in seconds (default: none).  In parallel mode
+        an overrunning chunk's wait is abandoned (the pool is rebuilt); in
+        serial mode the deadline is checked after the chunk finishes.
+        Timed-out chunks retry like crashes.
     clock:
         Optional :class:`~repro.util.clock.Clock` carrying retry backoff
         sleeps, serial chunk deadlines and fault-plan stalls — the
@@ -599,29 +587,26 @@ def run_study(
     """
     cfg = config or StudyConfig()
     store_obj, store_root = _resolve_store(store)
-    retries = cfg.max_retries if max_retries is None else max_retries
-    deadline = cfg.chunk_timeout if chunk_timeout is None else chunk_timeout
-    if retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {retries!r}")
-    if deadline is not None and not deadline > 0:
-        raise ValueError(f"chunk_timeout must be > 0 seconds, got {deadline!r}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
+    if chunk_timeout is not None and not chunk_timeout > 0:
+        raise ValueError(f"chunk_timeout must be > 0 seconds, got {chunk_timeout!r}")
     if min_parallel_cells is None:
         floor = PARALLEL_MIN_CELLS
         workers = min(workers, _usable_cores())
     else:
         floor = min_parallel_cells
     parallel = workers > 1 and _matrix_cells(cfg) >= floor
-    resilient = checkpoint is not None or faults is not None or deadline is not None
+    resilient = (
+        checkpoint is not None or faults is not None or chunk_timeout is not None
+    )
     if not parallel and not resilient:
-        timer = StageTimer()
+        timer: dict[str, float] = {}
         records, observed = _run_submatrix(
             cfg, cfg.applications, cfg.systems, store_obj, timer
         )
         return StudyResult(
-            config=cfg,
-            records=records,
-            observed=observed,
-            stage_seconds=timer.breakdown(),
+            config=cfg, records=records, observed=observed, stage_seconds=timer
         )
     try:
         return _run_resilient(
@@ -631,8 +616,8 @@ def run_study(
             workers if parallel else 1,
             checkpoint,
             faults,
-            retries,
-            deadline,
+            max_retries,
+            chunk_timeout,
             as_clock(clock),
         )
     except KeyboardInterrupt:
@@ -750,14 +735,15 @@ def _run_chunks(
 
     records: list[PredictionRecord] = []
     observed: dict[tuple[str, str, int], float] = {}
-    timer = StageTimer()
+    stage_seconds: dict[str, float] = {}
     for label in cfg.applications:
         if label not in done:
             continue
         chunk_records, chunk_observed, stages = done[label]
         records.extend(chunk_records)
         observed.update(chunk_observed)
-        timer.merge(stages)
+        for stage, seconds in stages.items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
     order = {label: i for i, label in enumerate(cfg.applications)}
     failures.sort(key=lambda f: order[f.application])
     return StudyResult(
@@ -765,7 +751,7 @@ def _run_chunks(
         records=records,
         observed=observed,
         failures=failures,
-        stage_seconds=timer.breakdown(),
+        stage_seconds=stage_seconds,
     )
 
 
@@ -798,7 +784,7 @@ def _serial_round(
         try:
             if faults is not None:
                 faults.inject_chunk_faults(label, attempt, in_worker=False, clock=clock)
-            timer = StageTimer()
+            timer: dict[str, float] = {}
             if budget is not None:
                 records, observed = _run_submatrix(
                     cfg, (label,), cfg.systems, store_obj, timer, deadline=budget
@@ -813,7 +799,7 @@ def _serial_round(
                     f"chunk {label!r} took {elapsed:.3f}s "
                     f"(deadline {deadline:.3f}s)"
                 )
-            outcomes[label] = (records, observed, timer.breakdown())
+            outcomes[label] = (records, observed, timer)
         except KeyboardInterrupt:
             raise
         except DeadlineExceededError as exc:

@@ -1,8 +1,8 @@
-"""The staged engine and its middleware chain.
+"""The staged engine and its stage hook.
 
 The scalar/row/matrix entry points must agree with each other (they share
-one dataflow), and each middleware must enforce its single concern in
-isolation — the serve chaos suite covers the composed chain end to end.
+one dataflow), and the ``run_stage`` hook must see every stage a plan
+runs — the serve tests cover the service's stage policy behind it.
 """
 
 import dataclasses
@@ -10,182 +10,14 @@ import dataclasses
 import pytest
 
 from repro.apps.suite import get_application
-from repro.core.errors import DeadlineExceededError, WorkerCrashError
 from repro.core.metrics import get_metric, predict_all
 from repro.core.registry import REGISTRY
 from repro.engine import core as engine_core
-from repro.engine import (
-    BreakerMiddleware,
-    BudgetMiddleware,
-    DeadlineGate,
-    Engine,
-    FaultMiddleware,
-    MatrixPlan,
-    PointPlan,
-    ProbeBundle,
-    StageRunner,
-)
+from repro.engine import Engine, MatrixPlan, PointPlan, ProbeBundle
 from repro.engine.core import clear_row_cache
 from repro.machines.registry import get_machine
 from repro import scenarios
 from repro.scenarios import mount_universe, unmount_universe
-from repro.util.deadline import Deadline
-from repro.util.faults import FaultPlan
-
-
-# ---------------------------------------------------------------------------
-# StageRunner composition
-# ---------------------------------------------------------------------------
-
-
-class Recorder:
-    def __init__(self, name, log):
-        self.name = name
-        self.log = log
-
-    def __call__(self, stage, deadline, call_next):
-        self.log.append(f"enter:{self.name}")
-        out = call_next(deadline)
-        self.log.append(f"exit:{self.name}")
-        return out
-
-
-def test_stage_runner_composes_outermost_first():
-    log = []
-    runner = StageRunner((Recorder("a", log), Recorder("b", log)))
-    result = runner.run("probe", None, lambda d: "value")
-    assert result == "value"
-    assert log == ["enter:a", "enter:b", "exit:b", "exit:a"]
-
-
-def test_stage_runner_call_next_reruns_the_rest_of_the_chain():
-    log = []
-
-    def retry_once(stage, deadline, call_next):
-        try:
-            return call_next(deadline)
-        except RuntimeError:
-            log.append("retry")
-            return call_next(deadline)
-
-    attempts = []
-
-    def flaky(d):
-        attempts.append(d)
-        if len(attempts) == 1:
-            raise RuntimeError("first attempt fails")
-        return "value"
-
-    runner = StageRunner((retry_once, Recorder("inner", log)))
-    assert runner.run("probe", None, flaky) == "value"
-    assert log == ["enter:inner", "retry", "enter:inner", "exit:inner"]
-    assert len(attempts) == 2
-
-
-def test_stage_runner_replacement_deadline_reaches_stage():
-    marker = object()
-
-    def swapper(stage, deadline, call_next):
-        return call_next(marker)
-
-    seen = []
-    StageRunner((swapper,)).run("probe", None, lambda d: seen.append(d))
-    assert seen == [marker]
-
-
-# ---------------------------------------------------------------------------
-# middleware in isolation
-# ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class FakeBreaker:
-    def __init__(self):
-        self.events = []
-
-    def allow(self):
-        self.events.append("allow")
-
-    def record_failure(self):
-        self.events.append("failure")
-
-    def record_success(self):
-        self.events.append("success")
-
-
-def test_breaker_middleware_records_outcomes():
-    breaker = FakeBreaker()
-    mw = BreakerMiddleware({"probe": breaker})
-    assert mw("probe", None, lambda d: 42) == 42
-    with pytest.raises(RuntimeError):
-        mw("probe", None, lambda d: (_ for _ in ()).throw(RuntimeError("x")))
-    assert breaker.events == ["allow", "success", "allow", "failure"]
-
-
-def test_deadline_gate_skips_spent_request_before_breaker():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock, stage="request")
-    clock.now = 2.0  # budget gone before the stage starts
-    breaker = FakeBreaker()
-    chain = StageRunner((DeadlineGate(), BreakerMiddleware({"probe": breaker})))
-    with pytest.raises(DeadlineExceededError):
-        chain.run("probe", deadline, lambda d: "never")
-    assert breaker.events == []  # a late request must not poison the breaker
-
-
-def test_budget_middleware_converts_overrun_to_stage_failure():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock, stage="request")
-    mw = BudgetMiddleware(0.5)
-
-    def stall(sub):
-        clock.now += 0.9  # outruns the 0.5 s slice, not the 1 s request
-        return "late"
-
-    with pytest.raises(DeadlineExceededError):
-        mw("trace", deadline, stall)
-    assert deadline.remaining() > 0  # the request survives to try a cheaper rung
-
-
-def test_budget_middleware_shares_live_timeout_mapping():
-    caps = {}
-    clock = FakeClock()
-    mw = BudgetMiddleware(1.0, caps)
-    seen = []
-    mw("trace", Deadline(100.0, clock=clock), lambda sub: seen.append(sub.remaining()))
-    caps["trace"] = 0.25  # re-tuned after construction
-    mw("trace", Deadline(100.0, clock=clock), lambda sub: seen.append(sub.remaining()))
-    assert seen[0] == pytest.approx(100.0)
-    assert seen[1] == pytest.approx(0.25)
-
-
-def test_budget_middleware_passes_none_through():
-    mw = BudgetMiddleware(0.5, {"trace": 0.1})
-    assert mw("trace", None, lambda d: d) is None
-
-
-def test_fault_middleware_injects_per_stage_call():
-    plan = FaultPlan(crash_rate=1.0, seed=1)
-    mw = FaultMiddleware(lambda: plan, ("trace",), sleep=lambda s: None)
-    with pytest.raises(WorkerCrashError, match="service stage 'trace'"):
-        mw("trace", None, lambda d: "x")
-    assert mw("probe", None, lambda d: "x") == "x"  # untargeted stage unharmed
-
-
-def test_fault_middleware_reads_live_plan():
-    plans = {"current": FaultPlan(crash_rate=1.0, seed=1)}
-    mw = FaultMiddleware(lambda: plans["current"], ("probe",), sleep=lambda s: None)
-    with pytest.raises(WorkerCrashError):
-        mw("probe", None, lambda d: "x")
-    plans["current"] = None  # chaos switched off mid-test
-    assert mw("probe", None, lambda d: "x") == "x"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +60,33 @@ def test_probe_only_metric_skips_tracing(engine, monkeypatch):
     for metric in (1, "balanced"):
         plan = PointPlan(app=app, cpus=CPUS, target=target, metric=get_metric(metric))
         assert engine.run_point(plan) > 0
+
+
+def test_run_stage_hook_sees_every_stage_a_plan_runs():
+    seen = []
+
+    def record(stage, deadline, fn):
+        seen.append(stage)
+        return fn(deadline)
+
+    engine = Engine(mode="relative", noise=False, run_stage=record)
+    app = get_application(APP)
+    target = get_machine(TARGET)
+    for metric, stages in ((9, ["probe", "trace", "convolve"]), (1, ["probe"])):
+        del seen[:]
+        engine.run_point(
+            PointPlan(app=app, cpus=CPUS, target=target, metric=get_metric(metric))
+        )
+        assert seen == stages
+    del seen[:]
+    timer = {}
+    engine.run_matrix(
+        MatrixPlan(labels=(APP,), systems=(TARGET,), metrics=(1, 9)), timer=timer
+    )
+    stages = ["probe", "execute", "trace", "convolve"]
+    assert list(dict.fromkeys(seen)) == stages
+    # The timer books every hooked stage, in first-run order.
+    assert list(timer) == stages
 
 
 def test_point_plan_probe_override_is_used(engine):

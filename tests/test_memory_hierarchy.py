@@ -116,11 +116,6 @@ def test_access_time_rejects_negative(hierarchy):
         hierarchy.access_time(p, -1.0)
 
 
-def test_serving_level(hierarchy):
-    assert hierarchy.serving_level(8 * KIB).name == "L1"
-    assert hierarchy.serving_level(float(1 << 32)).name == "MEM"
-
-
 def test_requires_main_memory_last():
     from repro.machines.spec import MemoryLevelSpec
 

@@ -43,8 +43,8 @@ def test_maps_right_edge_matches_stream_and_gups(test_machine):
     maps = run_maps(test_machine)
     stream = run_stream(test_machine).triad
     gups_bw = run_gups(test_machine).random_bandwidth
-    assert maps.unit.main_memory_bandwidth == pytest.approx(stream, rel=0.3)
-    assert maps.random.main_memory_bandwidth == pytest.approx(gups_bw, rel=0.3)
+    assert maps.unit.bandwidths[-1] == pytest.approx(stream, rel=0.3)
+    assert maps.random.bandwidths[-1] == pytest.approx(gups_bw, rel=0.3)
 
 
 def test_maps_dep_below_independent(test_machine):

@@ -14,8 +14,8 @@ import threading
 import pytest
 
 from repro.core.errors import CircuitOpenError
-from repro.engine.middleware import BreakerMiddleware
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
+from repro.serve.service import PredictionService
 from repro.util.rng import stable_rng
 
 
@@ -135,21 +135,22 @@ def test_record_failure_while_open_is_noop():
 # ----------------------------------------------------------------------
 def test_open_implies_no_backend_calls():
     clock = FakeClock()
-    b = make_breaker(clock, failure_threshold=1, cooldown_seconds=100.0)
-    gate = BreakerMiddleware({"trace": b})  # the path requests take
+    board = BreakerBoard(clock=clock, failure_threshold=1, cooldown_seconds=100.0)
+    service = PredictionService(noise=False, clock=clock, breakers=board)
     calls = []
 
     def backend(deadline):
         calls.append(1)
         raise RuntimeError("backend down")
 
+    # The service's stage hook is the path requests take.
     with pytest.raises(RuntimeError):
-        gate("trace", None, backend)
-    assert b.state == OPEN
+        service.run_stage("trace", None, backend)
+    assert board["trace"].state == OPEN
     for _ in range(50):
         clock.advance(1.0)  # stays within cooldown
         with pytest.raises(CircuitOpenError):
-            gate("trace", None, backend)
+            service.run_stage("trace", None, backend)
     assert len(calls) == 1  # only the call that tripped it
 
 

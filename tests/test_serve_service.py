@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import ServiceUnavailableError, UnknownIdError
+from repro.core.errors import (
+    DeadlineExceededError,
+    ServiceUnavailableError,
+    UnknownIdError,
+    WorkerCrashError,
+)
 from repro.core.metrics import ALL_METRICS
 from repro.core.registry import REGISTRY
 from repro.core.predictor import PerformancePredictor
@@ -16,6 +21,7 @@ from repro.serve.degrade import ladder_for, stages_for
 from repro.serve.service import PredictionService
 from repro.tracing import metasim
 from repro.tracing.metasim import clear_trace_cache
+from repro.util.deadline import Deadline
 from repro.util.faults import FaultPlan
 
 GOLDEN = Path(__file__).parent / "golden" / "study_records.json"
@@ -307,6 +313,96 @@ def test_spent_budget_rejects_without_poisoning_breakers():
 
 
 # ----------------------------------------------------------------------
+# the stage policy: PredictionService.run_stage, the engine's stage hook
+# ----------------------------------------------------------------------
+class RecordingBreaker:
+    """Stands in for one stage's breaker and records the calls it gets."""
+
+    def __init__(self):
+        self.events = []
+
+    def allow(self):
+        self.events.append("allow")
+
+    def record_failure(self):
+        self.events.append("failure")
+
+    def record_success(self):
+        self.events.append("success")
+
+
+def recording_service(clock, stage, **kw):
+    """A service on ``clock`` whose ``stage`` breaker is a recorder."""
+    svc = make_service(clock, **kw)
+    breaker = svc.breakers.breakers[stage] = RecordingBreaker()
+    return svc, breaker
+
+
+def test_stage_policy_rejects_a_spent_request_before_the_breaker():
+    clock = FakeClock()
+    svc, breaker = recording_service(clock, "probe")
+    deadline = Deadline(1.0, clock=clock, stage="request")
+    clock.advance(2.0)  # budget gone before the stage starts
+    with pytest.raises(DeadlineExceededError):
+        svc.run_stage("probe", deadline, lambda d: pytest.fail("stage ran"))
+    assert breaker.events == []  # a late request must not poison the breaker
+
+
+def test_stage_policy_records_a_slice_overrun_as_a_breaker_failure():
+    clock = FakeClock()
+    svc, breaker = recording_service(clock, "trace", stage_fraction=0.5)
+    deadline = Deadline(1.0, clock=clock, stage="request")
+
+    def stall(sub):
+        clock.advance(0.9)  # outruns the 0.5 s slice, not the 1 s request
+        return "late"
+
+    with pytest.raises(DeadlineExceededError):
+        svc.run_stage("trace", deadline, stall)
+    assert breaker.events == ["allow", "failure"]
+    assert deadline.remaining() > 0  # the request survives to try a cheaper rung
+
+
+def test_stage_policy_reads_stage_timeouts_live():
+    clock = FakeClock()
+    svc = make_service(clock, stage_fraction=1.0)
+    seen = []
+
+    def call():
+        deadline = Deadline(100.0, clock=clock)
+        svc.run_stage("trace", deadline, lambda sub: seen.append(sub.remaining()))
+
+    call()
+    svc.stage_timeouts["trace"] = 0.25  # re-tuned after construction
+    call()
+    svc.stage_timeouts = {"trace": 0.5}  # or replaced outright
+    call()
+    assert seen == [pytest.approx(100.0), pytest.approx(0.25), pytest.approx(0.5)]
+
+
+def test_stage_policy_passes_an_unbudgeted_stage_none():
+    clock = FakeClock()
+    svc, breaker = recording_service(clock, "trace", stage_timeouts={"trace": 0.1})
+    assert svc.run_stage("trace", None, lambda d: d) is None
+    assert breaker.events == ["allow", "success"]
+
+
+def test_stage_policy_injects_faults_into_the_live_plan_and_stages():
+    clock = FakeClock()
+    plan = FaultPlan(crash_rate=1.0, seed=1)
+    svc, breaker = recording_service(
+        clock, "trace", faults=plan, fault_stages=("trace",)
+    )
+    with pytest.raises(WorkerCrashError, match="service stage 'trace'"):
+        svc.run_stage("trace", None, lambda d: "x")
+    assert svc.run_stage("probe", None, lambda d: "x") == "x"  # untargeted stage
+    svc.faults = None  # chaos switched off mid-test
+    assert svc.run_stage("trace", None, lambda d: "x") == "x"
+    # The injected crash was the stage's recorded failure.
+    assert breaker.events == ["allow", "failure", "allow", "success"]
+
+
+# ----------------------------------------------------------------------
 # health surfaces
 # ----------------------------------------------------------------------
 def test_health_and_ready_reflect_breakers():
@@ -517,6 +613,9 @@ def test_service_constructor_validation():
         PredictionService(stage_fraction=0.0)
     with pytest.raises(ValueError, match="stage_timeouts"):
         PredictionService(stage_timeouts={"cook": 1.0})
+    for cap in (-1.0, 0.0, float("nan"), float("inf"), "0.1"):
+        with pytest.raises(ValueError, match=r"stage_timeouts\['convolve'\]"):
+            PredictionService(stage_timeouts={"convolve": cap})
 
 
 def test_is_quick_tracks_the_memos_a_point_reads():
