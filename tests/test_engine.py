@@ -1,8 +1,10 @@
 """The staged engine and its stage hook.
 
 The scalar/row/matrix entry points must agree with each other (they share
-one dataflow), and the ``run_stage`` hook must see every stage a plan
-runs — the serve tests cover the service's stage policy behind it.
+one dataflow), the ``run_stage`` hook must see every stage a plan runs,
+and the service's stage policy, installed as that hook, must record
+breaker outcomes and inject faults per stage call — the serve tests
+cover its deadline and budget rules.
 """
 
 import dataclasses
@@ -10,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.apps.suite import get_application
+from repro.core.errors import WorkerCrashError
 from repro.core.metrics import get_metric, predict_all
 from repro.core.registry import REGISTRY
 from repro.engine import core as engine_core
@@ -18,6 +21,8 @@ from repro.engine.core import clear_row_cache
 from repro.machines.registry import get_machine
 from repro import scenarios
 from repro.scenarios import mount_universe, unmount_universe
+from repro.serve.service import PredictionService
+from repro.util.faults import FaultPlan
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,81 @@ def test_run_stage_hook_sees_every_stage_a_plan_runs():
     assert list(dict.fromkeys(seen)) == stages
     # The timer books every hooked stage, in first-run order.
     assert list(timer) == stages
+
+
+# ---------------------------------------------------------------------------
+# The service's stage policy as the engine's hook
+# ---------------------------------------------------------------------------
+
+
+class RecordingBreaker:
+    """Stands in for one stage's breaker and records the calls it gets."""
+
+    def __init__(self):
+        self.events = []
+
+    def allow(self):
+        self.events.append("allow")
+
+    def record_failure(self):
+        self.events.append("failure")
+
+    def record_success(self):
+        self.events.append("success")
+
+
+def policy_engine(record=None, **kw):
+    """An engine whose stage hook is a service's ``run_stage``, as the
+    service wires its own; ``record`` names a stage whose breaker is
+    swapped for a :class:`RecordingBreaker`."""
+    svc = PredictionService(noise=False, sleep=lambda s: None, **kw)
+    breaker = None
+    if record is not None:
+        breaker = svc.breakers.breakers[record] = RecordingBreaker()
+    engine = Engine(mode="relative", noise=False, run_stage=svc.run_stage)
+    return svc, engine, breaker
+
+
+def query(metric, **kw):
+    return PointPlan(
+        app=get_application(APP), cpus=CPUS, target=get_machine(TARGET),
+        metric=get_metric(metric), **kw,
+    )
+
+
+def test_breaker_middleware_records_outcomes():
+    _svc, engine, breaker = policy_engine(record="probe")
+    assert engine.run_point(query(1)) > 0
+
+    def broken(d):
+        raise RuntimeError("probe backend down")
+
+    with pytest.raises(RuntimeError, match="probe backend down"):
+        engine.run_point(query(1, probe=broken))
+    assert breaker.events == ["allow", "success", "allow", "failure"]
+
+
+def test_fault_middleware_injects_per_stage_call():
+    _svc, engine, _ = policy_engine(
+        faults=FaultPlan(crash_rate=1.0, seed=1), fault_stages=("trace",)
+    )
+    assert engine.run_point(query(1)) > 0  # probe-only: untargeted stage unharmed
+    with pytest.raises(WorkerCrashError, match="service stage 'trace'"):
+        engine.run_point(query(9))
+
+
+def test_fault_middleware_reads_live_plan():
+    svc, engine, breaker = policy_engine(
+        record="probe",
+        faults=FaultPlan(crash_rate=1.0, seed=1),
+        fault_stages=("probe",),
+    )
+    with pytest.raises(WorkerCrashError, match="service stage 'probe'"):
+        engine.run_point(query(1))
+    svc.faults = None  # chaos switched off mid-test
+    assert engine.run_point(query(1)) > 0
+    # The injected crash was the stage's recorded failure.
+    assert breaker.events == ["allow", "failure", "allow", "success"]
 
 
 def test_point_plan_probe_override_is_used(engine):

@@ -387,21 +387,6 @@ def test_stage_policy_passes_an_unbudgeted_stage_none():
     assert breaker.events == ["allow", "success"]
 
 
-def test_stage_policy_injects_faults_into_the_live_plan_and_stages():
-    clock = FakeClock()
-    plan = FaultPlan(crash_rate=1.0, seed=1)
-    svc, breaker = recording_service(
-        clock, "trace", faults=plan, fault_stages=("trace",)
-    )
-    with pytest.raises(WorkerCrashError, match="service stage 'trace'"):
-        svc.run_stage("trace", None, lambda d: "x")
-    assert svc.run_stage("probe", None, lambda d: "x") == "x"  # untargeted stage
-    svc.faults = None  # chaos switched off mid-test
-    assert svc.run_stage("trace", None, lambda d: "x") == "x"
-    # The injected crash was the stage's recorded failure.
-    assert breaker.events == ["allow", "failure", "allow", "success"]
-
-
 # ----------------------------------------------------------------------
 # health surfaces
 # ----------------------------------------------------------------------
