@@ -16,10 +16,11 @@ and below ``study``/``serve``/``cli``; it must never import any of those
 three (enforced by ``scripts/check_layering.py``).
 """
 
-from repro.engine.core import Engine
+from repro.engine.core import ENGINE_STAGES, Engine
 from repro.engine.plan import MatrixPlan, PointPlan, PredictionRecord, ProbeBundle
 
 __all__ = [
+    "ENGINE_STAGES",
     "Engine",
     "MatrixPlan",
     "PointPlan",

@@ -50,7 +50,11 @@ from repro.tracing.store import TraceStore
 from repro.util.lru import BoundedLRU
 from repro.util.options import Mode
 
-__all__ = ["Engine", "clear_row_cache"]
+__all__ = ["ENGINE_STAGES", "Engine", "clear_row_cache"]
+
+#: Every stage name the engine hands its ``run_stage`` hook, in pipeline
+#: order (``execute`` runs on the matrix path only).
+ENGINE_STAGES = ("probe", "execute", "trace", "convolve")
 
 #: Row-level convolve memo: predict_all output keyed by the *identities* of
 #: its inputs.  On the warm study and point paths every input object

@@ -20,18 +20,19 @@ cold one.  The worker count picks the transport:
   byte, no timer, no task switch;
 * **N >= 2 workers** are forked processes, since CPU-bound engine work in
   one process serializes on the GIL.  Each talks to the front end over
-  one pre-opened ``socketpair`` carrying length-prefixed JSON frames
-  (4-byte little-endian length + UTF-8 body), and its frame-reader
-  thread answers or queues each request.  Requests carry an ``id``;
-  workers answer out of order, and the front end matches responses to
-  futures by id.
+  one pre-opened ``socketpair`` carrying length-prefixed frames (4-byte
+  little-endian length + body, sent in one ``sendmsg``), and its
+  frame-reader thread answers or queues each request.  Requests carry an
+  ``id``; workers answer out of order, and the front end matches
+  responses to futures by id.
 
 A batch reply carries its records already encoded: one
 ``[label, system, cpus, count, text]`` run per (application, system,
 cpus) cell, ``text`` the cell's ``count`` records as the items of a JSON
-array (see :func:`_batch_runs`).  The front end joins the texts into its
-answer without decoding a record, and on the one-worker backend the
-encoding runs on the pool thread that priced the batch.
+array, a slice of the one buffer :func:`_batch_runs` encodes every run
+into.  On the wire the texts travel raw, ahead of the reply's JSON
+header (:func:`_frame_body`, :func:`_decode_reply`), and the front end
+writes them into its answer from the frame it read, decoding no record.
 
 Both transports sit under one :meth:`WorkerHandle.call`, so the pending
 bound, the EWMA ``Retry-After`` and the timeout mapping exist once.  A
@@ -68,8 +69,6 @@ import signal
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
-from operator import itemgetter
 
 from repro.core.errors import OverloadedError, ServiceUnavailableError, UnknownIdError
 from repro.events.types import Event, WorkerDied, WorkerRespawned
@@ -128,8 +127,98 @@ def _peak_rss_mb() -> float | None:
 # ---------------------------------------------------------------------------
 # framing (both sides)
 # ---------------------------------------------------------------------------
+#: Frames up to this size are read in one piece; a larger one (a batch
+#: reply) is read into its own buffer this many bytes at a time.
+_READ_CHUNK = 64 * 1024
+
+
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(len(payload).to_bytes(4, "little") + payload)
+    """Send one frame on a blocking socket (see :func:`_sendmsg_frame`)."""
+    _sendmsg_frame(sock, payload, sock.sendall)
+
+
+def _sendmsg_frame(sock: socket.socket, payload: bytes, send_rest) -> None:
+    """Send ``payload``'s 4-byte little-endian length and ``payload`` in
+    one ``sendmsg``, without joining them; ``send_rest`` takes whatever
+    that call leaves unsent."""
+    prefix = len(payload).to_bytes(4, "little")
+    try:
+        sent = sock.sendmsg((prefix, payload))
+    except (BlockingIOError, InterruptedError):
+        sent = 0
+    if sent < 4:
+        send_rest(prefix[sent:])
+        sent = 4
+    if sent - 4 < len(payload):
+        send_rest(memoryview(payload)[sent - 4 :])
+
+
+def _frame_body(payload: dict):
+    """One reply as a frame body: its JSON alone, or for a batch with
+    runs the runs' texts raw, one newline, then its JSON header.
+
+    In the header each run's text is replaced by its byte count.  The
+    texts' one buffer (see :func:`_batch_runs`) becomes the body: the
+    header is appended to it in place, so the texts are never copied.
+    """
+    runs = payload.get("result", {}).get("runs") if payload.get("ok") else None
+    if not runs:
+        return _dump_json(payload).encode("utf-8")
+    body = runs[0][4].obj
+    for run in runs:
+        run[4] = run[4].nbytes  # drops the slice: the buffer may grow
+    body += b"\n" + _dump_json(payload).encode("utf-8")
+    return body
+
+
+async def _read_frame(reader: asyncio.StreamReader, length: int):
+    """The next ``length`` bytes of ``reader``.
+
+    A frame over :data:`_READ_CHUNK` bytes is read into one buffer a
+    chunk at a time: ``readexactly`` would first gather all of it in the
+    stream's own buffer, a second copy.
+    """
+    if length <= _READ_CHUNK:
+        return await reader.readexactly(length)
+    frame = bytearray(length)
+    with memoryview(frame) as view:
+        filled = 0
+        while filled < length:
+            chunk = await reader.read(min(length - filled, _READ_CHUNK))
+            if not chunk:
+                raise asyncio.IncompleteReadError(bytes(view[:filled]), length)
+            view[filled : filled + len(chunk)] = chunk
+            filled += len(chunk)
+    return frame
+
+
+def _decode_reply(frame) -> dict:
+    """A reply frame body as its message (see :func:`_frame_body`); each
+    run of a batch carries its text as a ``memoryview`` slice of ``frame``.
+
+    Raises :class:`ValueError` when the header is not JSON or the runs'
+    byte counts do not add up to the texts before it.
+    """
+    end = frame.rfind(b"\n")  # the header is JSON: no raw newline in it
+    msg = json.loads(frame if end < 0 else frame[end + 1 :])
+    if not isinstance(msg, dict):
+        raise ValueError(f"a reply is a JSON object, got {type(msg).__name__}")
+    if end < 0:
+        return msg
+    start = 0
+    try:
+        with memoryview(frame) as view:
+            for run in msg["result"]["runs"]:
+                nbytes = run[4]
+                if type(nbytes) is not int or not 0 <= nbytes <= end - start:
+                    raise ValueError(f"run byte count {nbytes!r} overruns the texts")
+                run[4] = view[start : start + nbytes]
+                start += nbytes
+    except (LookupError, TypeError):
+        raise ValueError("batch reply header does not list its runs") from None
+    if start != end:
+        raise ValueError(f"{end - start} bytes of texts follow the last run")
+    return msg
 
 
 def _recv_exact(rfile, n: int) -> bytes | None:
@@ -308,23 +397,37 @@ def _remaining_budget(service, msg: dict, default: float | None) -> float | None
     return budget - waited
 
 
-def _batch_runs(records, cells=None) -> list[list]:
+def _batch_runs(records: list, cells=None) -> list[list]:
     """A batch's records as ``[label, system, cpus, count, text]`` runs,
     one per (application, system, cpus) cell, ``text`` its records
-    encoded once as the items of a JSON array.
+    encoded once as the items of a JSON array: a ``memoryview`` slice of
+    one buffer holding every run's text, back to back in run order.
 
     ``records`` come in the engine's canonical (application, system,
-    cpus, metric) order, so a cell's records are contiguous.  The cells
-    form's ``cells`` keeps only the records it names.
+    cpus, metric) order, so a cell's records are contiguous.  The list
+    is emptied as it is encoded, each run's records freed once its text
+    is written.  The cells form's ``cells`` keeps only the records it
+    names.
     """
     if cells is not None:
         wanted = {tuple(cell) for cell in cells}
-        records = [record for record in records if record[:4] in wanted]
-    runs = []
-    for (label, system, cpus), run in groupby(records, itemgetter(0, 2, 1)):
-        run = list(run)
-        runs.append([label, system, cpus, len(run), _dump_json(run)[1:-1]])
-    return runs
+        records[:] = [record for record in records if record[:4] in wanted]
+    records.reverse()  # popped from the end: run order, nothing shifted
+    texts = bytearray()
+    spans = []
+    while records:
+        cell = records[-1][:3]
+        run = []
+        while records and records[-1][:3] == cell:
+            run.append(records.pop())
+        start = len(texts)
+        texts += _dump_json(run)[1:-1].encode("utf-8")
+        spans.append((cell, len(run), start, len(texts)))
+    view = memoryview(texts)
+    return [
+        [label, system, cpus, count, view[start:end]]
+        for (label, cpus, system), count, start, end in spans
+    ]
 
 
 def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
@@ -418,7 +521,7 @@ def _worker_main(
     write_lock = threading.Lock()
 
     def reply(payload: dict) -> None:
-        data = _dump_json(payload).encode("utf-8")
+        data = _frame_body(payload)
         with write_lock:
             try:
                 _send_frame(sock, data)
@@ -650,19 +753,29 @@ class ProcessHandle(WorkerHandle):
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "little")
+                length = int.from_bytes(await reader.readexactly(4), "little")
                 # No name holds the frame: a batch reply is megabytes,
-                # freed once decoded rather than when the next one lands.
-                self._resolve(json.loads(await reader.readexactly(length)))
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # death is handled authoritatively by the sentinel watch
-        except asyncio.CancelledError:
-            raise
+                # freed with the last of its runs' slices rather than
+                # when the next frame lands.
+                self._resolve(_decode_reply(await _read_frame(reader, length)))
+        except (asyncio.IncompleteReadError, OSError):
+            pass  # EOF or a reset: the worker is gone or going
+        except ValueError as exc:
+            log.error("fleet worker %s sent a frame that cannot be decoded: %s", self.name, exc)
+        # No later frame can be read in step.  Death is handled by the
+        # sentinel watch: end the process (a no-op once it is gone) and
+        # let the watch fail its calls and respawn it.
+        if self.alive:
+            self.proc.kill()
 
     async def _send(self, msg: dict) -> None:
         frame = json.dumps(msg).encode("utf-8")
-        self._writer.write(len(frame).to_bytes(4, "little") + frame)
+        if self._writer.transport.get_write_buffer_size():
+            # Frames wait in the transport: queue this one behind them.
+            self._writer.write(len(frame).to_bytes(4, "little"))
+            self._writer.write(frame)
+        else:
+            _sendmsg_frame(self._sock, frame, self._writer.write)
         await self._writer.drain()
 
     def close(self) -> None:

@@ -50,9 +50,9 @@ Routes:
     reproduce offline study records byte-for-byte, regardless of worker
     count — ``run_matrix``'s partition invariance, served.  ``workers``
     counts the records each worker answered.  The front end holds each
-    answer once: a worker's reply frame is dropped as soon as it is
-    decoded, its texts as soon as the body is joined, and the body as
-    soon as it is written.
+    answer once: the texts stay in the reply frames they arrived in, the
+    connection writes them about :data:`_WRITE_CHUNK` bytes at a time,
+    and the frames go as soon as the answer is written.
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
@@ -139,6 +139,11 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Longest a refused connection keeps reading after its answer (see
 #: :meth:`FleetFrontend._linger`).
 _LINGER_SECONDS = 1.0
+
+#: Bytes of a batch answer joined into one write; the connection drains
+#: between writes, so no more than this is copied out of the replies the
+#: answer is spliced from.
+_WRITE_CHUNK = 64 * 1024
 
 #: Requests one connection has answered in a row before it yields the
 #: event loop once.  An answer from memory never suspends, and neither
@@ -253,9 +258,12 @@ class FleetFrontend:
                     self._stopping
                     or headers.get("connection", "").lower() == "close"
                 )
-                self._write_response(
-                    writer, status, payload, retry_after=retry_after, close=close
-                )
+                if isinstance(payload, dict):
+                    self._write_response(
+                        writer, status, payload, retry_after=retry_after, close=close
+                    )
+                else:
+                    await self._write_parts(writer, status, payload, close=close)
                 # A batch answer is megabytes: hold it no longer than its
                 # write, not until this connection's next request.
                 del payload
@@ -351,45 +359,61 @@ class FleetFrontend:
         return method.upper(), target, headers, body
 
     @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict | bytes,
-        *,
-        retry_after: float | None = None,
-        close: bool = False,
-    ) -> None:
-        """Write one response; ``body`` is a JSON-shaped dict or an answer
-        already encoded as JSON bytes.
-
-        A dict's answer goes out in one write.  Encoded bytes (a batch
-        answer, megabytes) follow their head in a second write instead
-        of being copied onto it; the transport disables Nagle's
-        algorithm, so the split costs no delayed-ACK wait."""
-        payload = body if isinstance(body, bytes) else _dump_json(body).encode("utf-8")
+    def _head(status: int, length: int, retry_after: float | None, close: bool) -> bytes:
+        """The status line and headers of a ``length``-byte JSON answer."""
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             "Content-Type: application/json",
-            f"Content-Length: {len(payload)}",
+            f"Content-Length: {length}",
         ]
         if retry_after is not None:
             # RFC 9110: integral seconds only; round up so clients never
             # retry before the hint.
             head.append(f"Retry-After: {max(1, round(retry_after + 0.5))}")
         head.append("Connection: close" if close else "Connection: keep-alive")
-        head_bytes = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-        if isinstance(body, bytes):
-            writer.write(head_bytes)
-            writer.write(body)
-        else:
-            writer.write(head_bytes + payload)
+        return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+
+    @classmethod
+    def _write_response(
+        cls,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: dict,
+        *,
+        retry_after: float | None = None,
+        close: bool = False,
+    ) -> None:
+        """Write one JSON-shaped answer, head and body in one write."""
+        payload = _dump_json(body).encode("utf-8")
+        writer.write(cls._head(status, len(payload), retry_after, close) + payload)
+
+    @classmethod
+    async def _write_parts(
+        cls, writer: asyncio.StreamWriter, status: int, parts: list, *, close: bool
+    ) -> None:
+        """Write an answer given as byte parts (a batch answer: its runs'
+        texts, still in the reply frames they arrived in, and what goes
+        between them), joined :data:`_WRITE_CHUNK` bytes at a time with a
+        drain after each write: never the whole answer at once, and no
+        write call per part."""
+        chunk = [cls._head(status, sum(map(len, parts)), None, close)]
+        size = 0
+        for part in parts:
+            chunk.append(part)
+            size += len(part)
+            if size >= _WRITE_CHUNK:
+                writer.write(b"".join(chunk))
+                chunk.clear()
+                size = 0
+                await writer.drain()
+        writer.write(b"".join(chunk))
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     async def _dispatch(self, method: str, target: str, body: bytes):
         """Route one request; returns ``(status, body, retry_after)``, the
-        body a dict or encoded JSON bytes."""
+        body a dict or a batch answer's byte parts."""
         url = urlsplit(target)
         try:
             if method == "GET" and url.path == "/predict":
@@ -661,7 +685,9 @@ class FleetFrontend:
             mapped = error_payload(exc)
             return mapped["status"], mapped["body"], mapped.get("retry_after")
         worker_counts: dict[str, int] = {}
-        runs: dict[tuple[str, str, int], tuple[int, str]] = {}
+        # A run's text is a slice of the buffer it arrived in: a forked
+        # worker's reply frame, or the one-worker pool thread's buffer.
+        runs: dict[tuple[str, str, int], tuple[int, memoryview]] = {}
         for worker_name, response in shard_results:
             if not response.get("ok", False):
                 return (
@@ -671,7 +697,7 @@ class FleetFrontend:
                 )
             worker_counts.setdefault(worker_name, 0)
             # Popped, and each run again as it is placed below: once the
-            # body is joined, nothing else holds a text.
+            # answer is written, nothing else holds a text.
             for label, system, cpus, count, text in response["result"].pop("runs"):
                 runs[label, system, cpus] = count, text
                 worker_counts[worker_name] += count
@@ -683,7 +709,7 @@ class FleetFrontend:
         rows_of: dict[str, list[int]] = {}
         for label, cpus in rows:
             rows_of.setdefault(label, []).append(cpus)
-        texts: list[str] = []
+        parts: list = []
         count = 0
         for label, cpus_list in rows_of.items():
             for system in systems:
@@ -691,7 +717,7 @@ class FleetFrontend:
                     run = runs.pop((label, system, cpus), None)
                     if run is not None:
                         count += run[0]
-                        texts.append(run[1])
+                        parts += (b", ", run[1])
         priced = sum(worker_counts.values())
         if count != priced:
             raise RuntimeError(
@@ -699,15 +725,10 @@ class FleetFrontend:
                 "workers priced"
             )
         self.batch_cells_total += count
-        # The body is one join: its head and tail ride on the first and
-        # last items, so no second string is built around the records,
-        # and the texts go before the body is encoded.
-        texts = texts or [""]
-        texts[0] = f'{{"count": {count}, "records": [{texts[0]}'
-        texts[-1] += f'], "workers": {_dump_json(worker_counts)}}}'
-        answer = ", ".join(texts)
-        del texts
-        return 200, answer.encode("utf-8"), None
+        # The head takes the place of the first run's separator.
+        parts[:1] = [f'{{"count": {count}, "records": ['.encode("utf-8")]
+        parts.append(f'], "workers": {_dump_json(worker_counts)}}}'.encode("utf-8"))
+        return 200, parts, None
 
     # ------------------------------------------------------------------
     # health surfaces

@@ -55,7 +55,7 @@ from repro.core.errors import (
 from repro.core.metrics import get_metric
 from repro.util.options import Mode
 from repro.core.registry import REGISTRY
-from repro.engine import Engine, MatrixPlan, PointPlan
+from repro.engine import ENGINE_STAGES, Engine, MatrixPlan, PointPlan
 from repro.events.log import EventLog
 from repro.events.types import BreakerTripped, PredictionEmitted
 from repro.scenarios import BASE_SYSTEM, CATALOG, get_application, get_machine
@@ -234,7 +234,8 @@ class PredictionService:
         Optional :class:`~repro.util.faults.FaultPlan`; stalls/crashes are
         injected per (stage, call-number) with the plan's seeded draws.
     fault_stages:
-        Stages the plan applies to (chaos tests target one stage).
+        Stages the plan applies to (chaos tests target one stage), each
+        one the engine runs: probe, execute, trace or convolve.
     clock, sleep:
         Time source — a :class:`~repro.util.clock.Clock` (or legacy bare
         monotonic callable) driving deadlines, breakers and fault
@@ -286,6 +287,13 @@ class PredictionService:
                     f"stage_timeouts[{stage!r}] must be a finite number > 0 "
                     f"seconds, got {cap!r}"
                 )
+        # A misspelt stage would inject nothing: a chaos run that tests
+        # nothing, and passes.
+        unknown = set(fault_stages) - set(ENGINE_STAGES)
+        if unknown:
+            raise ValueError(
+                f"unknown fault_stages {sorted(unknown)}; stages: {ENGINE_STAGES}"
+            )
         self.base_system = base_system
         self.mode = mode
         self.sample_size = sample_size

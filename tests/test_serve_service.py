@@ -603,6 +603,17 @@ def test_service_constructor_validation():
             PredictionService(stage_timeouts={"convolve": cap})
 
 
+def test_a_fault_stage_the_engine_never_runs_is_rejected():
+    # A misspelt stage would inject nothing, so a chaos run over it would
+    # test nothing and pass; each stage the engine runs is accepted.
+    with pytest.raises(ValueError, match=r"unknown fault_stages \['convolv'\]"):
+        PredictionService(
+            noise=False, faults=FaultPlan(crash_rate=1.0, seed=1), fault_stages=("convolv",)
+        )
+    for stage in ("probe", "execute", "trace", "convolve"):
+        assert PredictionService(noise=False, fault_stages=(stage,)).fault_stages == (stage,)
+
+
 def test_is_quick_tracks_the_memos_a_point_reads():
     # Quick means every input predict reads is in memory: the row's base
     # time, both machines' probes and, for a trace metric, the trace.
