@@ -21,10 +21,10 @@ cold one.  The worker count picks the transport:
 * **N >= 2 workers** are forked processes, since CPU-bound engine work in
   one process serializes on the GIL.  Each talks to the front end over
   one pre-opened ``socketpair`` carrying length-prefixed frames (4-byte
-  little-endian length + body, sent in one ``sendmsg``), and its
-  frame-reader thread answers or queues each request.  Requests carry an
-  ``id``; workers answer out of order, and the front end matches
-  responses to futures by id.
+  little-endian length + body; a worker sends both in one ``sendmsg``),
+  and its frame-reader thread answers or queues each request.  Requests
+  carry an ``id``; workers answer out of order, and the front end
+  matches responses to futures by id.
 
 A batch reply carries its records already encoded: one
 ``[label, system, cpus, count, text]`` run per (application, system,
@@ -133,24 +133,16 @@ _READ_CHUNK = 64 * 1024
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    """Send one frame on a blocking socket (see :func:`_sendmsg_frame`)."""
-    _sendmsg_frame(sock, payload, sock.sendall)
-
-
-def _sendmsg_frame(sock: socket.socket, payload: bytes, send_rest) -> None:
-    """Send ``payload``'s 4-byte little-endian length and ``payload`` in
-    one ``sendmsg``, without joining them; ``send_rest`` takes whatever
-    that call leaves unsent."""
+    """Send ``payload``'s 4-byte little-endian length and ``payload`` on a
+    blocking socket in one ``sendmsg``, without joining them; ``sendall``
+    sends whatever that call leaves unsent."""
     prefix = len(payload).to_bytes(4, "little")
-    try:
-        sent = sock.sendmsg((prefix, payload))
-    except (BlockingIOError, InterruptedError):
-        sent = 0
+    sent = sock.sendmsg((prefix, payload))
     if sent < 4:
-        send_rest(prefix[sent:])
+        sock.sendall(prefix[sent:])
         sent = 4
     if sent - 4 < len(payload):
-        send_rest(memoryview(payload)[sent - 4 :])
+        sock.sendall(memoryview(payload)[sent - 4 :])
 
 
 def _frame_body(payload: dict):
@@ -751,31 +743,35 @@ class ProcessHandle(WorkerHandle):
         )
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        # Death is handled by the sentinel watch.  An EOF at a frame
+        # boundary (a drained worker ends so) or a reset is left to it.
         try:
             while True:
-                length = int.from_bytes(await reader.readexactly(4), "little")
+                try:
+                    prefix = await reader.readexactly(4)
+                except asyncio.IncompleteReadError as exc:
+                    if exc.partial:
+                        raise
+                    return
                 # No name holds the frame: a batch reply is megabytes,
                 # freed with the last of its runs' slices rather than
                 # when the next frame lands.
+                length = int.from_bytes(prefix, "little")
                 self._resolve(_decode_reply(await _read_frame(reader, length)))
-        except (asyncio.IncompleteReadError, OSError):
-            pass  # EOF or a reset: the worker is gone or going
+        except OSError:
+            return
+        except asyncio.IncompleteReadError:
+            log.error("fleet worker %s closed its socket mid-frame", self.name)
         except ValueError as exc:
             log.error("fleet worker %s sent a frame that cannot be decoded: %s", self.name, exc)
-        # No later frame can be read in step.  Death is handled by the
-        # sentinel watch: end the process (a no-op once it is gone) and
-        # let the watch fail its calls and respawn it.
+        # No later frame can be read in step: end the process (a no-op
+        # once it is gone) and let the watch fail its calls and respawn it.
         if self.alive:
             self.proc.kill()
 
     async def _send(self, msg: dict) -> None:
         frame = json.dumps(msg).encode("utf-8")
-        if self._writer.transport.get_write_buffer_size():
-            # Frames wait in the transport: queue this one behind them.
-            self._writer.write(len(frame).to_bytes(4, "little"))
-            self._writer.write(frame)
-        else:
-            _sendmsg_frame(self._sock, frame, self._writer.write)
+        self._writer.write(len(frame).to_bytes(4, "little") + frame)
         await self._writer.drain()
 
     def close(self) -> None:

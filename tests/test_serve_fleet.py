@@ -732,11 +732,6 @@ def test_removed_service_config_keys_fail_loudly():
         )
 
 
-def test_a_misspelt_fault_stage_fails_at_worker_start():
-    with pytest.raises(ValueError, match=r"\['convolv'\]"):
-        _build_service({"noise": False, "faults": "crash=1.0,seed=1", "fault_stages": ["convolv"]})
-
-
 def test_open_probe_breaker_maps_to_503():
     config = {
         "noise": False,

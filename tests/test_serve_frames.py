@@ -9,12 +9,14 @@ run's text on as a slice of it (``_decode_reply``).  The pins:
 * **round trips** — a point reply, a batch with no runs, and runs whose
   record texts carry escaped characters decode to what was sent, and
   the spliced texts are the records' JSON;
-* **any read boundaries** — random run texts survive any split of the
-  stream into reads and any chunk size (hypothesis);
-* **fail closed** — a frame torn mid-body, a frame that is not JSON and
-  run byte counts that overrun or underrun the body end the worker
-  through the supervisor's death path: the call fails at once with a
-  429, and the worker is respawned;
+* **any read boundaries** — point and batch replies interleaved in one
+  stream, with random run texts, survive any split of the stream into
+  reads and any chunk size (hypothesis);
+* **fail closed** — a frame torn mid-body or claiming more bytes than
+  arrive is an incomplete read; that, a frame that is not JSON and run
+  byte counts that overrun or underrun the body end the worker through
+  the supervisor's death path: the call fails at once with a 429, and
+  the worker is respawned;
 * **one copy per process** — the traced peak of a warm batch reply in a
   worker, and of the front end while it answers a warm batch, stay
   within a small multiple of the bytes they send.
@@ -39,6 +41,7 @@ from repro.core.registry import REGISTRY
 from repro.scenarios import mount_universe, unmount_universe
 from repro.serve import fleet as fleet_module
 from repro.serve.fleet import (
+    ProcessHandle,
     _batch_runs,
     _decode_reply,
     _frame_body,
@@ -127,43 +130,64 @@ def test_runs_with_escaped_characters_cross_raw():
     assert spliced == json.dumps([list(record) for record in records]).encode()
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    texts=st.lists(st.binary(max_size=300), max_size=10),
-    reads=st.lists(st.integers(1, 97), min_size=1, max_size=12),
-    chunk=st.integers(1, 4096),
-)
-def test_runs_survive_any_read_boundaries(texts, reads, chunk):
+def _batch_reply(rid: int, texts: list[bytes]) -> dict:
     # The texts sit back to back in one buffer, as _batch_runs leaves them.
     view = memoryview(bytearray(b"".join(texts)))
     runs, start = [], 0
     for i, text in enumerate(texts):
         runs.append([f"app-{i}", "sys", i + 1, 1, view[start : start + len(text)]])
         start += len(text)
-    del view
-    heads = [run[:4] for run in runs]
-    batch = {"id": 9, "ok": True, "result": {"worker": "w0", "runs": runs}}
-    point = {"id": 10, "ok": True, "result": {"predicted_seconds": 2.0}}
-    # A point reply behind the batch: the reader must stay in step.
-    stream = framed(_frame_body(batch)) + framed(_frame_body(point))
+    return {"id": rid, "ok": True, "result": {"worker": "w0", "runs": runs}}
+
+
+def _content(msg: dict):
+    """A reply as comparable data: a batch's runs with their texts as bytes."""
+    runs = msg["result"].get("runs")
+    if runs is None:
+        return msg
+    return msg["id"], [[*run[:4], bytes(run[4])] for run in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    replies=st.lists(
+        st.none() | st.lists(st.binary(max_size=300), max_size=10), min_size=1, max_size=4
+    ),
+    reads=st.lists(st.integers(1, 97), min_size=1, max_size=12),
+    chunk=st.integers(1, 4096),
+)
+def test_interleaved_replies_survive_any_read_boundaries(replies, reads, chunk):
+    # Point replies (None) and batch replies (their runs' texts) back to
+    # back in one stream: the reader stays in step across frames.
+    stream, sent = b"", []
+    for rid, texts in enumerate(replies):
+        if texts is None:
+            reply = {"id": rid, "ok": True, "result": {"predicted_seconds": rid / 3}}
+        else:
+            reply = _batch_reply(rid, texts)
+        sent.append(copy.deepcopy(_content(reply)))
+        stream += framed(_frame_body(reply))
     real_chunk = fleet_module._READ_CHUNK
     fleet_module._READ_CHUNK = chunk
     try:
-        got_batch, got_point = read_frames(stream, reads, 2)
+        got = read_frames(stream, reads, len(replies))
     finally:
         fleet_module._READ_CHUNK = real_chunk
-    got = got_batch["result"]["runs"]
-    assert [run[:4] for run in got] == heads
-    assert [bytes(run[4]) for run in got] == texts
-    assert got_point == point
+    assert [_content(msg) for msg in got] == sent
 
 
 # ---------------------------------------------------------------------------
 # frames that cannot be decoded
 # ---------------------------------------------------------------------------
-def test_a_frame_torn_mid_body_is_an_incomplete_read():
+@pytest.mark.parametrize("claimed", [None, 4 << 20], ids=["torn", "oversized"])
+def test_a_frame_that_ends_short_is_an_incomplete_read(claimed):
+    # Torn: the stream ends halfway through the body.  Oversized: the
+    # prefix claims megabytes more than ever arrive, and the reader holds
+    # a buffer of the claimed size until the stream ends.
     body = _runs_body([500], b"x" * 500)
     stream = framed(body)[: 4 + len(body) // 2]
+    if claimed is not None:
+        stream = claimed.to_bytes(4, "little") + body
     real_chunk = fleet_module._READ_CHUNK
     fleet_module._READ_CHUNK = 64
     try:
@@ -195,6 +219,38 @@ def _runs_body(counts: list, texts: bytes) -> bytes:
 def test_an_undecodable_reply_is_a_value_error(body):
     with pytest.raises(ValueError):
         _decode_reply(body)
+
+
+class _Proc:
+    pid = None
+    kills = 0
+
+    def kill(self):
+        self.kills += 1
+
+
+@pytest.mark.parametrize(
+    "tail, kills",
+    [(b"", 0), (b"\x09\x00", 1), (framed(b'{"id": 2}')[:-3], 1), (framed(b"not json!"), 1)],
+    ids=["at-a-boundary", "mid-prefix", "mid-body", "not-json"],
+)
+def test_only_a_stream_out_of_step_kills_the_worker(tail, kills):
+    # A drained worker's socket ends at a frame boundary while the
+    # process is still exiting: that end is left to the sentinel watch,
+    # or a clean exit could read -9.  A stream that ends mid-frame or
+    # cannot be decoded has no later frame in step, so the reader kills.
+    async def run():
+        ours, theirs = socket.socketpair()
+        handle = ProcessHandle("w0", _Proc(), ours, max_pending=4)
+        await handle.connect()
+        with theirs:
+            theirs.sendall(framed(b'{"id": 1, "ok": true}') + tail)
+        await handle._reader_task
+        handle.close()
+        await handle._writer.wait_closed()
+        return handle.proc.kills
+
+    assert asyncio.run(run()) == kills
 
 
 def _tear_batch_frames(real_send_frame):
