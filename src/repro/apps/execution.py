@@ -136,11 +136,14 @@ _APP_STATICS: dict[tuple[BasicBlock, ...], dict] = {}
 def _app_statics(app: ApplicationModel) -> dict:
     """Block-axis statics of ``app`` that do not depend on the machine.
 
-    ``active_shapes`` holds, per (stride class, dependence) combination with
-    any traffic, the combination's class fractions, dependence parts, block
-    mask and per-block pattern shapes; executors price the shapes against
-    their own hierarchy.  All-empty combinations are dropped here once
-    instead of being re-tested on every timing call.
+    Each (stride class, dependence) combination with any traffic adds
+    one row to ``frac_stack`` (its class fractions), ``part_stack`` (its
+    dependence parts) and ``mask_stack`` (the blocks it prices), each
+    ``(combos, blocks)``, and its per-block pattern shapes to the flat
+    ``patterns`` list, which executors price against their own
+    hierarchy.  All-empty combinations are dropped here once instead of
+    being re-tested on every timing call; with none left the stacks are
+    ``None``.
     """
     cached = _APP_STATICS.get(app.blocks)
     if cached is not None:
@@ -150,13 +153,16 @@ def _app_statics(app: ApplicationModel) -> dict:
     class_frac = {
         sc: np.array([b.stride.fraction(sc) for b in blocks]) for sc in StrideClass
     }
-    active_shapes = []
+    fracs, parts, masks, patterns = [], [], [], []
     for stride_class, dependent in _COMBOS:
         frac = class_frac[stride_class]
         part = dep if dependent else 1.0 - dep
         mask = (frac > 0.0) & (part > 0.0)
         if np.any(mask):
-            patterns = [
+            fracs.append(frac)
+            parts.append(part)
+            masks.append(mask)
+            patterns += [
                 AccessPattern(
                     working_set=1.0,
                     stride=stride_class,
@@ -166,15 +172,15 @@ def _app_statics(app: ApplicationModel) -> dict:
                 )
                 for b in blocks
             ]
-            active_shapes.append((frac, part, mask, patterns))
     cached = {
         "fp_per_cell": np.array([b.fp_per_cell for b in blocks]),
         "bytes_per_cell": np.array([b.bytes_per_cell for b in blocks]),
-        "dep": dep,
-        "class_frac": class_frac,
         "ws_scale": np.array([b.ws_scale for b in blocks]),
         "ws_exponent": np.array([b.ws_exponent for b in blocks]),
-        "active_shapes": active_shapes,
+        "frac_stack": np.array(fracs) if fracs else None,
+        "part_stack": np.array(parts) if parts else None,
+        "mask_stack": np.array(masks) if masks else None,
+        "patterns": patterns,
         "names": [b.name for b in blocks],
     }
     _APP_STATICS[app.blocks] = cached
@@ -198,11 +204,15 @@ class GroundTruthExecutor:
         self.noise = noise
         self.hierarchy = MemoryHierarchy.of(machine)
         self.network = NetworkModel.of(machine)
-        # Per-app tensors (block statics + per-(class, dependence) level
-        # bandwidth matrices) and port factors recur for every processor
-        # count and every repeat of a study cell; both are deterministic
-        # functions of (machine, app) and safe to memoise per executor.
-        self._app_cache: dict[tuple[BasicBlock, ...], dict] = {}
+        # Per-app machine tensors (FP rates and per-(class, dependence)
+        # level bandwidth matrices; the machine-independent statics live
+        # in the shared _APP_STATICS) and port factors recur for every
+        # processor count and every repeat of a study cell; both are
+        # deterministic functions of (machine, app) and safe to memoise
+        # per executor.
+        self._app_cache: dict[
+            tuple[BasicBlock, ...], tuple[np.ndarray, np.ndarray | None]
+        ] = {}
         self._port_cache: dict[tuple[str, str], float] = {}
         # Whole run_many outputs, keyed by the (hashable, frozen) app plus
         # the requested counts: the executor is a pure function of its
@@ -279,35 +289,31 @@ class GroundTruthExecutor:
     # ------------------------------------------------------------------
     # tensorised block timing
     # ------------------------------------------------------------------
-    def _app_tensors(self, app: ApplicationModel) -> dict:
-        """Block-axis statics of ``app`` on this machine, built once.
+    def _app_tensors(
+        self, app: ApplicationModel
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(fp_rate, level_bw_stack)`` of ``app`` on this machine, built once.
 
-        Extends the machine-independent :func:`_app_statics` with, per
-        active (stride class, dependence) combination, the
-        ``(blocks, levels)`` matrix of per-level useful bandwidths — the
-        only machine-dependent pattern input that does *not* vary with the
-        processor count.
+        The machine-dependent complement of :func:`_app_statics`: the
+        per-block FP rates and, stacked over the active (stride class,
+        dependence) combinations, the ``(combos, blocks, levels)`` tensor
+        of per-level useful bandwidths — the only machine-dependent
+        pattern input that does *not* vary with the processor count
+        (``None`` when no combination is active).
         """
         cached = self._app_cache.get(app.blocks)
         if cached is not None:
             return cached
         statics = _app_statics(app)
-        cached = dict(statics)
-        cached["fp_rate"] = np.array([self._fp_rate(b) for b in app.blocks])
-        # Stack the active combinations into single (combos, blocks[, levels])
-        # tensors so the timing pass prices all of them in one dispatch set.
-        shapes = statics["active_shapes"]
-        if shapes:
-            cached["frac_stack"] = np.array([frac for frac, _, _, _ in shapes])
-            cached["part_stack"] = np.array([part for _, part, _, _ in shapes])
-            cached["mask_stack"] = np.array([mask for _, _, mask, _ in shapes])
-            flat_patterns = [p for _, _, _, patterns in shapes for p in patterns]
-            cached["level_bw_stack"] = self.hierarchy.level_bandwidth_matrix(
-                flat_patterns
-            ).reshape(len(shapes), len(app.blocks), -1)
-        else:
-            cached["frac_stack"] = None
-        self._app_cache[app.blocks] = cached
+        fp_rate = np.array([self._fp_rate(b) for b in app.blocks])
+        level_bw = None
+        if statics["frac_stack"] is not None:
+            # All active combinations in one matrix call, so the timing
+            # pass prices them in one dispatch set.
+            level_bw = self.hierarchy.level_bandwidth_matrix(
+                statics["patterns"]
+            ).reshape(len(statics["frac_stack"]), len(app.blocks), -1)
+        cached = self._app_cache[app.blocks] = (fp_rate, level_bw)
         return cached
 
     def _timings_arrays(
@@ -323,7 +329,8 @@ class GroundTruthExecutor:
         fraction or zero dependence part) contribute an exact ``0.0``,
         and batching over runs only widens the elementwise operations.
         """
-        t = self._app_tensors(app)
+        t = _app_statics(app)
+        fp_rate, level_bw = self._app_tensors(app)
         rb = rank_bytes[:, None]
         ws = np.minimum(
             np.maximum(t["ws_scale"][None, :] * rb ** t["ws_exponent"][None, :],
@@ -334,8 +341,8 @@ class GroundTruthExecutor:
             ws.shape[0], ws.shape[1], -1
         )
         total_bytes = t["bytes_per_cell"][None, :] * rank_cells[:, None]
-        t_fp = t["fp_per_cell"][None, :] * rank_cells[:, None] / t["fp_rate"][None, :]
-        if t["frac_stack"] is None:
+        t_fp = t["fp_per_cell"][None, :] * rank_cells[:, None] / fp_rate[None, :]
+        if level_bw is None:
             t_mem = np.zeros(ws.shape)
         else:
             # All active combinations priced together: the per-level
@@ -344,7 +351,6 @@ class GroundTruthExecutor:
             # short combos axis is NumPy's sequential left fold — the same
             # combination order and float order as accumulating one
             # combination at a time.
-            level_bw = t["level_bw_stack"]  # (combos, blocks, levels)
             time_per_byte = accumulate_time_per_byte(residency, level_bw)
             eff_bw = 1.0 / time_per_byte
             term = (
@@ -418,8 +424,9 @@ class GroundTruthExecutor:
         rank_cells = np.array([app.rank_cells(cpus) for cpus in cpus_list])
         rank_bytes = np.array([app.rank_bytes(cpus) for cpus in cpus_list])
         t_fp, t_mem, seconds, ws = self._timings_arrays(app, rank_cells, rank_bytes)
-        names = self._app_tensors(app)["names"]
+        names = _app_statics(app)["names"]
         port = self._port_factor(app)
+        label = app.label
 
         results = []
         for i, cpus in enumerate(cpus_list):
@@ -460,7 +467,7 @@ class GroundTruthExecutor:
 
             noise_factor = 1.0
             if self.noise:
-                rng = stable_rng("exec-noise", self.machine.name, app.label, cpus)
+                rng = stable_rng("exec-noise", self.machine.name, label, cpus)
                 draw = float(rng.normal(0.0, self.machine.noise_level))
                 # clip to 3 sigma so a single unlucky key cannot distort a
                 # table
@@ -471,7 +478,7 @@ class GroundTruthExecutor:
             results.append(
                 ExecutionResult(
                     machine=self.machine.name,
-                    application=app.label,
+                    application=label,
                     cpus=cpus,
                     total_seconds=total,
                     compute_seconds=compute,

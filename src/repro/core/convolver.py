@@ -136,8 +136,9 @@ class _TraceArrays:
     @classmethod
     def of(cls, trace: ApplicationTrace) -> "_TraceArrays":
         # Both ApplicationTrace and the store's MappedTrace expose cached
-        # block-axis arrays (for a mapped trace these are zero-copy memmap
-        # views), so no per-block Python objects are touched here.
+        # block-axis arrays (for a mapped trace these are zero-copy views
+        # of its entry's buffer), so no per-block Python objects are
+        # touched here.
         # ``b.bytes = (loads + stores) * 8.0`` and ``strided = unit +
         # short`` performed array-wise are the same IEEE-754 operations
         # per element as the scalar :meth:`Convolver._mem_seconds`.

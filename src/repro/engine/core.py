@@ -152,32 +152,36 @@ def _emit_label(records, observed, label, systems, runs, priced, numbers):
     same IEEE operations in the same order as the scalar
     ``(predicted - actual) / actual * 100.0``, so bit-identical; the
     executors guarantee ``actual > 0``), and each record is a C-level
-    tuple construction over the zipped columns.
+    tuple construction over the zipped columns.  A cell's records hold
+    its result's own ``cpus`` and ``total_seconds`` objects, so a record
+    allocates only its tuple and its error float.
     """
     width = len(numbers)
-    cell_cpus: list[int] = []
-    cell_actuals: list[float] = []
+    n_cells = 0
+    cpus_col: list[int] = []
+    actual_col: list[float] = []
     system_col: list[str] = []
     predicted: list[float] = []
     for system, results in zip(systems, runs):
         cells = [row[system] for row in priced if system in row]
         for res, predictions in zip(results, cells):
             observed[(label, system, res.cpus)] = res.total_seconds
-            cell_cpus.append(res.cpus)
-            cell_actuals.append(res.total_seconds)
+            cpus_col += [res.cpus] * width
+            actual_col += [res.total_seconds] * width
             predicted.extend(predictions)
+        n_cells += len(results)
         system_col += [system] * (len(results) * width)
-    actual = np.array(cell_actuals).repeat(width)
+    actual = np.array(actual_col)
     error = (np.array(predicted) - actual) / actual * 100.0
     records.extend(
         map(
             _new_record,
             zip(
                 repeat(label),
-                np.array(cell_cpus).repeat(width).tolist(),
+                cpus_col,
                 system_col,
-                numbers * len(cell_cpus),
-                actual.tolist(),
+                numbers * n_cells,
+                actual_col,
                 predicted,
                 error.tolist(),
             ),

@@ -54,7 +54,11 @@ the survivors — and *only* its range moves, the ring's minimal-movement
 property), fails the worker's in-flight requests with retry-able
 :class:`~repro.core.errors.OverloadedError` (HTTP 429, never a 500), and
 schedules a respawn; the replacement re-joins the ring under the same
-name and reclaims exactly its old key range.
+name and reclaims exactly its old key range.  A slot whose workers keep
+dying soon after launch waits twice as long before each relaunch, up to
+a cap (:meth:`Fleet.backoff`).  A reply frame whose prefix claims more
+than :data:`MAX_FRAME_BYTES`, or whose body stalls for
+:data:`FRAME_STALL_SECONDS`, ends its worker through the same path.
 """
 
 from __future__ import annotations
@@ -98,6 +102,14 @@ DEFAULT_WORKER_THREADS = 4
 #: worker is considered backlogged and new arrivals shed with 429.
 DEFAULT_MAX_PENDING = 64
 
+#: A worker that dies within this many seconds of its launch dies
+#: quickly: each quick death in a row after the first doubles its slot's
+#: respawn delay.  A worker that stays up this long resets the delay.
+RESPAWN_RESET_SECONDS = 10.0
+
+#: The longest a slot's respawn delay grows to.
+RESPAWN_DELAY_CAP = 5.0
+
 #: Keys a worker's service config may carry (see :func:`_build_service`).
 SERVICE_CONFIG_KEYS = frozenset(
     "base_system breaker default_deadline events_dir fault_stages faults "
@@ -130,6 +142,18 @@ def _peak_rss_mb() -> float | None:
 #: Frames up to this size are read in one piece; a larger one (a batch
 #: reply) is read into its own buffer this many bytes at a time.
 _READ_CHUNK = 64 * 1024
+
+#: The longest reply frame the front end reads.  The largest legitimate
+#: reply, a full-universe batch on ``mixed:0:3000``, is about 1.7 MB per
+#: worker; a prefix claiming more is refused before any buffer is
+#: allocated for it.
+MAX_FRAME_BYTES = 64 << 20
+
+#: Seconds within which each chunk of a frame over :data:`_READ_CHUNK`
+#: must arrive once its prefix has: a worker that stops mid-body without
+#: closing its socket ends through the death path instead of leaving its
+#: calls to their timeout.
+FRAME_STALL_SECONDS = 5.0
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -168,15 +192,27 @@ async def _read_frame(reader: asyncio.StreamReader, length: int):
 
     A frame over :data:`_READ_CHUNK` bytes is read into one buffer a
     chunk at a time: ``readexactly`` would first gather all of it in the
-    stream's own buffer, a second copy.
+    stream's own buffer, a second copy.  Each of its chunks must arrive
+    within :data:`FRAME_STALL_SECONDS` (else :class:`asyncio.TimeoutError`);
+    a smaller frame, every point reply, leaves its worker in the
+    ``sendmsg`` that carries its prefix and is read without a timer.
+
+    Raises :class:`ValueError` for a ``length`` over
+    :data:`MAX_FRAME_BYTES`, before allocating anything.
     """
     if length <= _READ_CHUNK:
         return await reader.readexactly(length)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame prefix claims {length} bytes, over the {MAX_FRAME_BYTES}-byte cap"
+        )
     frame = bytearray(length)
     with memoryview(frame) as view:
         filled = 0
         while filled < length:
-            chunk = await reader.read(min(length - filled, _READ_CHUNK))
+            chunk = await asyncio.wait_for(
+                reader.read(min(length - filled, _READ_CHUNK)), FRAME_STALL_SECONDS
+            )
             if not chunk:
                 raise asyncio.IncompleteReadError(bytes(view[:filled]), length)
             view[filled : filled + len(chunk)] = chunk
@@ -758,6 +794,12 @@ class ProcessHandle(WorkerHandle):
                 # when the next frame lands.
                 length = int.from_bytes(prefix, "little")
                 self._resolve(_decode_reply(await _read_frame(reader, length)))
+        except asyncio.TimeoutError:  # before OSError, which it subclasses on 3.11
+            log.error(
+                "fleet worker %s stalled over %gs mid-frame",
+                self.name,
+                FRAME_STALL_SECONDS,
+            )
         except OSError:
             return
         except asyncio.IncompleteReadError:
@@ -818,7 +860,8 @@ class Fleet:
     respawn, respawn_delay:
         Whether (and how soon) a dead worker process is replaced.  The
         chaos harness disables respawn to hold the degraded topology
-        still.
+        still.  A slot whose workers keep dying quickly waits longer
+        each time (see :meth:`backoff`).
     events:
         Optional :class:`~repro.events.log.EventLog` (the supervisor's
         own writer stream) that records worker deaths and respawns.
@@ -849,6 +892,10 @@ class Fleet:
         self.respawn_delay = respawn_delay
         self.deaths_total = 0
         self.respawns_total = 0
+        # Per slot: the loop time of its latest launch and its run of
+        # quick deaths (see backoff).
+        self._launched: dict[str, float] = {}
+        self._quick_deaths: dict[str, int] = {}
         self._closing = False
         self._tasks: set[asyncio.Task] = set()
         methods = multiprocessing.get_all_start_methods()
@@ -864,6 +911,7 @@ class Fleet:
             await self._launch(f"w{i}")
 
     async def _launch(self, name: str) -> None:
+        self._launched[name] = asyncio.get_running_loop().time()
         if self.n_workers == 1:
             handle = LocalHandle(name, self.config, max_pending=self.max_pending)
         else:
@@ -904,9 +952,36 @@ class Fleet:
             return  # stale callback for an already-replaced incarnation
         self._on_death(name, handle)
 
+    def backoff(self, name: str) -> tuple[float, int]:
+        """Slot ``name``'s respawn delay and its run of quick deaths.
+
+        A death within :data:`RESPAWN_RESET_SECONDS` of the slot's latest
+        launch is quick.  The first quick death in a row is respawned
+        after ``respawn_delay``, and each further one after twice the
+        delay before, up to :data:`RESPAWN_DELAY_CAP`.  Once the slot's
+        worker has stayed up :data:`RESPAWN_RESET_SECONDS`, the run is
+        over: the delay is ``respawn_delay`` again.
+        """
+        run = self._quick_deaths.get(name, 0)
+        handle = self.workers.get(name)
+        if (
+            handle is not None
+            and handle.alive
+            and asyncio.get_running_loop().time() - self._launched[name]
+            >= RESPAWN_RESET_SECONDS
+        ):
+            run = 0
+        if run <= 1:
+            return self.respawn_delay, run
+        cap = max(RESPAWN_DELAY_CAP, self.respawn_delay)
+        return min(self.respawn_delay * 2.0 ** min(run - 1, 32), cap), run
+
     def _on_death(self, name: str, handle: WorkerHandle) -> None:
         if not handle.alive:
             return
+        loop = asyncio.get_running_loop()
+        quick = loop.time() - self._launched[name] < RESPAWN_RESET_SECONDS
+        self._quick_deaths[name] = self._quick_deaths.get(name, 0) + 1 if quick else 0
         self.deaths_total += 1
         log.warning("fleet worker %s (pid %s) died", name, handle.pid)
         self._emit(WorkerDied(worker=name, pid=handle.pid or 0))
@@ -921,12 +996,12 @@ class Fleet:
             )
         )
         if self.respawn and not self._closing:
-            task = asyncio.get_running_loop().create_task(self._respawn(name))
+            task = loop.create_task(self._respawn(name, self.backoff(name)[0]))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
-    async def _respawn(self, name: str) -> None:
-        await asyncio.sleep(self.respawn_delay)
+    async def _respawn(self, name: str, delay: float) -> None:
+        await asyncio.sleep(delay)
         if self._closing:
             return
         try:
@@ -1003,6 +1078,7 @@ class Fleet:
         """
 
         async def one(handle: WorkerHandle) -> tuple[str, dict]:
+            delay, quick_deaths = self.backoff(handle.name)
             base = {
                 "alive": handle.alive,
                 "pid": handle.pid,
@@ -1010,6 +1086,8 @@ class Fleet:
                 "calls_total": handle.calls_total,
                 "shed_total": handle.shed_total,
                 "ewma_seconds": round(handle.ewma.seconds, 6),
+                "respawn_delay": delay,
+                "quick_deaths": quick_deaths,
             }
             if not handle.alive:
                 return handle.name, base

@@ -56,7 +56,8 @@ Routes:
 
 ``GET /healthz``
     Liveness (always 200 while the process answers) plus diagnostics:
-    per-worker handle depth (pending, shed, EWMA), breaker boards,
+    per-worker handle depth (pending, shed, EWMA), respawn backoff
+    (``respawn_delay``, ``quick_deaths``), breaker boards,
     pool-wait shed counts and trace/convolve memo counters (gathered
     concurrently), ring membership and hash-space shares,
     coalescing counters, death/respawn totals, and each process's peak

@@ -2,7 +2,7 @@
 
 The fleet keeps each worker's in-memory caches *warm for a stable slice*
 of the workload: a given (application, cpus) trace identity always routes
-to the same worker, so its memmapped trace, probe bundles and row-level
+to the same worker, so its loaded trace, probe bundles and row-level
 convolve memo are hot in exactly one process instead of being re-warmed
 N times.  The shard key is the store's own content digest
 (:func:`repro.tracing.store.trace_key`) — "which worker owns this trace"

@@ -1,9 +1,12 @@
-"""Versioned, checksummed, memory-mappable binary trace/probe format.
+"""Versioned, checksummed binary trace/probe format.
 
-Trace and probe records are stored as contiguous NumPy dtype sections
-that :class:`~repro.tracing.store.TraceStore` loads zero-copy via
-``np.memmap`` straight into the tensorised execute/convolve pipeline,
-with no per-block Python object rebuild.
+Trace and probe records are stored as contiguous NumPy dtype sections.
+:class:`~repro.tracing.store.TraceStore` reads an entry into one
+``bytes`` buffer, and the sections become typed views of it that go
+straight into the tensorised execute/convolve pipeline, with no
+per-block Python object rebuild.  An entry is about 1.3 KB, so mapping
+it would hold a whole 4 KiB page, and the checksum reads every byte
+anyway.
 
 On-disk layout (little-endian)::
 
@@ -30,10 +33,11 @@ header, stale payload schema — raises
 :class:`~repro.core.errors.TraceCorruptError`, which the store's
 self-healing load path converts into invalidate-and-recompute.
 
-Traces load as :class:`MappedTrace`: identity fields plus zero-copy
-:class:`~repro.tracing.trace.BlockArrays` views for the convolver's hot
-path; per-block :class:`~repro.tracing.trace.BlockTrace` objects are only
-materialised if someone actually asks for ``trace.blocks``.
+Traces load as :class:`MappedTrace`: identity fields plus
+:class:`~repro.tracing.trace.BlockArrays` views of the entry's buffer
+for the convolver's hot path; per-block
+:class:`~repro.tracing.trace.BlockTrace` objects are only materialised
+if someone actually asks for ``trace.blocks``.
 
 Trace entries written by earlier builds also carry a per-block cache
 service-fraction column in the header, and may carry ``reuse_*``
@@ -232,10 +236,11 @@ def _entry_from_bytes(data: bytes, expect_kind: int) -> _Entry:
 
 def _entry_from_path(path: str | os.PathLike, expect_kind: int) -> _Entry:
     try:
-        raw = np.memmap(path, dtype=np.uint8, mode="r")
-    except (OSError, ValueError) as exc:  # unreadable or empty file
-        raise TraceCorruptError(f"unmappable binary entry: {exc}") from exc
-    return _Entry(raw, expect_kind)
+        with open(path, "rb") as entry:
+            data = entry.read()
+    except OSError as exc:
+        raise TraceCorruptError(f"unreadable binary entry: {exc}") from exc
+    return _entry_from_bytes(data, expect_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +292,18 @@ class MappedTrace:
     """A trace decoded lazily from a binary entry.
 
     Duck-typed stand-in for :class:`~repro.tracing.trace.ApplicationTrace`:
-    identity fields, :attr:`comm` and :attr:`block_arrays` are available
-    immediately (the arrays are zero-copy views into the underlying
-    buffer — for a store entry, an ``np.memmap`` of the file); ``blocks``
-    and the derived totals materialise genuine trace objects on first
-    use, so the convolver's tensorised path never pays per-block Python
-    reconstruction.  The whole header is parsed here, so a malformed one
-    fails the store's load, which invalidates the entry and re-traces,
-    rather than a later use of the trace.  Equality and hashing delegate
-    to the materialised :class:`ApplicationTrace`, in both comparison
-    directions (the frozen dataclass returns ``NotImplemented`` for a
-    foreign class, which makes Python fall back to this class's
-    reflected ``__eq__``).
+    identity fields, :attr:`comm`, :attr:`block_names` and
+    :attr:`block_arrays` are available immediately (the arrays are
+    zero-copy views of the entry's one buffer, which they keep alive);
+    ``blocks`` and the derived totals materialise genuine trace objects
+    on first use, so the convolver's tensorised path never pays
+    per-block Python reconstruction.  The whole header is parsed here
+    and then dropped, so a malformed one fails the store's load, which
+    invalidates the entry and re-traces, rather than a later use of the
+    trace.  Equality and hashing delegate to the materialised
+    :class:`ApplicationTrace`, in both comparison directions (the frozen
+    dataclass returns ``NotImplemented`` for a foreign class, which
+    makes Python fall back to this class's reflected ``__eq__``).
     """
 
     __slots__ = (
@@ -307,9 +312,9 @@ class MappedTrace:
         "base_machine",
         "timesteps",
         "sample_size",
+        "block_names",
         "block_arrays",
         "comm",
-        "_entry",
         "_materialized",
     )
 
@@ -350,7 +355,7 @@ class MappedTrace:
             a.shape != (n,) for a in self.block_arrays[:9]
         ):
             raise TraceCorruptError("trace block sections disagree on block count")
-        self._entry = entry
+        self.block_names = tuple(str(name) for name in names)
         self._materialized: ApplicationTrace | None = None
 
     # -- lazy materialisation -----------------------------------------
@@ -359,12 +364,11 @@ class MappedTrace:
         cached = self._materialized
         if cached is not None:
             return cached
-        header = self._entry.header
         a = self.block_arrays
         try:
             blocks = tuple(
                 BlockTrace(
-                    name=str(name),
+                    name=name,
                     fp_ops=float(a.fp_ops[i]),
                     loads=float(a.loads[i]),
                     stores=float(a.stores[i]),
@@ -377,9 +381,9 @@ class MappedTrace:
                     working_set=float(a.working_set[i]),
                     dependency_weight=float(a.dependency_weight[i]),
                 )
-                for i, name in enumerate(header["block_names"])
+                for i, name in enumerate(self.block_names)
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise TraceCorruptError(f"malformed trace payload: {exc}") from exc
         cached = ApplicationTrace(
             application=self.application,
@@ -394,10 +398,6 @@ class MappedTrace:
         return cached
 
     # -- ApplicationTrace surface --------------------------------------
-    @property
-    def block_names(self) -> tuple[str, ...]:
-        return tuple(str(n) for n in self._entry.header["block_names"])
-
     @property
     def blocks(self) -> tuple[BlockTrace, ...]:
         return self.materialize().blocks
@@ -436,7 +436,7 @@ def trace_from_bytes(data: bytes) -> MappedTrace:
 
 
 def load_trace(path: str | os.PathLike) -> MappedTrace:
-    """Memory-map and validate the trace entry at ``path``."""
+    """Read and validate the trace entry at ``path``."""
     return MappedTrace(_entry_from_path(path, KIND_TRACE))
 
 
@@ -524,9 +524,9 @@ def probes_from_bytes(data: bytes) -> MachineProbes:
 
 
 def load_probes(path: str | os.PathLike) -> MachineProbes:
-    """Memory-map and validate the probes entry at ``path``.
+    """Read and validate the probes entry at ``path``.
 
-    The curve and netbench arrays stay zero-copy views of the mapped
-    file; the scalar results are rebuilt from the header (exact floats).
+    The curve and netbench arrays stay zero-copy views of the entry's
+    buffer; the scalar results are rebuilt from the header (exact floats).
     """
     return _probes_from_entry(_entry_from_path(path, KIND_PROBES))

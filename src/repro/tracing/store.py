@@ -9,10 +9,10 @@ invocations skip re-tracing and re-probing entirely, and parallel study
 workers share one warm store instead of each re-deriving the same traces.
 
 Entries are the binary records of :mod:`repro.tracing.binfmt` —
-``<digest>.rpb`` files whose NumPy sections load zero-copy via
-``np.memmap`` straight into the tensorised execute/convolve pipeline (no
-per-block Python object reconstruction), with a BLAKE2b checksum and a
-format version in the prelude.  A save encodes and writes its entry
+``<digest>.rpb`` files, each read into one ``bytes`` buffer whose NumPy
+sections go as views straight into the tensorised execute/convolve
+pipeline (no per-block Python object reconstruction), with a BLAKE2b
+checksum and a format version in the prelude.  A save encodes and writes its entry
 before it returns, atomically (temp file + rename), so concurrent
 workers can race on the same entry without corrupting it and the
 directory after any call holds exactly the entries saved so far.
@@ -261,8 +261,8 @@ class TraceStore:
     ) -> binfmt.MappedTrace | None:
         """The cached trace for this identity, or None if absent/invalid.
 
-        Entries come back as zero-copy
-        :class:`~repro.tracing.binfmt.MappedTrace` views of the mapped file.
+        Entries come back as :class:`~repro.tracing.binfmt.MappedTrace`
+        objects whose arrays are zero-copy views of the file's bytes.
         """
         path = self._trace_path(application, cpus, base_machine, sample_size)
         return self._load(path, "trace", binfmt.load_trace)

@@ -30,8 +30,9 @@ class BlockArrays(NamedTuple):
 
     One array per :class:`BlockTrace` field the tensorised pipeline
     consumes, each of shape ``(n_blocks,)``.  For a trace loaded from the
-    binary store these are zero-copy ``np.memmap`` views; for an
-    in-memory trace they are built once and cached on the trace object.
+    binary store these are zero-copy views of the entry's one ``bytes``
+    buffer; for an in-memory trace they are built once and cached on the
+    trace object.
     Values are bit-identical either way (float64 storage is exact), so
     the convolver's fast path never moves a prediction.
     """

@@ -7,6 +7,7 @@ every test that inspects study-level behaviour.
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.apps.suite import get_application
 from repro.machines.registry import BASE_SYSTEM, get_machine
@@ -19,6 +20,15 @@ from repro.machines.spec import (
 from repro.probes.suite import probe_machine
 from repro.study.runner import run_study
 from repro.util.units import GB, KIB, MIB
+
+# Hypothesis without its explain phase: after a failure, explaining the
+# shrunk example re-runs it many times over, which took one failing frame
+# test past 4 minutes and about 490 MB where generate and shrink alone
+# report the counterexample in 24 s.
+settings.register_profile(
+    "no-explain", phases=[phase for phase in Phase if phase is not Phase.explain]
+)
+settings.load_profile("no-explain")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.execution import GroundTruthExecutor, observed_time
+from repro.apps.execution import GroundTruthExecutor, _app_statics, observed_time
 from repro.apps.suite import get_application
 from repro.machines.registry import get_machine
 
@@ -131,6 +131,28 @@ def test_tensor_timings_match_scalar_block_walk(machine, label):
             assert t_fp[i, j] == scalar.fp_seconds
             assert t_mem[i, j] == pytest.approx(scalar.mem_seconds, rel=1e-13)
             assert seconds[i, j] == pytest.approx(scalar.seconds, rel=1e-13)
+
+
+def test_executors_share_an_applications_machine_independent_stacks():
+    # The block statics and pattern stacks are the same for every
+    # machine: two executors read one copy of them, and each executor's
+    # memo holds only what its machine changes.
+    app = get_application("RFCTH-standard")
+    statics = _app_statics(app)
+    a = GroundTruthExecutor(get_machine("ARL_Opteron"), noise=False)
+    b = GroundTruthExecutor(get_machine("NAVO_P3"), noise=False)
+    a.run_many(app, [64, 128])
+    b.run_many(app, [64])
+    assert statics is _app_statics(app)
+    assert statics["frac_stack"] is not None
+    shared = {id(value) for value in statics.values()}
+    for ex in (a, b):
+        (entry,) = ex._app_cache.values()
+        fp_rate, level_bw = entry
+        assert fp_rate.shape == (len(app.blocks),)
+        assert level_bw.shape[:2] == statics["frac_stack"].shape
+        assert not shared & {id(value) for value in entry}
+    assert not np.array_equal(a._app_cache[app.blocks][1], b._app_cache[app.blocks][1])
 
 
 def test_observed_time_wrapper(avus):

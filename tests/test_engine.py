@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.apps.execution import GroundTruthExecutor
 from repro.apps.suite import get_application
 from repro.core.errors import WorkerCrashError
 from repro.core.metrics import get_metric, predict_all
@@ -221,6 +222,30 @@ def test_matrix_plan_rejects_a_repeated_axis_entry(axis, fields):
     plan = dict(labels=("AVUS-standard",), systems=("ARL_Xeon",), metrics=(9,))
     with pytest.raises(ValueError, match=f"duplicate {axis} .* in MatrixPlan.{axis}s"):
         MatrixPlan(**{**plan, **fields})
+
+
+def test_a_cells_records_share_its_results_objects(monkeypatch):
+    # A record allocates only its tuple and its error float: every
+    # metric's record of a cell holds the executor result's own actual
+    # time and processor count (384 is past CPython's small-int cache).
+    results = {}
+    run_many = GroundTruthExecutor.run_many
+
+    def recording(self, app, cpus_list, **kwargs):
+        out = run_many(self, app, cpus_list, **kwargs)
+        for res in out:
+            results[(res.application, res.machine, res.cpus)] = res
+        return out
+
+    monkeypatch.setattr(GroundTruthExecutor, "run_many", recording)
+    records, _ = Engine(noise=False).run_matrix(
+        MatrixPlan(labels=("AVUS-large", APP), systems=("NAVO_655", TARGET), metrics=(1, 5, 9))
+    )
+    assert len(records) == 3 * 2 * 6
+    for record in records:
+        res = results[(record.application, record.system, record.cpus)]
+        assert record.actual_seconds is res.total_seconds
+        assert record.cpus is res.cpus
 
 
 def test_engine_validates_knobs():

@@ -1524,6 +1524,78 @@ def test_worker_death_is_shed_rerouted_and_respawned():
         server.stop()
 
 
+def test_a_slot_whose_workers_fail_at_start_backs_off_to_the_cap(monkeypatch):
+    # Every worker raises at start (an unknown fault stage).  Each slot's
+    # first respawn keeps respawn_delay; each further quick death doubles
+    # the wait until the cap, which /healthz reports per slot.
+    monkeypatch.setattr(fleet_module, "RESPAWN_DELAY_CAP", 0.4)
+    expected = [0.05, 0.1, 0.2, 0.4, 0.4, 0.4]
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        fleet = Fleet(2, service_config={"fault_stages": ["convolv"]}, respawn_delay=0.05)
+        launches = []
+        launch = fleet._launch
+
+        async def recording(name):
+            if name == "w0":
+                launches.append((loop.time(), *fleet.backoff(name)))
+            await launch(name)
+
+        fleet._launch = recording
+        await fleet.start()
+        try:
+            deadline = loop.time() + 30.0
+            while len(launches) <= len(expected) and loop.time() < deadline:
+                await asyncio.sleep(0.02)
+            health = await fleet.worker_health()
+        finally:
+            await fleet.stop()
+        return launches, health
+
+    launches, health = asyncio.run(run())
+    assert len(launches) > len(expected)
+    waits = launches[1 : len(expected) + 1]
+    assert [delay for _, delay, _ in waits] == pytest.approx(expected)
+    assert [run for _, _, run in waits] == list(range(1, len(expected) + 1))
+    for (before, _, _), (at, delay, _) in zip(launches, waits):
+        assert delay - 0.01 <= at - before < delay + 1.5
+    for row in health.values():
+        assert row["respawn_delay"] == pytest.approx(0.4)
+        assert row["quick_deaths"] >= len(expected)
+
+
+def test_a_worker_that_stays_up_resets_its_slots_backoff(monkeypatch):
+    # Two quick deaths in a row double the slot's delay; once the next
+    # worker stays up RESPAWN_RESET_SECONDS the run is over, and its
+    # death is respawned after respawn_delay again.
+    monkeypatch.setattr(fleet_module, "RESPAWN_RESET_SECONDS", 0.5)
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        fleet = Fleet(2, respawn_delay=0.05)
+        await fleet.start()
+
+        async def kill_w0():
+            pid = fleet.workers["w0"].pid
+            os.kill(pid, signal.SIGKILL)
+            deadline = loop.time() + 10.0
+            while fleet.workers["w0"].pid == pid or not fleet.workers["w0"].alive:
+                assert loop.time() < deadline, "w0 was not respawned"
+                await asyncio.sleep(0.01)
+            return fleet.backoff("w0")
+
+        try:
+            seen = [await kill_w0(), await kill_w0()]
+            await asyncio.sleep(0.6)
+            seen += [fleet.backoff("w0"), await kill_w0()]
+        finally:
+            await fleet.stop()
+        return seen
+
+    assert asyncio.run(run()) == [(0.05, 1), (0.1, 2), (0.05, 0), (0.05, 0)]
+
+
 def test_a_shed_batch_shard_is_retried_once_and_the_answer_stays_whole(golden):
     # One shard's owner sheds its first batch call: the front end retries
     # that shard once against the ring's owner, and the full matrix still

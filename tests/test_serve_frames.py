@@ -16,7 +16,9 @@ run's text on as a slice of it (``_decode_reply``).  The pins:
   arrive is an incomplete read; that, a frame that is not JSON and run
   byte counts that overrun or underrun the body end the worker through
   the supervisor's death path: the call fails at once with a 429, and
-  the worker is respawned;
+  the worker is respawned.  So do a prefix over the frame cap, refused
+  before anything is allocated for it, and a body that stalls mid-frame
+  past the stated bound;
 * **one copy per process** — the traced peak of a warm batch reply in a
   worker, and of the front end while it answers a warm batch, stay
   within a small multiple of the bytes they send.
@@ -251,6 +253,53 @@ def test_only_a_stream_out_of_step_kills_the_worker(tail, kills):
         return handle.proc.kills
 
     assert asyncio.run(run()) == kills
+
+
+def _stand_in_reader(data: bytes) -> tuple[int, float]:
+    """Send ``data`` from a stand-in worker over a socketpair and, with
+    its socket left open, await the handle's reader (at most 5 s);
+    return the stand-in's kills and the seconds the reader ran."""
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        ours, theirs = socket.socketpair()
+        handle = ProcessHandle("w0", _Proc(), ours, max_pending=4)
+        await handle.connect()
+        with theirs:
+            theirs.sendall(data)
+            started = loop.time()
+            await asyncio.wait_for(handle._reader_task, 5.0)
+            ran = loop.time() - started
+        handle.close()
+        await handle._writer.wait_closed()
+        return handle.proc.kills, ran
+
+    return asyncio.run(run())
+
+
+def test_a_prefix_over_the_cap_kills_the_worker_before_any_allocation():
+    # The claimed body would be 64 MiB: the prefix alone is refused while
+    # the socket stays open, and nothing near that size is allocated.
+    claimed = fleet_module.MAX_FRAME_BYTES + 1
+    tracemalloc.start()
+    try:
+        kills, _ = _stand_in_reader(claimed.to_bytes(4, "little") + b"x" * 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kills == 1
+    assert peak < claimed // 100, f"traced peak {peak} bytes"
+
+
+def test_a_worker_that_stalls_mid_body_is_killed_within_the_bound(monkeypatch):
+    # A prefix over _READ_CHUNK and half its body, then nothing while the
+    # socket stays open: the reader gives up once a chunk is
+    # FRAME_STALL_SECONDS late instead of leaving the calls to their timeout.
+    monkeypatch.setattr(fleet_module, "FRAME_STALL_SECONDS", 0.2)
+    length = 4 * fleet_module._READ_CHUNK
+    kills, ran = _stand_in_reader(length.to_bytes(4, "little") + b"x" * (length // 2))
+    assert kills == 1
+    assert 0.2 <= ran < 0.2 + 1.5
 
 
 def _tear_batch_frames(real_send_frame):

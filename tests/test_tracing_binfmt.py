@@ -168,7 +168,7 @@ def test_mapped_trace_is_zero_copy_and_lazy(tmp_path, avus, base_machine):
     mapped = binfmt.load_trace(path)
     # the hot-path arrays are views of the mapped file, not copies
     fp = mapped.block_arrays.fp_ops
-    assert isinstance(fp.base, np.memmap) or isinstance(fp.base.base, np.memmap)
+    assert isinstance(fp.base.base, bytes) and all(a.base is fp.base for a in mapped.block_arrays)
     assert not fp.flags.owndata
     # nothing materialised yet
     assert mapped._materialized is None
@@ -183,6 +183,30 @@ def test_mapped_trace_is_zero_copy_and_lazy(tmp_path, avus, base_machine):
     ) else True
     assert mapped.total_fp == trace.total_fp
     assert mapped.total_refs == trace.total_refs
+
+
+def test_a_stored_trace_holds_one_buffer_and_no_parsed_header(tmp_path, avus, base_machine):
+    # An entry is about 1.3 KB: a trace loaded from the store keeps the
+    # file's bytes, the nine section views of them, its comm records and
+    # its block names, and nothing of the header it was parsed from.
+    trace = MetaSimTracer(base_machine).trace(avus, 64)
+    store = TraceStore(tmp_path)
+    store.save_trace(trace)
+    loaded = store.load_trace(trace.application, 64, trace.base_machine, trace.sample_size)
+    buffers = set()
+    for array in loaded.block_arrays:
+        assert not array.flags.owndata and type(array) is np.ndarray
+        base = array
+        while isinstance(base, np.ndarray):
+            base = base.base
+        buffers.add(id(base))
+        assert isinstance(base, bytes)
+    assert len(buffers) == 1
+    assert loaded.block_names == trace.block_names
+    assert isinstance(loaded.block_names, tuple)
+    held = [getattr(loaded, name) for name in type(loaded).__slots__]
+    assert not any(isinstance(value, dict) for value in held)
+    assert loaded == trace
 
 
 def test_probes_roundtrip_is_exact(base_machine):
