@@ -87,13 +87,13 @@ def test_parallel_study_matches_golden(golden):
 
 def test_store_cold_and_warm_match_golden(golden, tmp_path):
     """Predictions through the binary store — populating it and then
-    serving zero-copy memory-mapped traces from it — are bit-identical."""
+    serving zero-copy traces from its entries — are bit-identical."""
     store = tmp_path / "cache"
     cold = run_study(StudyConfig(), store=store)
     assert as_rows(cold) == golden["records"]
     assert list(store.rglob("*.rpb"))  # the cold run persisted binary entries
     assert not list(store.rglob("*.json"))
-    # warm: every trace/probe bundle now comes off the memmapped store
+    # warm: every trace/probe bundle now comes off the store's entries
     clear_study_caches()
     warm = run_study(StudyConfig(), store=store)
     assert as_rows(warm) == golden["records"]
