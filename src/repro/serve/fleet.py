@@ -193,9 +193,12 @@ async def _read_frame(reader: asyncio.StreamReader, length: int):
     A frame over :data:`_READ_CHUNK` bytes is read into one buffer a
     chunk at a time: ``readexactly`` would first gather all of it in the
     stream's own buffer, a second copy.  Each of its chunks must arrive
-    within :data:`FRAME_STALL_SECONDS` (else :class:`asyncio.TimeoutError`);
-    a smaller frame, every point reply, leaves its worker in the
-    ``sendmsg`` that carries its prefix and is read without a timer.
+    within :data:`FRAME_STALL_SECONDS`: a timer armed around each read
+    sets :class:`asyncio.TimeoutError` on ``reader``, which wakes the
+    read with it and leaves the stream unusable, as a stalled worker is
+    ended anyway.  A smaller frame, every point reply, leaves its worker
+    in the ``sendmsg`` that carries its prefix and is read without a
+    timer.
 
     Raises :class:`ValueError` for a ``length`` over
     :data:`MAX_FRAME_BYTES`, before allocating anything.
@@ -206,13 +209,20 @@ async def _read_frame(reader: asyncio.StreamReader, length: int):
         raise ValueError(
             f"frame prefix claims {length} bytes, over the {MAX_FRAME_BYTES}-byte cap"
         )
+    loop = asyncio.get_running_loop()
+    stalled = functools.partial(
+        reader.set_exception,
+        asyncio.TimeoutError(f"no frame byte arrived for {FRAME_STALL_SECONDS:g}s"),
+    )
     frame = bytearray(length)
     with memoryview(frame) as view:
         filled = 0
         while filled < length:
-            chunk = await asyncio.wait_for(
-                reader.read(min(length - filled, _READ_CHUNK)), FRAME_STALL_SECONDS
-            )
+            timer = loop.call_later(FRAME_STALL_SECONDS, stalled)
+            try:
+                chunk = await reader.read(min(length - filled, _READ_CHUNK))
+            finally:
+                timer.cancel()
             if not chunk:
                 raise asyncio.IncompleteReadError(bytes(view[:filled]), length)
             view[filled : filled + len(chunk)] = chunk
