@@ -152,36 +152,34 @@ def _emit_label(records, observed, label, systems, runs, priced, numbers):
     same IEEE operations in the same order as the scalar
     ``(predicted - actual) / actual * 100.0``, so bit-identical; the
     executors guarantee ``actual > 0``), and each record is a C-level
-    tuple construction over the zipped columns.  A cell's records hold
-    its result's own ``cpus`` and ``total_seconds`` objects, so a record
-    allocates only its tuple and its error float.
+    tuple construction over the zipped columns.  The cpus and actual
+    columns repeat the results' own objects through object arrays, so
+    a record allocates only its tuple and its error float.
     """
     width = len(numbers)
-    n_cells = 0
-    cpus_col: list[int] = []
-    actual_col: list[float] = []
+    cell_cpus: list[int] = []
+    cell_actuals: list[float] = []
     system_col: list[str] = []
     predicted: list[float] = []
     for system, results in zip(systems, runs):
         cells = [row[system] for row in priced if system in row]
         for res, predictions in zip(results, cells):
             observed[(label, system, res.cpus)] = res.total_seconds
-            cpus_col += [res.cpus] * width
-            actual_col += [res.total_seconds] * width
+            cell_cpus.append(res.cpus)
+            cell_actuals.append(res.total_seconds)
             predicted.extend(predictions)
-        n_cells += len(results)
         system_col += [system] * (len(results) * width)
-    actual = np.array(actual_col)
+    actual = np.array(cell_actuals).repeat(width)
     error = (np.array(predicted) - actual) / actual * 100.0
     records.extend(
         map(
             _new_record,
             zip(
                 repeat(label),
-                cpus_col,
+                np.array(cell_cpus, dtype=object).repeat(width).tolist(),
                 system_col,
-                numbers * n_cells,
-                actual_col,
+                numbers * len(cell_cpus),
+                np.array(cell_actuals, dtype=object).repeat(width).tolist(),
                 predicted,
                 error.tolist(),
             ),
