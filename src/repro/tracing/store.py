@@ -292,7 +292,7 @@ class TraceStore:
     def load_probes(self, machine: MachineSpec) -> MachineProbes | None:
         """Cached probe bundle for this exact spec, or None.
 
-        Curve arrays stay zero-copy views of the mapped file.
+        Curve arrays stay zero-copy views of the file's bytes.
         """
         return self._load(self._probes_path(machine), "probes", binfmt.load_probes)
 
