@@ -302,15 +302,19 @@ def test_a_worker_that_stalls_mid_body_is_killed_within_the_bound(monkeypatch):
     assert 0.2 <= ran < 0.2 + 1.5
 
 
-def _tear_batch_frames(real_send_frame):
+def _tear_batch_frames(real_send_frame, *, stall: bool = False):
     """A worker's ``_send_frame`` that sends half of each batch reply and
-    then shuts the socket for writing, while the process lives on."""
+    then shuts the socket for writing (with ``stall``, sends nothing more
+    and keeps it open), while the process lives on."""
 
     def torn(sock, payload):
         if b"\n" not in payload:
             return real_send_frame(sock, payload)
         sock.sendall(framed(payload)[: 4 + len(payload) // 2])
-        sock.shutdown(socket.SHUT_WR)
+        if stall:
+            time.sleep(60)
+        else:
+            sock.shutdown(socket.SHUT_WR)
 
     return torn
 
@@ -332,17 +336,23 @@ def _break_batch_bodies(kind: str, real_frame_body):
     return broken
 
 
-@pytest.mark.parametrize("kind", ["torn", "not-json", "overrun", "underrun"])
+@pytest.mark.parametrize("kind", ["torn", "stalled", "not-json", "overrun", "underrun"])
 def test_a_reply_the_front_end_cannot_read_ends_the_worker(monkeypatch, kind):
     # Forked workers inherit the patch.  The batch's shard owner is
     # killed, its call fails at once with a 429 (the shard's one retry
     # meets a broken worker too), and the supervisor counts the death
     # and respawns the worker; point replies are untouched throughout.
-    if kind == "torn":
+    if kind in ("torn", "stalled"):
         monkeypatch.setattr(
-            fleet_module, "_send_frame", _tear_batch_frames(fleet_module._send_frame)
+            fleet_module,
+            "_send_frame",
+            _tear_batch_frames(fleet_module._send_frame, stall=kind == "stalled"),
         )
-    else:
+    if kind == "stalled":
+        # Only a frame over _READ_CHUNK is timed; this batch's is a few KB.
+        monkeypatch.setattr(fleet_module, "_READ_CHUNK", 1024)
+        monkeypatch.setattr(fleet_module, "FRAME_STALL_SECONDS", 0.5)
+    elif kind != "torn":
         monkeypatch.setattr(
             fleet_module, "_frame_body", _break_batch_bodies(kind, fleet_module._frame_body)
         )
